@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_hermitian, eigenvalue_clusters, herm_eig, partial_trace, support_cutoff
+from .linalg import Spectrum, as_hermitian, eigenvalue_clusters, partial_trace
 from .states import State
 
 
@@ -33,22 +33,21 @@ class Channel:
         c = as_hermitian(self.choi)
         if c.shape != (self.din * self.dout, self.din * self.dout):
             raise ValueError("Choi matrix shape does not match din * dout")
-        vals = np.linalg.eigvalsh(c)
-        if float(vals[0]) < -1e-9:
-            raise ValueError(f"Choi matrix is not PSD (min eig {vals[0]:.3e})")
+        min_eig = float(Spectrum.eigvalsh(c).values[0])
+        if min_eig < -1e-9:
+            raise ValueError(f"Choi matrix is not PSD (min eig {min_eig:.3e})")
         marg = partial_trace(c, [self.din, self.dout], [0])
         target = np.eye(self.din) / self.din
         if self.trace_preserving:
             if float(np.max(np.abs(marg - target))) > 1e-9:
                 raise ValueError("Choi marginal on the input copy is not I/din")
         else:
-            dev = np.linalg.eigvalsh(target - marg)
-            if float(dev[0]) < -1e-9:
+            if float(Spectrum.eigvalsh(target - marg).values[0]) < -1e-9:
                 raise ValueError("map increases trace: Choi marginal exceeds I/din")
         object.__setattr__(self, "choi", c)
 
     def choi_state(self, labels: tuple[str, str] = ("Ain", "C")) -> State:
-        return State(
+        return State._trusted(
             self.choi,
             ((labels[0], self.din), (labels[1], self.dout)),
             subnormalized=not self.trace_preserving,
@@ -72,14 +71,11 @@ def channel_from_kraus(kraus: list[np.ndarray], trace_preserving: bool = True) -
 
 def kraus_operators(channel: Channel) -> list[np.ndarray]:
     """Kraus decomposition from the eigenvectors of the unnormalized Choi."""
-    vals, vecs = herm_eig(channel.choi * channel.din)
-    cut = support_cutoff(vals)
-    ops = []
-    for i in range(len(vals)):
-        if vals[i] > cut:
-            k = np.sqrt(vals[i]) * vecs[:, i].reshape(channel.din, channel.dout).T
-            ops.append(k)
-    return ops
+    spec = Spectrum.of(channel.choi * channel.din)
+    return [
+        np.sqrt(spec.values[i]) * spec.vectors[:, i].reshape(channel.din, channel.dout).T
+        for i in np.flatnonzero(spec.support)
+    ]
 
 
 def identity_channel(d: int) -> Channel:
@@ -114,7 +110,7 @@ def generalized_dephasing(overlaps: np.ndarray) -> Channel:
     d = g.shape[0]
     if float(np.max(np.abs(np.diag(g) - 1.0))) > 1e-10:
         raise ValueError("Gram matrix must have unit diagonal")
-    if float(np.linalg.eigvalsh(g)[0]) < -1e-10:
+    if float(Spectrum.eigvalsh(g).values[0]) < -1e-10:
         raise ValueError("Gram matrix must be PSD")
     choi = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
@@ -130,8 +126,7 @@ def random_channel(din: int, dout: int, rng: np.random.Generator, rank: int | No
     g = rng.standard_normal((din * dout, rank)) + 1j * rng.standard_normal((din * dout, rank))
     m = g @ g.conj().T
     marg = partial_trace(m, [din, dout], [0])
-    vals, vecs = herm_eig(marg)
-    inv_sqrt = (vecs * (vals ** -0.5)) @ vecs.conj().T
+    inv_sqrt = Spectrum.of(marg).map(lambda w: w**-0.5)
     corr = np.kron(inv_sqrt, np.eye(dout))
     choi = corr @ m @ corr / din
     return Channel(din, dout, choi)
@@ -155,7 +150,7 @@ def apply_channel(channel: Channel, state: State, on: str) -> State:
     out = channel.din * np.einsum("icjd,iejf->cedf", w, r)
     out = out.reshape(channel.dout * d_rest, channel.dout * d_rest)
     new_dims = ((on, channel.dout),) + tuple((l, state.dim_of(l)) for l in rest)
-    result = State(
+    result = State._trusted(
         out, new_dims, subnormalized=state.subnormalized or not channel.trace_preserving
     )
     return result.permuted(*state.labels)
@@ -171,7 +166,7 @@ def apply_kraus(channel: Channel, state: State, on: str) -> State:
         big = np.kron(k, np.eye(d_rest))
         out += big @ perm.density @ big.conj().T
     new_dims = ((on, channel.dout),) + tuple((l, state.dim_of(l)) for l in rest)
-    result = State(
+    result = State._trusted(
         out, new_dims, subnormalized=state.subnormalized or not channel.trace_preserving
     )
     return result.permuted(*state.labels)

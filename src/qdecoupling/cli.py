@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .channels import generalized_dephasing, pinching_channel, random_channel
+from .channels import apply_channel, generalized_dephasing, pinching_channel, random_channel
 from .condentropy import EntropyKind, cond_entropy, duality_pair, petz_up_closed_form
 from .decoupling import (
     decoupling_error_lower_bound,
@@ -36,7 +36,7 @@ from .exponents import (
     merging_exponents,
     standard_decoupling_exponents,
 )
-from .linalg import as_hermitian, distinct_eigenvalue_count
+from .linalg import Spectrum, as_hermitian, distinct_eigenvalue_count
 from .states import (
     State,
     haar_second_moment_exact,
@@ -89,6 +89,11 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _usage(msg: str) -> int:
+    print(f"error: {msg}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -96,57 +101,54 @@ def cmd_divergence(args) -> int:
     a = load_state(args.state_a)
     b = load_state(args.state_b)
     if args.kind in ("petz", "sandwiched") and args.alpha is None:
-        print("error: --alpha is required for Renyi divergences", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("--alpha is required for Renyi divergences")
     val = divergence(a.density, b.density, args.kind, args.alpha)
     print(_fmt(val))
     return EXIT_OK
 
 
+def _load_gram_channel(path: str):
+    """The dephasing channel of a JSON [[re, im], ...] Gram matrix file."""
+    with open(path) as fh:
+        g = np.array([[complex(re, im) for re, im in row] for row in json.load(fh)])
+    return generalized_dephasing(g)
+
+
+# exponent-curve tasks: the input option and the exponents at one rate on
+# the loaded input.  Functions are looked up by name when called, so
+# rebinding one in this module (a tracer, a test double) takes effect.
+CURVE_TASKS = {
+    "standard-decoupling": ("state", lambda st, r, args: standard_decoupling_exponents(
+        st, math.log2(st.dim_of("A")) if args.log_a is None else args.log_a, r)),
+    "merging-d": ("state", lambda st, r, args: merging_exponents(
+        st, ["A"], ["B"], ["R"], r, "distill")),
+    "merging-c": ("state", lambda st, r, args: merging_exponents(
+        st, ["A"], ["B"], ["R"], r, "cost")),
+    "distill": ("state", lambda st, r, args: distillation_exponent(
+        st, [st.labels[0]], [st.labels[1]], r)),
+    "channel": ("gram", lambda ch, r, args: channel_coding_exponent(ch, r, dephasing=True)),
+}
+
+
 def cmd_exponent_curve(args) -> int:
+    if args.r_steps < 1:
+        return _usage("--r-steps must be at least 1")
+    if args.r_min > args.r_max:
+        return _usage("--r-min must not exceed --r-max")
+    option, at_rate = CURVE_TASKS[args.task]
+    path = getattr(args, option)
+    if path is None:
+        return _usage(f"--{option} is required for the {args.task} task")
+    inp = load_state(path) if option == "state" else _load_gram_channel(path)
     rows = []
-    r_grid = np.linspace(args.r_min, args.r_max, args.r_steps)
-    if args.task != "channel" and args.state is None:
-        print("error: --state is required for this task", file=sys.stderr)
-        return EXIT_USAGE
-    if args.task == "standard-decoupling":
-        state = load_state(args.state)
-        log_a = args.log_a if args.log_a is not None else math.log2(state.dim_of("A"))
-        for r in r_grid:
-            res = standard_decoupling_exponents(state, log_a, float(r))
-            rows.append((float(r), res.achievable, res.converse, int(res.exact)))
-    elif args.task in ("merging-d", "merging-c"):
-        state = load_state(args.state)
-        mode = "distill" if args.task == "merging-d" else "cost"
-        for r in r_grid:
-            res = merging_exponents(state, ["A"], ["B"], ["R"], float(r), mode)
-            rows.append((float(r), res.achievable, res.converse, int(res.exact)))
-    elif args.task == "distill":
-        state = load_state(args.state)
-        labels = list(state.labels)
-        for r in r_grid:
-            res = distillation_exponent(state, [labels[0]], [labels[1]], float(r))
-            rows.append((float(r), res.achievable, res.converse, int(res.exact)))
-    elif args.task == "channel":
-        if args.gram is None:
-            print("error: --gram is required for the channel task", file=sys.stderr)
-            return EXIT_USAGE
-        with open(args.gram) as fh:
-            g = np.array(
-                [[complex(re, im) for re, im in row] for row in json.load(fh)],
-                dtype=complex,
-            )
-        channel = generalized_dephasing(g)
-        for r in r_grid:
-            res = channel_coding_exponent(channel, float(r), dephasing=True)
-            rows.append((float(r), res.achievable, res.converse, int(res.exact)))
-    else:  # pragma: no cover - argparse restricts choices
-        return EXIT_USAGE
+    for r in np.linspace(args.r_min, args.r_max, args.r_steps):
+        res = at_rate(inp, float(r), args)
+        rows.append([_fmt(float(r)), _fmt(res.achievable), _fmt(res.converse),
+                     str(int(res.exact))])
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["r", "achievable", "converse", "exact"])
-        for r, a, c, e in rows:
-            w.writerow([_fmt(r), _fmt(a), _fmt(c), str(e)])
+        w.writerows(rows)
     return EXIT_OK
 
 
@@ -212,11 +214,7 @@ def _suite_divergence_props(trials, rng):
 
 
 def _apply_raw(channel, rho):
-    d = rho.shape[0]
-    st = State(rho, (("X", d),))
-    from .channels import apply_channel
-
-    return apply_channel(channel, st, "X").density
+    return apply_channel(channel, State(rho, (("X", rho.shape[0]),)), "X").density
 
 
 def _suite_sharp_trace(trials, rng):
@@ -283,7 +281,7 @@ def _suite_pinching(trials, rng):
         ch = pinching_channel(h)
         pinched = _apply_raw(ch, sig)
         v = distinct_eigenvalue_count(h)
-        viol = -float(np.min(np.linalg.eigvalsh(v * pinched - sig)))
+        viol = -float(np.min(Spectrum.eigvalsh(v * pinched - sig).values))
         if viol > worst:
             worst, offender = viol, State(sig, (("A", d),))
     return worst, 1e-10, offender
@@ -334,8 +332,7 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("--trials must be at least 1")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for stream, name in enumerate(names):
@@ -375,9 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("exponent-curve", help="rate/exponent curve as CSV")
     e.add_argument("--state", required=False)
-    e.add_argument("--task", required=True,
-                   choices=["standard-decoupling", "merging-d", "merging-c",
-                            "distill", "channel"])
+    e.add_argument("--task", required=True, choices=list(CURVE_TASKS))
     e.add_argument("--gram", default=None,
                    help="JSON [[re,im],...] Gram matrix (channel task)")
     e.add_argument("--r-min", type=float, required=True)

@@ -16,7 +16,7 @@ from scipy import optimize
 
 from .channels import Channel
 from .divergences import ALPHA_ONE_GUARD, divergence, umegaki
-from .linalg import herm_eig, mat_pow, partial_trace, support_cutoff, tensor
+from .linalg import Spectrum, mat_pow, partial_trace, tensor
 from .states import State, tensor_power
 
 _TINY = 1e-300
@@ -75,11 +75,12 @@ def _split_blocks(state: State, a_labels, b_labels):
     return perm.density, da, db
 
 
+def _herm_part(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().T)
+
+
 def von_neumann_entropy(m: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    cut = support_cutoff(vals)
-    sup = vals > cut
-    return float(-np.sum(vals[sup] * np.log2(vals[sup])))
+    return Spectrum.eigvalsh(_herm_part(m)).entropy()
 
 
 def cond_vn_entropy(state: State, a_labels, b_labels) -> float:
@@ -98,13 +99,10 @@ def cond_vn_entropy(state: State, a_labels, b_labels) -> float:
 
 def _petz_objective(rho: np.ndarray, da: int, alpha: float):
     db = rho.shape[0] // da
-    m = partial_trace(mat_pow(rho, alpha), [da, db], [1])
-    m = 0.5 * (m + m.conj().T)
+    m = _herm_part(partial_trace(mat_pow(rho, alpha), [da, db], [1]))
 
     def f(sigma: np.ndarray) -> float:
-        w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
-        w = np.maximum(w, _TINY)
-        pw = (v * w ** (1.0 - alpha)) @ v.conj().T
+        pw = Spectrum.eigh(_herm_part(sigma)).map(lambda w: np.maximum(w, _TINY) ** (1.0 - alpha))
         q = float(np.real(np.trace(m @ pw)))
         if q <= 0:
             return math.inf
@@ -118,12 +116,9 @@ def _sandwiched_objective(rho: np.ndarray, da: int, alpha: float):
     eye_a = np.eye(da)
 
     def f(sigma: np.ndarray) -> float:
-        w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
-        w = np.maximum(w, _TINY)
-        conj = (v * w**c) @ v.conj().T
+        conj = Spectrum.eigh(_herm_part(sigma)).map(lambda w: np.maximum(w, _TINY) ** c)
         big = np.kron(eye_a, conj)
-        mid = big @ rho @ big
-        mv = np.linalg.eigvalsh(0.5 * (mid + mid.conj().T))
+        mv = Spectrum.eigvalsh(_herm_part(big @ rho @ big)).values
         q = float(np.sum(np.maximum(mv, 0.0) ** alpha))
         if q <= 0:
             return math.inf
@@ -153,12 +148,10 @@ def _herm_basis(d: int) -> list[np.ndarray]:
 
 def _exp_update(sigma: np.ndarray, direction: np.ndarray, eta: float) -> np.ndarray:
     """Mirror step: normalize(exp(log sigma - eta * direction))."""
-    w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
-    logs = (v * np.log(np.maximum(w, _TINY))) @ v.conj().T
-    m = logs - eta * direction
-    mw, mv = np.linalg.eigh(0.5 * (m + m.conj().T))
-    mw = mw - np.max(mw)  # overflow guard; normalization absorbs the shift
-    out = (mv * np.exp(mw)) @ mv.conj().T
+    logs = Spectrum.eigh(_herm_part(sigma)).map(lambda w: np.log(np.maximum(w, _TINY)))
+    # the shift by the top eigenvalue guards against overflow; the
+    # normalization absorbs it
+    out = Spectrum.eigh(_herm_part(logs - eta * direction)).map(lambda w: np.exp(w - np.max(w)))
     return out / np.real(np.trace(out))
 
 
@@ -233,11 +226,11 @@ def minimized_conditioning(
     # that subspace keeps the iterates full rank, which the multiplicative
     # update needs to make progress.
     rho_b_full = partial_trace(rho, [da, db], [1])
-    vals_b, vecs_b = herm_eig(rho_b_full)
-    sup = vals_b > support_cutoff(vals_b)
+    spec_b = Spectrum.of(rho_b_full)
+    sup = spec_b.support
     basis = None
     if int(np.sum(sup)) < db:
-        basis = vecs_b[:, sup]
+        basis = spec_b.vectors[:, sup]
         db = basis.shape[1]
         iso = tensor(np.eye(da), basis)
         rho = iso.conj().T @ rho @ iso
@@ -362,11 +355,9 @@ def tensor_power_entropy(
 def _petz_coherent_of_output(rho: np.ndarray, da: int, alpha: float) -> float:
     """I_alpha(A>B) of a bipartite density via the closed form, raw arrays."""
     db = rho.shape[0] // da
-    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    w = np.maximum(w, 0.0)
-    pa = (v * w**alpha) @ v.conj().T
+    pa = Spectrum.eigh(_herm_part(rho)).map(lambda w: np.maximum(w, 0.0) ** alpha)
     m = partial_trace(pa, [da, db], [1])
-    mw = np.maximum(np.linalg.eigvalsh(0.5 * (m + m.conj().T)), 0.0)
+    mw = np.maximum(Spectrum.eigvalsh(_herm_part(m)).values, 0.0)
     t = float(np.sum(mw ** (1.0 / alpha)))
     return -(alpha / (1.0 - alpha)) * math.log2(t)
 
@@ -402,9 +393,7 @@ def channel_coherent_info(
         out = out.reshape(din * dout, din * dout)
         if family == "petz":
             return -_petz_coherent_of_output(out, din, alpha)
-        ref = State(
-            0.5 * (out + out.conj().T), (("R", din), ("B", dout)), subnormalized=True
-        )
+        ref = State._trusted(out, (("R", din), ("B", dout)), subnormalized=True)
         return -coherent_info(ref, ["R"], ["B"], family, alpha)
 
     starts = []
@@ -424,5 +413,5 @@ def channel_coherent_info(
             best_val, best_x = float(res.fun), res.x
     v = best_x[:n] + 1j * best_x[n:]
     v /= np.linalg.norm(v)
-    inp = State(np.outer(v, v.conj()), (("R", din), ("A", din)))
+    inp = State._trusted(np.outer(v, v.conj()), (("R", din), ("A", din)))
     return -best_val, inp

@@ -15,13 +15,8 @@ from scipy import optimize
 
 from .channels import Channel, apply_channel, partial_trace_channel
 from .condentropy import EntropyKind, cond_entropy
-from .divergences import _log2_on_support, sandwiched_renyi, support_contained, umegaki
-from .linalg import (
-    distinct_eigenvalue_count,
-    partial_trace,
-    positive_part_trace,
-    tensor,
-)
+from .divergences import sandwiched_renyi, support_contained, umegaki
+from .linalg import Spectrum, distinct_eigenvalue_count, positive_part_trace, tensor
 from .states import State, haar_unitary, make_rng
 
 LN2 = math.log(2.0)
@@ -88,10 +83,8 @@ class MCEstimate:
 
 def decoupling_error_sample(inst: DecouplingInstance, u: np.ndarray) -> float:
     """D(T(U rho_AE U*) || omega_C x rho_E) for one unitary on A."""
-    da = inst.dim_a
-    de = inst.rho_ae.dim_of("E")
-    big = tensor(u, np.eye(de))
-    rotated = State(big @ inst.rho_ae.density @ big.conj().T, inst.rho_ae.dims)
+    big = tensor(u, np.eye(inst.rho_ae.dim_of("E")))
+    rotated = State._trusted(big @ inst.rho_ae.density @ big.conj().T, inst.rho_ae.dims)
     out = apply_channel(inst.channel, rotated, "A")
     target = tensor(inst.omega_c, inst.rho_e)
     return umegaki(out.density, target)
@@ -219,11 +212,10 @@ def sharp_trace_inequality(rho: np.ndarray, sigma: np.ndarray, s: float):
     """
     if not 0 < s <= 1:
         raise ValueError("s must lie in (0, 1]")
-    if not support_contained(rho, sigma):
+    sig = Spectrum.of(sigma)
+    if not support_contained(rho, sig):
         raise ValueError("supp(rho) must be contained in supp(sigma)")
-    lhs = float(
-        np.real(np.trace(rho @ (_log2_on_support(rho + sigma) - _log2_on_support(sigma))))
-    )
+    lhs = float(np.real(np.trace(rho @ (Spectrum.of(rho + sigma).log2() - sig.log2()))))
     d = sandwiched_renyi(rho, sigma, 1.0 + s)
     rhs = (prefactor(s) / (s * LN2)) * 2.0 ** (s * d)
     return lhs, rhs

@@ -11,55 +11,41 @@ import math
 
 import numpy as np
 
-from .linalg import (
-    SUPPORT_LEAK_TOL,
-    as_hermitian,
-    herm_eig,
-    mat_pow,
-    support_cutoff,
-    support_projector,
-)
+from .linalg import SUPPORT_LEAK_TOL, Spectrum, as_hermitian
 
 # Dispatch to the Umegaki divergence this close to alpha = 1; the
 # 1/(alpha - 1) prefactor is numerically catastrophic nearer.
 ALPHA_ONE_GUARD = 1e-6
 
 
-def support_contained(rho: np.ndarray, sigma: np.ndarray, tol: float = SUPPORT_LEAK_TOL) -> bool:
-    """Whether supp(rho) fits inside supp(sigma) up to a mass leak of ``tol``."""
-    comp = np.eye(sigma.shape[0]) - support_projector(sigma)
+def _spectrum(p) -> Spectrum:
+    return p if isinstance(p, Spectrum) else Spectrum.of(p)
+
+
+def support_contained(rho: np.ndarray, sigma, tol: float = SUPPORT_LEAK_TOL) -> bool:
+    """Whether supp(rho) fits inside supp(sigma) up to a mass leak of ``tol``.
+
+    ``sigma`` is a PSD matrix or its :class:`Spectrum`.
+    """
+    proj = _spectrum(sigma).projector()
+    comp = np.eye(proj.shape[0]) - proj
     leak = float(np.real(np.trace(comp @ rho @ comp)))
     return leak <= tol
 
 
-def supports_overlap(rho: np.ndarray, sigma: np.ndarray, tol: float = SUPPORT_LEAK_TOL) -> bool:
-    """Whether the supports are non-orthogonal."""
-    overlap = float(np.real(np.trace(support_projector(rho) @ support_projector(sigma))))
+def supports_overlap(rho, sigma, tol: float = SUPPORT_LEAK_TOL) -> bool:
+    """Whether the supports are non-orthogonal; either may be a :class:`Spectrum`."""
+    overlap = float(np.real(np.trace(_spectrum(rho).projector() @ _spectrum(sigma).projector())))
     return overlap > tol
 
 
 def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Relative entropy tr(rho(log rho - log sigma)) in bits; +inf off-support."""
     rho = as_hermitian(rho)
-    sigma = as_hermitian(sigma)
-    if not support_contained(rho, sigma):
+    sig = Spectrum.of(sigma)
+    if not support_contained(rho, sig):
         return math.inf
-    vals_r, vecs_r = herm_eig(rho)
-    cut = support_cutoff(vals_r)
-    sup = vals_r > cut
-    term1 = float(np.sum(vals_r[sup] * np.log2(vals_r[sup])))
-    log_sigma = _log2_on_support(sigma)
-    term2 = float(np.real(np.trace(rho @ log_sigma)))
-    return term1 - term2
-
-
-def _log2_on_support(p: np.ndarray) -> np.ndarray:
-    vals, vecs = herm_eig(p)
-    cut = support_cutoff(vals)
-    out = np.zeros(len(vals))
-    sup = vals > cut
-    out[sup] = np.log2(vals[sup])
-    return (vecs * out) @ vecs.conj().T
+    return -Spectrum.of(rho).entropy() - float(np.real(np.trace(rho @ sig.log2())))
 
 
 def petz_renyi(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
@@ -69,12 +55,12 @@ def petz_renyi(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
         return umegaki(rho, sigma)
     rho = as_hermitian(rho)
-    sigma = as_hermitian(sigma)
-    if alpha > 1 and not support_contained(rho, sigma):
+    r, s = Spectrum.of(rho), Spectrum.of(sigma)
+    if alpha > 1 and not support_contained(rho, s):
         return math.inf
-    if alpha < 1 and not supports_overlap(rho, sigma):
+    if alpha < 1 and not supports_overlap(r, s):
         return math.inf
-    q = float(np.real(np.trace(mat_pow(rho, alpha) @ mat_pow(sigma, 1.0 - alpha))))
+    q = float(np.real(np.trace(r.pow(alpha) @ s.pow(1.0 - alpha))))
     if q <= 0:
         return math.inf
     tr_rho = float(np.real(np.trace(rho)))
@@ -88,17 +74,14 @@ def sandwiched_renyi(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
         return umegaki(rho, sigma)
     rho = as_hermitian(rho)
-    sigma = as_hermitian(sigma)
-    if alpha > 1 and not support_contained(rho, sigma):
+    s = Spectrum.of(sigma)
+    if alpha > 1 and not support_contained(rho, s):
         return math.inf
-    if alpha < 1 and not supports_overlap(rho, sigma):
+    if alpha < 1 and not supports_overlap(rho, s):
         return math.inf
-    c = (1.0 - alpha) / (2.0 * alpha)
-    conj = mat_pow(sigma, c)
-    mid = as_hermitian(conj @ rho @ conj)
-    vals, _ = herm_eig(mid)
-    cut = support_cutoff(vals)
-    q = float(np.sum(vals[vals > cut] ** alpha))
+    conj = s.pow((1.0 - alpha) / (2.0 * alpha))
+    mid = Spectrum.of(conj @ rho @ conj)
+    q = float(np.sum(mid.values[mid.support] ** alpha))
     if q <= 0:
         return math.inf
     tr_rho = float(np.real(np.trace(rho)))
@@ -108,11 +91,11 @@ def sandwiched_renyi(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
 def d_max(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Smallest lambda with rho <= 2^lambda sigma; +inf off-support."""
     rho = as_hermitian(rho)
-    sigma = as_hermitian(sigma)
-    if not support_contained(rho, sigma):
+    s = Spectrum.of(sigma)
+    if not support_contained(rho, s):
         return math.inf
-    inv_sqrt = mat_pow(sigma, -0.5)
-    top = float(np.max(np.linalg.eigvalsh(as_hermitian(inv_sqrt @ rho @ inv_sqrt))))
+    inv_sqrt = s.pow(-0.5)
+    top = float(np.max(Spectrum.eigvalsh(as_hermitian(inv_sqrt @ rho @ inv_sqrt)).values))
     if top <= 0:
         return -math.inf
     return math.log2(top)

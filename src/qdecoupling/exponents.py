@@ -27,7 +27,7 @@ from .condentropy import (
     petz_up_closed_form,
 )
 from .divergences import d_max
-from .linalg import tensor
+from .linalg import Spectrum, tensor
 from .states import State, make_rng
 
 S_MIN = 1e-4
@@ -54,6 +54,13 @@ class ExponentResult:
     converse_capped: bool = field(default=False)
     converse_diverges: bool = field(default=False)
     duality_gap: float = field(default=math.nan)
+
+    @classmethod
+    def of(cls, ach: ExponentCurve, converse: float, critical_rate: float, exact: bool,
+           capped: bool = False, diverges: bool = False, **extra) -> "ExponentResult":
+        """Result whose achievable exponent is the supremum of ``ach``, clamped at 0."""
+        return cls(max(0.0, ach.sup_value), converse, critical_rate, exact, ach.argmax_s,
+                   ach.sup_value, capped, diverges, **extra)
 
 
 def sup_on_interval(f, lo: float, hi: float, n_grid: int = 64) -> ExponentCurve:
@@ -160,16 +167,7 @@ def standard_decoupling_exponents(rho_ae: State, log_a: float, r: float) -> Expo
     conv, conv_arg, capped, diverges = _converse_sup(f, 2.0 * r - log_a + h_inf)
     rc = critical_rate(rho_ae)
     exact = r <= rc + 1e-12
-    return ExponentResult(
-        achievable=max(0.0, ach_curve.sup_value),
-        converse=conv,
-        critical_rate=rc,
-        exact=exact,
-        argmax_s=ach_curve.argmax_s,
-        raw_achievable=ach_curve.sup_value,
-        converse_capped=capped,
-        converse_diverges=diverges,
-    )
+    return ExponentResult.of(ach_curve, conv, rc, exact, capped, diverges)
 
 
 def comparator_exponent(
@@ -245,15 +243,8 @@ def merging_exponents(state: State, a_labels, b_labels, r_labels, r: float, mode
     conv, conv_arg, capped, diverges = _converse_sup(f, 0.5 * (h_inf + sign * r))
     rc = _fd_derivative(lambda s: s * h(s), 1.0)
     exact = (r >= rc - 1e-12) if mode == "distill" else (r <= -rc + 1e-12)
-    return ExponentResult(
-        achievable=max(0.0, ach.sup_value),
-        converse=conv,
-        critical_rate=rc if mode == "distill" else -rc,
-        exact=exact,
-        argmax_s=ach.argmax_s,
-        raw_achievable=ach.sup_value,
-        converse_capped=capped,
-        converse_diverges=diverges,
+    return ExponentResult.of(
+        ach, conv, rc if mode == "distill" else -rc, exact, capped, diverges,
         duality_gap=abs(ach.sup_value - ach_dual.sup_value),
     )
 
@@ -294,22 +285,10 @@ def distillation_exponent(rho_cd: State, c_labels, d_labels, r: float) -> Expone
     max_corr = len(c_labels) == 1 and len(d_labels) == 1 and is_maximally_correlated(
         rho_cd.permuted(c_labels[0], d_labels[0])
     )
-    if max_corr:
-        conv, _, capped, diverges = _converse_sup(f, None)
-        exact = r >= rc - 1e-12
-    else:
-        conv, capped, diverges = math.inf, False, False
-        exact = False
-    return ExponentResult(
-        achievable=max(0.0, ach.sup_value),
-        converse=conv,
-        critical_rate=rc,
-        exact=exact,
-        argmax_s=ach.argmax_s,
-        raw_achievable=ach.sup_value,
-        converse_capped=capped,
-        converse_diverges=diverges,
-    )
+    if not max_corr:
+        return ExponentResult.of(ach, math.inf, rc, False)
+    conv, _, capped, diverges = _converse_sup(f, None)
+    return ExponentResult.of(ach, conv, rc, r >= rc - 1e-12, capped, diverges)
 
 
 def channel_coding_exponent(
@@ -349,7 +328,7 @@ def channel_coding_exponent(
                 rng=rng,
                 x0=warm["x0"],
             )
-            vec = np.linalg.eigh(inp.density)[1][:, -1]
+            vec = Spectrum.eigh(inp.density).vectors[:, -1]
             warm["x0"] = np.concatenate([vec.real, vec.imag])
             return val
 
@@ -358,19 +337,7 @@ def channel_coding_exponent(
 
     ach = sup_on_interval(f, S_MIN, 1.0 - 1e-9, n_grid=n_grid)
     rc = _fd_derivative(lambda s: s * coh(s), 1.0)
-    if dephasing:
-        conv, _, capped, diverges = _converse_sup(f, None)
-        exact = r >= rc - 1e-12
-    else:
-        conv, capped, diverges = math.inf, False, False
-        exact = False
-    return ExponentResult(
-        achievable=max(0.0, ach.sup_value),
-        converse=conv,
-        critical_rate=rc,
-        exact=exact,
-        argmax_s=ach.argmax_s,
-        raw_achievable=ach.sup_value,
-        converse_capped=capped,
-        converse_diverges=diverges,
-    )
+    if not dephasing:
+        return ExponentResult.of(ach, math.inf, rc, False)
+    conv, _, capped, diverges = _converse_sup(f, None)
+    return ExponentResult.of(ach, conv, rc, r >= rc - 1e-12, capped, diverges)

@@ -5,7 +5,9 @@ this package:
 
 * logarithms are base 2 unless a function explicitly says otherwise,
 * ``math.inf`` is the sentinel for quantities that diverge,
-* spectral cutoffs follow the rank-revealing rule in :func:`support_cutoff`.
+* :class:`Spectrum` is the one place that decomposes Hermitian matrices and
+  applies the rank-revealing support cutoff (:attr:`Spectrum.cutoff`); every
+  other module reaches numpy's eigensolvers through it.
 """
 
 from __future__ import annotations
@@ -65,12 +67,91 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def support_cutoff(eigvals: np.ndarray, dim: int | None = None) -> float:
-    """Rank-revealing cutoff: eigenvalues at or below it count as kernel."""
-    if dim is None:
-        dim = len(eigvals)
-    top = float(np.max(np.abs(eigvals))) if len(eigvals) else 0.0
-    return dim * _EPS * max(top, 1.0)
+class Spectrum:
+    """Ascending eigenvalues of a Hermitian matrix, eigenvectors if computed.
+
+    Eigenvalues at or below :attr:`cutoff` form the kernel, which the
+    functional calculus maps to 0; :meth:`map` alone skips the cutoff.
+    """
+
+    __slots__ = ("values", "vectors")
+
+    def __init__(self, values: np.ndarray, vectors: np.ndarray | None = None):
+        self.values = values
+        self.vectors = vectors
+
+    @classmethod
+    def of(cls, h: np.ndarray) -> "Spectrum":
+        """Eigendecomposition of ``h`` after :func:`as_hermitian` validation."""
+        return cls(*herm_eig(h))
+
+    @classmethod
+    def eigh(cls, h: np.ndarray) -> "Spectrum":
+        """Eigendecomposition of ``h`` as given; only its lower triangle is read."""
+        return cls(*np.linalg.eigh(h))
+
+    @classmethod
+    def eigvalsh(cls, h: np.ndarray) -> "Spectrum":
+        """Eigenvalues only of ``h`` as given; only its lower triangle is read."""
+        return cls(np.linalg.eigvalsh(h))
+
+    @property
+    def cutoff(self) -> float:
+        """Rank-revealing cutoff ``dim * eps * max(|lambda|_max, 1)``."""
+        top = float(np.max(np.abs(self.values))) if len(self.values) else 0.0
+        return len(self.values) * _EPS * max(top, 1.0)
+
+    @property
+    def support(self) -> np.ndarray:
+        """Mask of the eigenvalues above the cutoff."""
+        return self.values > self.cutoff
+
+    def _rebuild(self, new_values: np.ndarray) -> np.ndarray:
+        return (self.vectors * new_values) @ self.vectors.conj().T
+
+    def map(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``f`` on every eigenvalue, for callers that clamp instead of cutting."""
+        return self._rebuild(f(self.values))
+
+    def func(self, f: Callable[[np.ndarray], np.ndarray], kernel_value: float = 0.0):
+        """``f`` on the support and ``kernel_value`` on the kernel.
+
+        Raises :class:`DomainError` where ``f`` is non-finite on the support.
+        """
+        sup = self.support
+        out = np.full(len(self.values), float(kernel_value))
+        if np.any(sup):
+            fv = np.asarray(f(self.values[sup]), dtype=float)
+            if not np.all(np.isfinite(fv)):
+                raise DomainError("function is non-finite on an in-support eigenvalue")
+            out[sup] = fv
+        return self._rebuild(out)
+
+    def pow(self, t: float) -> np.ndarray:
+        """Power of a PSD matrix with the pseudo-inverse convention.
+
+        The kernel maps to 0 for every ``t != 0``; ``t == 0`` gives the
+        support projector.
+        """
+        if float(self.values[0]) < -self.cutoff:
+            raise ValueError(f"matrix is not PSD: min eigenvalue {self.values[0]:.3e}")
+        sup = self.support
+        out = np.zeros(len(self.values))
+        out[sup] = 1.0 if t == 0 else self.values[sup] ** t
+        return self._rebuild(out)
+
+    def projector(self) -> np.ndarray:
+        """Projector onto the support of a PSD matrix."""
+        return self.pow(0)
+
+    def log2(self) -> np.ndarray:
+        """Base-2 logarithm on the support, 0 on the kernel."""
+        return self.func(np.log2)
+
+    def entropy(self) -> float:
+        """Von Neumann entropy ``-sum lambda log2 lambda`` over the support."""
+        v = self.values[self.support]
+        return float(-np.sum(v * np.log2(v)))
 
 
 def mat_func(
@@ -78,45 +159,17 @@ def mat_func(
     f: Callable[[np.ndarray], np.ndarray],
     kernel_value: float = 0.0,
 ) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix via its spectrum.
-
-    Eigenvalues at or below the support cutoff are mapped to
-    ``kernel_value`` instead of through ``f``; ``f`` evaluating to a
-    non-finite number on an in-support eigenvalue raises :class:`DomainError`.
-    """
-    vals, vecs = herm_eig(h)
-    cut = support_cutoff(vals)
-    out = np.full(len(vals), float(kernel_value))
-    sup = vals > cut
-    if np.any(sup):
-        fv = np.asarray(f(vals[sup]), dtype=float)
-        if not np.all(np.isfinite(fv)):
-            raise DomainError("function is non-finite on an in-support eigenvalue")
-        out[sup] = fv
-    return (vecs * out) @ vecs.conj().T
+    """Apply a scalar function to a Hermitian matrix (see :meth:`Spectrum.func`)."""
+    return Spectrum.of(h).func(f, kernel_value)
 
 
 def mat_pow(p: np.ndarray, t: float) -> np.ndarray:
-    """Power of a PSD matrix with the pseudo-inverse convention.
-
-    The kernel maps to 0 for every ``t != 0``; ``t == 0`` returns the
-    support projector.
-    """
-    vals, vecs = herm_eig(p)
-    cut = support_cutoff(vals)
-    if float(vals[0]) < -cut:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {vals[0]:.3e}")
-    sup = vals > cut
-    out = np.zeros(len(vals))
-    if t == 0:
-        out[sup] = 1.0
-    else:
-        out[sup] = vals[sup] ** t
-    return (vecs * out) @ vecs.conj().T
+    """Power of a PSD matrix (see :meth:`Spectrum.pow`)."""
+    return Spectrum.of(p).pow(t)
 
 
 def support_projector(p: np.ndarray) -> np.ndarray:
-    return mat_pow(p, 0)
+    return Spectrum.of(p).projector()
 
 
 def positive_part_trace(h: np.ndarray) -> float:
@@ -182,7 +235,7 @@ def trace_norm(x: np.ndarray) -> float:
 
 def _check_state(rho: np.ndarray, name: str) -> np.ndarray:
     rho = as_hermitian(rho)
-    vals = np.linalg.eigvalsh(rho)
+    vals = Spectrum.eigvalsh(rho).values
     if float(vals[0]) < -1e-8:
         raise ValueError(f"{name} is not PSD (min eigenvalue {vals[0]:.3e})")
     tr = float(np.real(np.trace(rho)))

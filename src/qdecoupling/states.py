@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_hermitian, herm_eig, partial_trace, support_cutoff, tensor
+from .linalg import Spectrum, as_hermitian, partial_trace, tensor
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -22,6 +22,8 @@ class State:
     ``dims`` is a tuple of (label, dimension) pairs in tensor order.  The
     matrix is symmetrized on construction; PSD and normalization are
     validated (``subnormalized=True`` relaxes trace == 1 to trace <= 1).
+    Only this public constructor validates: states derived inside the
+    package from valid ones come from :meth:`_trusted`.
     """
 
     density: np.ndarray
@@ -29,6 +31,19 @@ class State:
     subnormalized: bool = field(default=False)
 
     def __post_init__(self):
+        self._set_structure()
+        spec = Spectrum.eigvalsh(self.density)
+        if float(spec.values[0]) < -spec.cutoff - 1e-10:
+            raise ValueError(f"density is not PSD (min eigenvalue {spec.values[0]:.3e})")
+        tr = float(np.real(np.trace(self.density)))
+        if self.subnormalized:
+            if tr > 1.0 + 1e-10:
+                raise ValueError(f"sub-normalized state has trace {tr:.6f} > 1")
+        elif abs(tr - 1.0) > 1e-10:
+            raise ValueError(f"state has trace {tr:.12f} != 1")
+
+    def _set_structure(self) -> None:
+        """Symmetrize the density and check it against the subsystem dims."""
         m = as_hermitian(self.density)
         dims = tuple((str(l), int(d)) for l, d in self.dims)
         total = int(np.prod([d for _, d in dims])) if dims else 1
@@ -38,17 +53,23 @@ class State:
             )
         if len({l for l, _ in dims}) != len(dims):
             raise ValueError("subsystem labels must be unique")
-        vals = np.linalg.eigvalsh(m)
-        if float(vals[0]) < -support_cutoff(vals) - 1e-10:
-            raise ValueError(f"density is not PSD (min eigenvalue {vals[0]:.3e})")
-        tr = float(np.real(np.trace(m)))
-        if self.subnormalized:
-            if tr > 1.0 + 1e-10:
-                raise ValueError(f"sub-normalized state has trace {tr:.6f} > 1")
-        elif abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"state has trace {tr:.12f} != 1")
         object.__setattr__(self, "density", m)
         object.__setattr__(self, "dims", dims)
+
+    @classmethod
+    def _trusted(cls, density, dims, subnormalized: bool = False) -> "State":
+        """A state derived from valid states, with the structural checks only.
+
+        Partial traces, permutations, tensor products, channels and unitary
+        rotations keep a state PSD with a valid trace, up to roundoff, so
+        the spectral and trace checks of the public constructor are skipped.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "subnormalized", subnormalized)
+        self._set_structure()
+        return self
 
     # -- structure helpers ------------------------------------------------
 
@@ -77,7 +98,7 @@ class State:
         keep = sorted(self.index_of(l) for l in labels)
         sizes = [d for _, d in self.dims]
         m = partial_trace(self.density, sizes, keep)
-        return State(m, tuple(self.dims[i] for i in keep), self.subnormalized)
+        return State._trusted(m, tuple(self.dims[i] for i in keep), self.subnormalized)
 
     def permuted(self, *labels: str) -> "State":
         """Same state with subsystems reordered to the given label order."""
@@ -88,14 +109,14 @@ class State:
         sizes = [d for _, d in self.dims]
         t = self.density.reshape(sizes + sizes)
         t = np.transpose(t, perm + [n + p for p in perm])
-        return State(
+        return State._trusted(
             t.reshape(self.total_dim, self.total_dim),
             tuple(self.dims[p] for p in perm),
             self.subnormalized,
         )
 
     def tensor_with(self, other: "State") -> "State":
-        return State(
+        return State._trusted(
             tensor(self.density, other.density),
             self.dims + other.dims,
             self.subnormalized or other.subnormalized,
@@ -103,7 +124,7 @@ class State:
 
     def relabeled(self, mapping: dict[str, str]) -> "State":
         dims = tuple((mapping.get(l, l), d) for l, d in self.dims)
-        return State(self.density, dims, self.subnormalized)
+        return State._trusted(self.density, dims, self.subnormalized)
 
 
 def tensor_power(state: State, m: int) -> State:
@@ -178,9 +199,9 @@ def random_pure(dims: tuple[tuple[str, int], ...], rng: np.random.Generator) -> 
 
 def purify(state: State, label: str = "P") -> State:
     """Pure extension on one extra subsystem of size rank(state)."""
-    vals, vecs = herm_eig(state.density)
-    cut = support_cutoff(vals)
-    sup = np.where(vals > cut)[0]
+    spec = Spectrum.of(state.density)
+    vals, vecs = spec.values, spec.vectors
+    sup = np.flatnonzero(spec.support)
     rank = max(len(sup), 1)
     d = state.total_dim
     vec = np.zeros(d * rank, dtype=complex)
@@ -190,7 +211,7 @@ def purify(state: State, label: str = "P") -> State:
     nrm = np.linalg.norm(vec)
     if nrm > 0:
         vec = vec / nrm * np.sqrt(tr)
-    return State(
+    return State._trusted(
         np.outer(vec, vec.conj()), state.dims + ((label, rank),), state.subnormalized
     )
 

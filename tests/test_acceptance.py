@@ -354,12 +354,18 @@ def test_criterion_13_determinism(tmp_path):
          "--out", str(tmp_path / "curve.csv")],
         ["verify", "--suite", "sharp-trace", "--trials", "10", "--seed", "4"],
     ]
+    # the child runs in tmp_path, so a relative PYTHONPATH entry would not
+    # find the package; put the directory it was imported from first
+    import qdecoupling
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(qdecoupling.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     ok = True
     for cmd in commands:
         outs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OMP_NUM_THREADS=threads,
-                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=pythonpath)
             proc = subprocess.run([sys.executable, "-m", "qdecoupling.cli"] + cmd,
                                   capture_output=True, env=env, cwd=str(tmp_path))
             blob = proc.stdout

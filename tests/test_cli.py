@@ -163,6 +163,14 @@ def test_exponent_curve_missing_inputs(tmp_path, capsys):
                  "--r-max", "0.2", "--r-steps", "2",
                  "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
     capsys.readouterr()
+    # an empty or a descending rate grid is a usage error, with a valid state
+    p = write_state(max_entangled(2, ("A", "E")), tmp_path / "phi.json")
+    for r_min, r_max, steps in (("0.1", "0.2", "0"), ("0.3", "0.2", "2")):
+        assert main(["exponent-curve", "--state", p, "--task", "standard-decoupling",
+                     "--r-min", r_min, "--r-max", r_max, "--r-steps", steps,
+                     "--out", str(tmp_path / "y.csv")]) == EXIT_USAGE
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (tmp_path / "y.csv").exists()
 
 
 def test_exponent_curve_channel_task(tmp_path):

@@ -1,0 +1,90 @@
+"""The one spectral primitive and the single validation point of ``State``.
+
+Every eigensolve goes through ``linalg.Spectrum``, each operand is
+decomposed at most once per call, and states derived from valid states
+skip the spectral check that the public constructor runs.
+"""
+
+import numpy as np
+import pytest
+
+from qdecoupling.channels import apply_channel, random_channel
+from qdecoupling.condentropy import EntropyKind, cond_entropy
+from qdecoupling.decoupling import decoupling_error_sample, standard_instance
+from qdecoupling.divergences import d_max, petz_renyi, sandwiched_renyi, umegaki
+from qdecoupling.linalg import Spectrum
+from qdecoupling.states import State, haar_unitary, random_density, random_state
+
+
+def test_spectrum_calculus_on_a_diagonal_matrix():
+    spec = Spectrum.of(np.diag([0.0, 0.25, 0.75]))
+    assert np.array_equal(spec.support, [False, True, True])
+    assert np.allclose(spec.pow(0.5), np.diag([0.0, 0.5, np.sqrt(0.75)]), atol=1e-15)
+    assert np.allclose(spec.pow(-1.0), np.diag([0.0, 4.0, 4.0 / 3.0]), atol=1e-14)
+    assert np.allclose(spec.projector(), np.diag([0.0, 1.0, 1.0]), atol=1e-15)
+    assert np.allclose(spec.log2(), np.diag([0.0, -2.0, np.log2(0.75)]), atol=1e-15)
+    h = -(0.25 * np.log2(0.25) + 0.75 * np.log2(0.75))
+    assert spec.entropy() == pytest.approx(h, abs=1e-15)
+    # map applies the function to the kernel too: no cutoff
+    assert np.allclose(spec.map(lambda w: w + 1.0), np.diag([1.0, 1.25, 1.75]), atol=1e-15)
+    assert np.array_equal(Spectrum.eigvalsh(np.diag([0.75, 0.0, 0.25])).values, spec.values)
+
+
+def test_spectrum_pow_rejects_negative():
+    with pytest.raises(ValueError):
+        Spectrum.of(np.diag([1.0, -0.5])).pow(0.5)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """count(fn, *args) -> (eigh calls, eigvalsh calls) made by fn(*args)."""
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def count(fn, *args):
+        counts.update(eigh=0, eigvalsh=0)
+        fn(*args)
+        return counts["eigh"], counts["eigvalsh"]
+
+    return count
+
+
+def test_eigensolves_per_call(solves, rng):
+    rho = random_density(3, 3, rng)
+    sigma = random_density(3, 3, rng)
+    state = random_state((("A", 4), ("E", 2)), 8, rng)
+    inst = standard_instance(state, 2, 2)
+    u = haar_unitary(4, rng)
+    assert solves(umegaki, rho, sigma) == (2, 0)
+    assert solves(sandwiched_renyi, rho, sigma, 1.5) == (2, 0)
+    assert solves(petz_renyi, rho, sigma, 0.7) == (2, 0)
+    assert solves(petz_renyi, rho, sigma, 1.5) == (2, 0)
+    assert solves(d_max, rho, sigma) == (1, 1)
+    kind = EntropyKind("sandwiched", 1.5)
+    assert solves(cond_entropy, state, ["A"], ["E"], kind) == (2, 0)
+    assert solves(decoupling_error_sample, inst, u) == (2, 0)
+    assert solves(state.marginal, "E") == (0, 0)
+    assert solves(state.permuted, "E", "A") == (0, 0)
+    assert solves(State, rho, (("A", 3),)) == (0, 1)
+
+
+def test_derived_states_match_the_public_constructor(rng):
+    state = random_state((("A", 2), ("B", 3)), 4, rng)
+    channel = random_channel(2, 2, rng)
+    marg = state.marginal("B")
+    perm = state.permuted("B", "A")
+    out = apply_channel(channel, state, "A")
+    for derived in (marg, perm, out):
+        public = State(derived.density, derived.dims, derived.subnormalized)
+        assert np.array_equal(derived.density, public.density)
+        assert derived.dims == public.dims
+    # the public constructor still validates its input
+    with pytest.raises(ValueError):
+        State(np.diag([1.5, -0.5]), (("A", 2),))
+    with pytest.raises(ValueError):
+        State(np.eye(2) * 0.6, (("A", 2),))
