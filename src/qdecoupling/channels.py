@@ -21,7 +21,9 @@ class Channel:
     """Completely positive map in normalized-Choi representation.
 
     ``trace_preserving=False`` relaxes the marginal condition to
-    trace non-increasing (marginal on the input copy <= I/din).
+    trace non-increasing (marginal on the input copy <= I/din).  A channel
+    is immutable: per-channel work is kept on it (``states.memo_on``), so
+    its Choi matrix must not be changed in place.
     """
 
     din: int

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 parse or usage error, 3 precondition violation,
 4 decoupling bound violated by the Monte Carlo estimate, 5 verification
-suite failure.
+suite failure, 6 numerical failure (an optimizer that diverged or an
+eigensolver that did not converge).
 
 State files are JSON documents {"dims": [{"label": ..., "dim": ...}, ...],
 "matrix": [[[re, im], ...], ...]}; curve files are CSV with 17 significant
@@ -53,6 +54,7 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_BOUND_VIOLATION = 4
 EXIT_VERIFY_FAIL = 5
+EXIT_NUMERICAL = 6
 
 
 # -- state file io ---------------------------------------------------------
@@ -408,6 +410,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except RuntimeError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

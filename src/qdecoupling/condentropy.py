@@ -15,9 +15,9 @@ import numpy as np
 from scipy import optimize
 
 from .channels import Channel
-from .divergences import ALPHA_ONE_GUARD, divergence, umegaki
-from .linalg import Spectrum, mat_pow, partial_trace, tensor
-from .states import State, tensor_power
+from .divergences import ALPHA_ONE_GUARD, d_max, divergence, umegaki
+from .linalg import Spectrum, as_hermitian, mat_pow, partial_trace, tensor
+from .states import State, memo_on, tensor_power
 
 _TINY = 1e-300
 
@@ -88,6 +88,47 @@ def cond_vn_entropy(state: State, a_labels, b_labels) -> float:
     rho, da, db = _split_blocks(state, a_labels, b_labels)
     rho_b = partial_trace(rho, [da, db], [1])
     return von_neumann_entropy(rho) - von_neumann_entropy(rho_b)
+
+
+class ConditionalEntropy:
+    """Non-optimized H_alpha(A|B) = -D_alpha(rho_AB || I_A x rho_B) of one state.
+
+    Construction splits the blocks, symmetrizes rho_AB and decomposes
+    I_A x rho_B once.  A call at the order ``alpha`` reuses them and is
+    memoized on the float ``alpha``; the exponents call it at alpha = 1 + s.
+    """
+
+    def __init__(self, state: State, a_labels, b_labels, family: str = "sandwiched"):
+        rho, da, db = _split_blocks(state, a_labels, b_labels)
+        self.rho = as_hermitian(rho)
+        self.sigma = Spectrum.of(tensor(np.eye(da), partial_trace(rho, [da, db], [1])))
+        self.family = family
+        self._values: dict[float, float] = {}
+        self._min_entropy: float | None = None
+
+    def __call__(self, alpha: float) -> float:
+        h = self._values.get(alpha)
+        if h is None:
+            h = self._values[alpha] = -divergence(self.rho, self.sigma, self.family, alpha)
+        return h
+
+    def min_entropy(self) -> float:
+        """-D_max(rho_AB || I_A x rho_B), the sandwiched limit as alpha grows."""
+        if self._min_entropy is None:
+            self._min_entropy = -d_max(self.rho, self.sigma)
+        return self._min_entropy
+
+
+def sandwiched_cond_entropy(state: State, a_labels, b_labels) -> ConditionalEntropy:
+    """The sandwiched :class:`ConditionalEntropy` of (A|B), built once per state."""
+    key = ("sandwiched", tuple(a_labels), tuple(b_labels))
+    return memo_on(state, key, lambda: ConditionalEntropy(state, a_labels, b_labels))
+
+
+def choi_cond_entropy(channel: Channel) -> ConditionalEntropy:
+    """Sandwiched H(A'|C) of the channel's Choi state omega_A'C, built once per channel."""
+    return memo_on(channel, ("choi-sandwiched",), lambda: ConditionalEntropy(
+        channel.choi_state(("Ain", "C")), ["Ain"], ["C"]))
 
 
 # -- fast objectives for the sigma minimization ----------------------------
@@ -292,10 +333,8 @@ def cond_entropy(
     config: SimplexOptimizerConfig | None = None,
 ) -> float:
     """Conditional Renyi entropy of the (A, B) partition, in bits."""
-    rho, da, db = _split_blocks(state, a_labels, b_labels)
     if not kind.optimized:
-        sigma_b = partial_trace(rho, [da, db], [1])
-        return -divergence(rho, tensor(np.eye(da), sigma_b), kind.family, kind.alpha)
+        return ConditionalEntropy(state, a_labels, b_labels, kind.family)(kind.alpha)
     if kind.family == "petz":
         return petz_up_closed_form(state, a_labels, b_labels, kind.alpha)
     return -minimized_conditioning(

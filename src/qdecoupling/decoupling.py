@@ -14,7 +14,7 @@ import numpy as np
 from scipy import optimize
 
 from .channels import Channel, apply_channel, partial_trace_channel
-from .condentropy import EntropyKind, cond_entropy
+from .condentropy import EntropyKind, choi_cond_entropy, cond_entropy, sandwiched_cond_entropy
 from .divergences import sandwiched_renyi, support_contained, umegaki
 from .linalg import Spectrum, distinct_eigenvalue_count, positive_part_trace, tensor
 from .states import State, haar_unitary, make_rng
@@ -131,12 +131,13 @@ def mc_decoupling_error(
 
 
 def _entropy_sum(inst: DecouplingInstance, s: float) -> float:
-    """H_{1+s}(A|E)_rho + H_{1+s}(A'|C)_omega, sandwiched, non-optimized."""
-    kind = EntropyKind("sandwiched", 1.0 + s)
-    h_ae = cond_entropy(inst.rho_ae, ["A"], ["E"], kind)
-    omega = inst.channel.choi_state(("Ain", "C"))
-    h_ac = cond_entropy(omega, ["Ain"], ["C"], kind)
-    return h_ae + h_ac
+    """H_{1+s}(A|E)_rho + H_{1+s}(A'|C)_omega, sandwiched, non-optimized.
+
+    Both entropies are kept on the state and the channel, so a search over s
+    splits and decomposes each of them once.
+    """
+    h_ae = sandwiched_cond_entropy(inst.rho_ae, ["A"], ["E"])
+    return h_ae(1.0 + s) + choi_cond_entropy(inst.channel)(1.0 + s)
 
 
 def decoupling_error_upper_bound(inst: DecouplingInstance, s: float) -> float:

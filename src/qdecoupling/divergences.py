@@ -2,7 +2,10 @@
 
 Inputs are density-like matrices (first argument a possibly sub-normalized
 state, second any PSD operator; the second argument is deliberately never
-renormalized).  Support violations yield ``math.inf`` instead of raising.
+renormalized).  The second argument may also be given as its
+:class:`Spectrum`, so a caller that holds the decomposition of sigma passes
+it in and nothing decomposes sigma again.  Support violations yield
+``math.inf`` instead of raising.
 """
 
 from __future__ import annotations
@@ -39,23 +42,23 @@ def supports_overlap(rho, sigma, tol: float = SUPPORT_LEAK_TOL) -> bool:
     return overlap > tol
 
 
-def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
+def umegaki(rho: np.ndarray, sigma) -> float:
     """Relative entropy tr(rho(log rho - log sigma)) in bits; +inf off-support."""
     rho = as_hermitian(rho)
-    sig = Spectrum.of(sigma)
+    sig = _spectrum(sigma)
     if not support_contained(rho, sig):
         return math.inf
     return -Spectrum.of(rho).entropy() - float(np.real(np.trace(rho @ sig.log2())))
 
 
-def petz_renyi(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
+def petz_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
     """Quasi-entropy family built on tr(rho^a sigma^(1-a)), in bits."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
         return umegaki(rho, sigma)
     rho = as_hermitian(rho)
-    r, s = Spectrum.of(rho), Spectrum.of(sigma)
+    r, s = Spectrum.of(rho), _spectrum(sigma)
     if alpha > 1 and not support_contained(rho, s):
         return math.inf
     if alpha < 1 and not supports_overlap(r, s):
@@ -67,14 +70,14 @@ def petz_renyi(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     return (math.log2(q) - math.log2(tr_rho)) / (alpha - 1.0)
 
 
-def sandwiched_renyi(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
+def sandwiched_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
     """Sandwiched family built on tr((sigma^c rho sigma^c)^a), c=(1-a)/2a, in bits."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
         return umegaki(rho, sigma)
     rho = as_hermitian(rho)
-    s = Spectrum.of(sigma)
+    s = _spectrum(sigma)
     if alpha > 1 and not support_contained(rho, s):
         return math.inf
     if alpha < 1 and not supports_overlap(rho, s):
@@ -88,10 +91,10 @@ def sandwiched_renyi(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     return (math.log2(q) - math.log2(tr_rho)) / (alpha - 1.0)
 
 
-def d_max(rho: np.ndarray, sigma: np.ndarray) -> float:
+def d_max(rho: np.ndarray, sigma) -> float:
     """Smallest lambda with rho <= 2^lambda sigma; +inf off-support."""
     rho = as_hermitian(rho)
-    s = Spectrum.of(sigma)
+    s = _spectrum(sigma)
     if not support_contained(rho, s):
         return math.inf
     inv_sqrt = s.pow(-0.5)
@@ -137,7 +140,7 @@ def classical_divergence_oracle(
     raise ValueError(f"unknown divergence kind {kind!r}")
 
 
-def divergence(rho: np.ndarray, sigma: np.ndarray, kind: str, alpha: float | None = None) -> float:
+def divergence(rho: np.ndarray, sigma, kind: str, alpha: float | None = None) -> float:
     """Uniform dispatch used by the CLI and the conditional-entropy layer."""
     if kind == "umegaki":
         return umegaki(rho, sigma)

@@ -5,10 +5,21 @@ suprema over s > 0, evaluated by bracket doubling.  A converse supremum can
 genuinely diverge (the bound is then vacuous); this is detected through the
 asymptotic slope and reported as ``math.inf`` with a flag rather than as a
 number at an arbitrary cutoff.  All rates and exponents are in bits.
+
+The rate enters every objective linearly, so the expensive part, the
+entropy at each s, depends on the input alone.  Each exponent function
+keeps that part on its input ``State`` or ``Channel`` (see
+``states.memo_on``): the entropy is memoized on s, and the critical rate
+and the asymptotic slope are computed once.  A rate curve on one input
+object therefore evaluates each (input, s) pair once.  Inputs are
+immutable; changing a state's density in place would leave stale values.
+The one exception is ``channel_coding_exponent`` without ``dephasing``,
+whose randomized input search depends on call order and is not memoized.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,18 +28,18 @@ from scipy import optimize
 
 from .channels import Channel
 from .condentropy import (
-    EntropyKind,
+    ConditionalEntropy,
     SimplexOptimizerConfig,
     _petz_coherent_of_output,
     channel_coherent_info,
-    cond_entropy,
+    choi_cond_entropy,
     cond_vn_entropy,
     minimized_conditioning,
     petz_up_closed_form,
+    sandwiched_cond_entropy,
 )
-from .divergences import d_max
-from .linalg import Spectrum, tensor
-from .states import State, make_rng
+from .linalg import Spectrum
+from .states import State, make_rng, memo_on
 
 S_MIN = 1e-4
 S_CAP = 64.0
@@ -121,29 +132,32 @@ def _converse_sup(f, asym_slope: float | None):
     return max(0.0, curve.sup_value), curve.argmax_s, capped, False
 
 
+def _coherent_curve(owner, key, coh):
+    """(coh memoized on s, the slope of s * coh(s) at s = 1), kept on ``owner``."""
+
+    def make():
+        cached = functools.cache(coh)
+        return cached, _fd_derivative(lambda s: s * cached(s), 1.0)
+
+    return memo_on(owner, key, make)
+
+
 # -- decoupling ------------------------------------------------------------
-
-
-def _sandwiched_cond(state: State, a_labels, b_labels):
-    def h(s: float) -> float:
-        return cond_entropy(state, a_labels, b_labels, EntropyKind("sandwiched", 1.0 + s))
-
-    return h
 
 
 def decoupling_achievable_exponent(rho_ae: State, channel: Channel) -> float:
     """sup over s in (0,1) of s(H(A|E) + H(A'|C)), clamped at zero."""
-    h_ae = _sandwiched_cond(rho_ae, ["A"], ["E"])
-    omega = channel.choi_state(("Ain", "C"))
-    h_ac = _sandwiched_cond(omega, ["Ain"], ["C"])
-    curve = sup_on_interval(lambda s: s * (h_ae(s) + h_ac(s)), S_MIN, 1.0)
+    h_ae = sandwiched_cond_entropy(rho_ae, ["A"], ["E"])
+    h_ac = choi_cond_entropy(channel)
+    curve = sup_on_interval(lambda s: s * (h_ae(1.0 + s) + h_ac(1.0 + s)), S_MIN, 1.0)
     return max(0.0, curve.sup_value)
 
 
 def critical_rate(rho_ae: State) -> float:
-    """Derivative of -(s/2) H_{1+s}(A|E) at s = 1, in bits."""
-    h = _sandwiched_cond(rho_ae, ["A"], ["E"])
-    return _fd_derivative(lambda s: -0.5 * s * h(s), 1.0)
+    """Derivative of -(s/2) H_{1+s}(A|E) at s = 1, in bits; computed once per state."""
+    h = sandwiched_cond_entropy(rho_ae, ["A"], ["E"])
+    return memo_on(rho_ae, ("critical_rate",),
+                   lambda: _fd_derivative(lambda s: -0.5 * s * h(1.0 + s), 1.0))
 
 
 def standard_decoupling_exponents(rho_ae: State, log_a: float, r: float) -> ExponentResult:
@@ -155,16 +169,13 @@ def standard_decoupling_exponents(rho_ae: State, log_a: float, r: float) -> Expo
     """
     if r <= 0:
         raise ValueError("rate r must be positive")
-    h = _sandwiched_cond(rho_ae, ["A"], ["E"])
+    h = sandwiched_cond_entropy(rho_ae, ["A"], ["E"])
 
     def f(s: float) -> float:
-        return s * (2.0 * r - log_a + h(s))
+        return s * (2.0 * r - log_a + h(1.0 + s))
 
     ach_curve = sup_on_interval(f, S_MIN, 1.0)
-    rho_e = rho_ae.marginal("E").density
-    da = rho_ae.dim_of("A")
-    h_inf = -d_max(rho_ae.density, tensor(np.eye(da), rho_e))
-    conv, conv_arg, capped, diverges = _converse_sup(f, 2.0 * r - log_a + h_inf)
+    conv, conv_arg, capped, diverges = _converse_sup(f, 2.0 * r - log_a + h.min_entropy())
     rc = critical_rate(rho_ae)
     exact = r <= rc + 1e-12
     return ExponentResult.of(ach_curve, conv, rc, exact, capped, diverges)
@@ -202,6 +213,27 @@ def comparator_exponent(
 # -- state merging ---------------------------------------------------------
 
 
+def _merging_terms(state: State, a_labels, b_labels, r_labels):
+    """The rate-independent parts of the merging exponents of one pure state.
+
+    Returns H(A|R), the sandwiched H_alpha(A|R), s -> -Hup_{1/(1+s)}(A|B)
+    (Petz, memoized on s) and the slope of s * H_{1+s}(A|R) at s = 1.
+    """
+    purity = float(np.real(np.trace(state.density @ state.density)))
+    if purity < 1.0 - 1e-8:
+        raise ValueError(f"state is not pure (tr rho^2 = {purity:.6f})")
+    ar = state.marginal(*(list(a_labels) + list(r_labels)))
+    ab = state.marginal(*(list(a_labels) + list(b_labels)))
+    h = ConditionalEntropy(ar, a_labels, r_labels)
+
+    @functools.cache
+    def h_dual(s: float) -> float:
+        return -petz_up_closed_form(ab, a_labels, b_labels, 1.0 / (1.0 + s))
+
+    rc = _fd_derivative(lambda s: s * h(1.0 + s), 1.0)
+    return cond_vn_entropy(ar, a_labels, r_labels), h, h_dual, rc
+
+
 def merging_exponents(state: State, a_labels, b_labels, r_labels, r: float, mode: str) -> ExponentResult:
     """Merging exponents for a pure tripartite state, distill or cost mode.
 
@@ -212,36 +244,24 @@ def merging_exponents(state: State, a_labels, b_labels, r_labels, r: float, mode
     """
     if mode not in ("distill", "cost"):
         raise ValueError("mode must be 'distill' or 'cost'")
-    purity = float(np.real(np.trace(state.density @ state.density)))
-    if purity < 1.0 - 1e-8:
-        raise ValueError(f"state is not pure (tr rho^2 = {purity:.6f})")
-    ar = state.marginal(*(list(a_labels) + list(r_labels)))
-    ab = state.marginal(*(list(a_labels) + list(b_labels)))
-    h_vn = cond_vn_entropy(ar, a_labels, r_labels)
+    labels = tuple(a_labels), tuple(b_labels), tuple(r_labels)
+    h_vn, h, h_dual, rc = memo_on(state, ("merging",) + labels,
+                                  lambda: _merging_terms(state, *labels))
     sign = -1.0 if mode == "distill" else 1.0
     if mode == "distill" and not (h_vn > 0 and 0 < r < h_vn):
         raise ValueError(f"distill mode needs 0 < r < H(A|R) = {h_vn:.6f}")
     if mode == "cost" and not (h_vn < 0 and r > -h_vn):
         raise ValueError(f"cost mode needs r > -H(A|R) = {-h_vn:.6f}")
-    h = _sandwiched_cond(ar, a_labels, r_labels)
 
     def f(s: float) -> float:
-        return 0.5 * s * (h(s) + sign * r)
+        return 0.5 * s * (h(1.0 + s) + sign * r)
 
     def f_dual(s: float) -> float:
-        h_dual = -petz_up_closed_form(ab, a_labels, b_labels, 1.0 / (1.0 + s))
-        return 0.5 * s * (h_dual + sign * r)
+        return 0.5 * s * (h_dual(s) + sign * r)
 
     ach = sup_on_interval(f, S_MIN, 1.0 - 1e-9)
     ach_dual = sup_on_interval(f_dual, S_MIN, 1.0 - 1e-9)
-    da = int(np.prod([ar.dim_of(l) for l in a_labels]))
-    rho_r = ar.marginal(*r_labels).density
-    h_inf = -d_max(
-        ar.permuted(*(list(a_labels) + list(r_labels))).density,
-        tensor(np.eye(da), rho_r),
-    )
-    conv, conv_arg, capped, diverges = _converse_sup(f, 0.5 * (h_inf + sign * r))
-    rc = _fd_derivative(lambda s: s * h(s), 1.0)
+    conv, conv_arg, capped, diverges = _converse_sup(f, 0.5 * (h.min_entropy() + sign * r))
     exact = (r >= rc - 1e-12) if mode == "distill" else (r <= -rc + 1e-12)
     return ExponentResult.of(
         ach, conv, rc if mode == "distill" else -rc, exact, capped, diverges,
@@ -273,15 +293,15 @@ def distillation_exponent(rho_cd: State, c_labels, d_labels, r: float) -> Expone
     """
     if r < 0:
         raise ValueError("rate r must be nonnegative")
-
-    def coh(s: float) -> float:
-        return -petz_up_closed_form(rho_cd, c_labels, d_labels, 1.0 / (1.0 + s))
+    c_labels, d_labels = tuple(c_labels), tuple(d_labels)
+    coh, rc = _coherent_curve(
+        rho_cd, ("distill", c_labels, d_labels),
+        lambda s: -petz_up_closed_form(rho_cd, c_labels, d_labels, 1.0 / (1.0 + s)))
 
     def f(s: float) -> float:
         return 0.5 * s * (coh(s) - r)
 
     ach = sup_on_interval(f, S_MIN, 1.0 - 1e-9)
-    rc = _fd_derivative(lambda s: s * coh(s), 1.0)
     max_corr = len(c_labels) == 1 and len(d_labels) == 1 and is_maximally_correlated(
         rho_cd.permuted(c_labels[0], d_labels[0])
     )
@@ -309,15 +329,12 @@ def channel_coding_exponent(
     """
     if r < 0:
         raise ValueError("rate r must be nonnegative")
-    rng = make_rng(seed)
     if dephasing:
-        choi = channel.choi
-        din = channel.din
-
-        def coh(s: float) -> float:
-            return _petz_coherent_of_output(choi, din, 1.0 / (1.0 + s))
-
+        coh, rc = _coherent_curve(
+            channel, ("dephasing",),
+            lambda s: _petz_coherent_of_output(channel.choi, channel.din, 1.0 / (1.0 + s)))
     else:
+        rng = make_rng(seed)
         warm: dict[str, np.ndarray | None] = {"x0": None}
 
         def coh(s: float) -> float:
@@ -336,8 +353,8 @@ def channel_coding_exponent(
         return 0.5 * s * (coh(s) - r)
 
     ach = sup_on_interval(f, S_MIN, 1.0 - 1e-9, n_grid=n_grid)
-    rc = _fd_derivative(lambda s: s * coh(s), 1.0)
     if not dephasing:
+        rc = _fd_derivative(lambda s: s * coh(s), 1.0)
         return ExponentResult.of(ach, math.inf, rc, False)
     conv, _, capped, diverges = _converse_sup(f, None)
     return ExponentResult.of(ach, conv, rc, r >= rc - 1e-12, capped, diverges)

@@ -23,7 +23,9 @@ class State:
     matrix is symmetrized on construction; PSD and normalization are
     validated (``subnormalized=True`` relaxes trace == 1 to trace <= 1).
     Only this public constructor validates: states derived inside the
-    package from valid ones come from :meth:`_trusted`.
+    package from valid ones come from :meth:`_trusted`.  A state is
+    immutable: the exponent functions keep per-state work on it
+    (:func:`memo_on`), so its density must not be changed in place.
     """
 
     density: np.ndarray
@@ -125,6 +127,22 @@ class State:
     def relabeled(self, mapping: dict[str, str]) -> "State":
         dims = tuple((mapping.get(l, l), d) for l, d in self.dims)
         return State._trusted(self.density, dims, self.subnormalized)
+
+
+def memo_on(obj, key, make):
+    """``make()`` computed once per ``key`` and kept on the input ``obj``.
+
+    ``obj`` is a :class:`State` or a ``Channel``.  Inputs are never mutated in
+    place, so a value derived from one stays valid for the object's lifetime;
+    the memo dies with the object, and nothing is cached at module level.
+    """
+    memo = vars(obj).get("_memo")
+    if memo is None:
+        memo = {}
+        object.__setattr__(obj, "_memo", memo)
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 def tensor_power(state: State, m: int) -> State:

@@ -6,6 +6,7 @@ import pytest
 
 from qdecoupling.cli import (
     EXIT_BOUND_VIOLATION,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
@@ -218,3 +219,21 @@ def test_decouple_mc_bound_violation_exit(tmp_path, capsys, monkeypatch, rng):
                  "--samples", "10", "--seed", "0"])
     assert code == EXIT_BOUND_VIOLATION
     capsys.readouterr()
+
+
+def test_numerical_failure_exit(tmp_path, capsys, monkeypatch):
+    import qdecoupling.cli as cli
+    from qdecoupling.condentropy import OptimizerDivergence
+
+    def diverge(*args, **kwargs):
+        raise OptimizerDivergence("simplex minimizer hit 500 iterations")
+
+    monkeypatch.setattr(cli, "standard_decoupling_exponents", diverge)
+    p = write_state(max_entangled(2, ("A", "E")), tmp_path / "phi.json")
+    code = main(["exponent-curve", "--state", p, "--task", "standard-decoupling",
+                 "--r-min", "0.1", "--r-max", "0.2", "--r-steps", "2",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_NUMERICAL == 6
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == ["numerical failure: simplex minimizer hit 500 iterations"]

@@ -1,10 +1,18 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import fractional_matrix_power
 
-from qdecoupling.channels import generalized_dephasing, identity_channel
+from qdecoupling.channels import Channel, generalized_dephasing, identity_channel
+from qdecoupling.cli import CURVE_TASKS
+from qdecoupling.condentropy import cond_vn_entropy
 from qdecoupling.exponents import (
     channel_coding_exponent,
     comparator_exponent,
@@ -209,3 +217,95 @@ def test_channel_coding_dephasing_matches_classical_oracle():
         res = channel_coding_exponent(ch, r, dephasing=True)
         assert res.achievable == pytest.approx(classical_dephasing_oracle(g, r), abs=1e-8)
         assert math.isfinite(res.converse)
+
+
+# -- per-input memo --------------------------------------------------------
+
+
+def _pure_with_h_ar(dims, sign, rng):
+    """A random pure (A, B, R) state with sign * H(A|R) > 0.3, and H(A|R)."""
+    while True:
+        psi = random_pure(dims, rng)
+        h = cond_vn_entropy(psi.marginal("A", "R"), ["A"], ["R"])
+        if sign * h > 0.3:
+            return psi, h
+
+
+def _memo_cases():
+    """Two inputs per curve task, and rates that are valid for both."""
+    rng = make_rng(606)
+    gram = lambda g: generalized_dephasing(np.array([[1.0, g], [np.conj(g), 1.0]]))
+    (d1, h1), (d2, h2) = (_pure_with_h_ar((("A", 2), ("B", 4), ("R", 2)), +1, rng)
+                          for _ in range(2))
+    (c1, k1), (c2, k2) = (_pure_with_h_ar((("A", 2), ("B", 2), ("R", 4)), -1, rng)
+                          for _ in range(2))
+    return {
+        "standard-decoupling": (random_state((("A", 2), ("E", 2)), 2, rng),
+                                random_state((("A", 2), ("E", 3)), 3, rng), (0.3, 0.9, 1.6)),
+        "merging-d": (d1, d2, tuple(f * min(h1, h2) for f in (0.2, 0.7))),
+        "merging-c": (c1, c2, tuple(-min(k1, k2) + x for x in (0.1, 0.6))),
+        "distill": (maximally_correlated(random_density(2, 2, rng), ("C", "D")),
+                    maximally_correlated(random_density(3, 2, rng), ("C", "D")), (0.05, 0.4)),
+        "channel": (gram(0.5), gram(0.2 + 0.3j), (0.05, 0.3)),
+    }
+
+
+# Results at each rate, each on a fresh copy of one input, in a process that
+# holds no other input: a cache shared between inputs cannot reach them.
+_FRESH_COPY_RESULTS = """
+import json, sys
+from dataclasses import astuple
+from types import SimpleNamespace
+import numpy as np
+from qdecoupling.channels import Channel
+from qdecoupling.cli import CURVE_TASKS
+from qdecoupling.states import State
+doc = json.load(sys.stdin)
+m = np.array(doc["re"]) + 1j * np.array(doc["im"])
+at_rate = CURVE_TASKS[doc["task"]][1]
+out = []
+for r in doc["rates"]:
+    if doc["dims"] is None:
+        inp = Channel(doc["din"], doc["dout"], m.copy())
+    else:
+        inp = State(m.copy(), tuple(map(tuple, doc["dims"])))
+    out.append(astuple(at_rate(inp, r, SimpleNamespace(log_a=None))))
+print(json.dumps(out))
+"""
+
+
+def _fresh_copy_results(task, inp, rates):
+    import qdecoupling
+
+    m = inp.choi if isinstance(inp, Channel) else inp.density
+    doc = {"task": task, "rates": list(rates), "re": m.real.tolist(), "im": m.imag.tolist(),
+           "dims": None if isinstance(inp, Channel) else inp.dims,
+           "din": getattr(inp, "din", 0), "dout": getattr(inp, "dout", 0)}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qdecoupling.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _FRESH_COPY_RESULTS], input=json.dumps(doc),
+                          capture_output=True, text=True, env=env, check=True)
+    return [tuple(row) for row in json.loads(proc.stdout)]
+
+
+def _same_result(a, b) -> bool:
+    """Every field equal, NaN equal to NaN."""
+    return all(x == y or (x != x and y != y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("task", list(CURVE_TASKS))
+def test_reused_input_matches_a_fresh_copy(task):
+    """A rate curve on one input object gives what fresh inputs give, rate by rate.
+
+    The two inputs alternate on the same rates, so a memo that leaked from
+    one input to the other would change a result.
+    """
+    first, second, rates = _memo_cases()[task]
+    fresh = {id(inp): _fresh_copy_results(task, inp, rates) for inp in (first, second)}
+    at_rate = CURVE_TASKS[task][1]
+    args = SimpleNamespace(log_a=None)
+    for k, r in enumerate(rates):
+        for inp in (first, second):
+            reused = astuple(at_rate(inp, r, args))
+            assert _same_result(reused, fresh[id(inp)][k]), (task, r, reused, fresh[id(inp)][k])

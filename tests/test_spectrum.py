@@ -1,8 +1,9 @@
 """The one spectral primitive and the single validation point of ``State``.
 
 Every eigensolve goes through ``linalg.Spectrum``, each operand is
-decomposed at most once per call, and states derived from valid states
-skip the spectral check that the public constructor runs.
+decomposed at most once per call, states derived from valid states skip
+the spectral check that the public constructor runs, and a rate curve on
+one state decomposes each of its operands once per distinct order.
 """
 
 import numpy as np
@@ -12,8 +13,9 @@ from qdecoupling.channels import apply_channel, random_channel
 from qdecoupling.condentropy import EntropyKind, cond_entropy
 from qdecoupling.decoupling import decoupling_error_sample, standard_instance
 from qdecoupling.divergences import d_max, petz_renyi, sandwiched_renyi, umegaki
+from qdecoupling.exponents import standard_decoupling_exponents
 from qdecoupling.linalg import Spectrum
-from qdecoupling.states import State, haar_unitary, random_density, random_state
+from qdecoupling.states import State, haar_unitary, make_rng, random_density, random_state
 
 
 def test_spectrum_calculus_on_a_diagonal_matrix():
@@ -71,6 +73,23 @@ def test_eigensolves_per_call(solves, rng):
     assert solves(state.marginal, "E") == (0, 0)
     assert solves(state.permuted, "E", "A") == (0, 0)
     assert solves(State, rho, (("A", 3),)) == (0, 1)
+
+
+def test_eigensolves_of_a_rate_curve(solves):
+    """A 20-rate standard decoupling sweep on one 8 x 8 state of rank 3.
+
+    I_A x rho_E is decomposed once and rho_AE's d_max kernel once; every
+    other eigh is one distinct order 1 + s of the sandwiched entropy.
+    """
+    state = random_state((("A", 4), ("E", 2)), 3, make_rng(1))
+
+    def sweep():
+        for r in np.linspace(0.1, 2.0, 20):
+            standard_decoupling_exponents(state, 2.0, float(r))
+
+    assert solves(sweep) == (298, 1)
+    # the second sweep on the same state finds every value in its memo
+    assert solves(sweep) == (0, 0)
 
 
 def test_derived_states_match_the_public_constructor(rng):
