@@ -1,13 +1,15 @@
 """Command-line surface: divergences, exponent curves, MC decoupling, verify.
 
-Exit codes: 0 success, 2 parse or usage error, 3 precondition violation,
-4 decoupling bound violated by the Monte Carlo estimate, 5 verification
-suite failure, 6 numerical failure (an optimizer that diverged or an
-eigensolver that did not converge).
+Exit codes: 0 success, 2 parse or usage error (including a state or Gram
+file without the structure below), 3 precondition violation, 4 decoupling
+bound violated by the Monte Carlo estimate, 5 verification suite failure
+(the offending instance goes to verify-failure-<suite>-seed<N>.json),
+6 numerical failure (an optimizer that diverged or an eigensolver that did
+not converge).  ``verify`` runs the suites of ``qdecoupling.verify``.
 
 State files are JSON documents {"dims": [{"label": ..., "dim": ...}, ...],
-"matrix": [[[re, im], ...], ...]}; curve files are CSV with 17 significant
-digits and "." as the decimal separator.
+"matrix": [[[re, im], ...], ...]}; Gram files hold the bare matrix; curve
+files are CSV with 17 significant digits and "." as the decimal separator.
 """
 
 from __future__ import annotations
@@ -20,14 +22,12 @@ import sys
 
 import numpy as np
 
-from .channels import apply_channel, generalized_dephasing, pinching_channel, random_channel
-from .condentropy import EntropyKind, cond_entropy, duality_pair, petz_up_closed_form
+from . import verify
+from .channels import generalized_dephasing
 from .decoupling import (
     decoupling_error_lower_bound,
     decoupling_error_upper_bound_optimized,
     mc_decoupling_error,
-    positive_part_inequality_sweep,
-    sharp_trace_inequality,
     standard_instance,
 )
 from .divergences import divergence
@@ -37,17 +37,7 @@ from .exponents import (
     merging_exponents,
     standard_decoupling_exponents,
 )
-from .linalg import Spectrum, as_hermitian, distinct_eigenvalue_count
-from .states import (
-    State,
-    haar_second_moment_exact,
-    haar_unitary,
-    heisenberg_weyl,
-    make_rng,
-    random_density,
-    random_pure,
-    random_state,
-)
+from .states import State, make_rng
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -67,12 +57,24 @@ def state_to_doc(state: State) -> dict:
     }
 
 
+class ParseError(Exception):
+    """A state or Gram file whose JSON does not have the documented structure."""
+
+
+def _read_matrix(rows) -> np.ndarray:
+    """The complex matrix of JSON rows of [re, im] pairs."""
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"a matrix must be rows of [re, im] pairs ({exc})") from None
+
+
 def doc_to_state(doc: dict) -> State:
-    dims = tuple((str(e["label"]), int(e["dim"])) for e in doc["dims"])
-    m = np.array(
-        [[complex(re, im) for re, im in row] for row in doc["matrix"]], dtype=complex
-    )
-    return State(m, dims)
+    try:
+        dims = tuple((str(e["label"]), int(e["dim"])) for e in doc["dims"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"dims must be a list of {{label, dim}} objects ({exc})") from None
+    return State(_read_matrix(doc["matrix"]), dims)
 
 
 def load_state(path: str) -> State:
@@ -112,8 +114,7 @@ def cmd_divergence(args) -> int:
 def _load_gram_channel(path: str):
     """The dephasing channel of a JSON [[re, im], ...] Gram matrix file."""
     with open(path) as fh:
-        g = np.array([[complex(re, im) for re, im in row] for row in json.load(fh)])
-    return generalized_dephasing(g)
+        return generalized_dephasing(_read_matrix(json.load(fh)))
 
 
 # exponent-curve tasks: the input option and the exponents at one rate on
@@ -178,178 +179,23 @@ def cmd_decouple_mc(args) -> int:
     return EXIT_OK
 
 
-# -- verification suites ---------------------------------------------------
-#
-# Each suite returns (max_violation, tolerance, offending State or None).
-
-
-def _suite_divergence_props(trials, rng):
-    worst, offender = 0.0, None
-    for _ in range(trials):
-        d = int(rng.integers(2, 5))
-        rho = random_density(d, int(rng.integers(1, d + 1)), rng)
-        sig = random_density(d, d, rng)
-        ch = random_channel(d, d, rng)
-        checks = [("petz", a) for a in (0.3, 0.7, 1.5, 2.0)]
-        checks += [("sandwiched", a) for a in (0.5, 0.8, 1.5, 3.0)]
-        n_rho = _apply_raw(ch, rho)
-        n_sig = _apply_raw(ch, sig)
-        for kind, alpha in checks:
-            before = divergence(rho, sig, kind, alpha)
-            after = divergence(n_rho, n_sig, kind, alpha)
-            if math.isinf(before):
-                continue
-            gap = after - before
-            if gap > worst:
-                worst, offender = gap, State(rho, (("A", d),))
-        # monotonicity under growing the second argument
-        pert = random_density(d, d, rng) * float(rng.uniform(0.1, 1.0))
-        for kind, alpha in checks:
-            grown = divergence(rho, sig + pert, kind, alpha)
-            base = divergence(rho, sig, kind, alpha)
-            if math.isinf(base):
-                continue
-            gap = grown - base
-            if gap > worst:
-                worst, offender = gap, State(rho, (("A", d),))
-    return worst, 1e-8, offender
-
-
-def _apply_raw(channel, rho):
-    return apply_channel(channel, State(rho, (("X", rho.shape[0]),)), "X").density
-
-
-def _suite_sharp_trace(trials, rng):
-    worst, offender = 0.0, None
-    for _ in range(trials):
-        d = int(rng.integers(2, 9))
-        rho = random_density(d, d, rng)
-        sig = random_density(d, d, rng)
-        for s in np.linspace(0.1, 1.0, 10):
-            lhs, rhs = sharp_trace_inequality(rho, sig, float(s))
-            if lhs - rhs > worst:
-                worst, offender = lhs - rhs, State(rho, (("A", d),))
-    return worst, 1e-9, offender
-
-
-def _suite_superadditivity(trials, rng):
-    rep = positive_part_inequality_sweep(trials, seed=int(rng.integers(2**31)))
-    return rep.superadditivity_violation, 1e-9, None
-
-
-def _suite_relent_floor(trials, rng):
-    rep = positive_part_inequality_sweep(trials, seed=int(rng.integers(2**31)))
-    return rep.relent_floor_violation, 1e-9, None
-
-
-def _suite_haar2(trials, rng):
-    n = max(trials, 1000)
-    worst = 0.0
-    for d in (2, 3):
-        exact = haar_second_moment_exact(d)
-        phi = np.eye(d).reshape(d * d) / np.sqrt(d)
-        acc = np.zeros((d**4, d**4), dtype=complex)
-        acc2 = np.zeros((d**4, d**4))
-        for _ in range(n):
-            u = haar_unitary(d, rng)
-            vec = np.kron(u, np.eye(d)) @ phi
-            w = np.kron(vec, vec)
-            samp = np.outer(w, w.conj())
-            acc += samp
-            acc2 += np.abs(samp) ** 2
-        mean = acc / n
-        var = np.maximum(acc2 / n - np.abs(mean) ** 2, 0.0)
-        stderr = np.sqrt(var / n)
-        dev = np.abs(mean - exact)
-        # entrywise deviation beyond 4 standard errors; structurally exact
-        # entries (zero variance) must agree to machine precision
-        worst = max(worst, float(np.max(dev - 4.0 * stderr)))
-        # exact twirl identity for the finite unitary design
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        tw = sum(u @ m @ u.conj().T for u in heisenberg_weyl(d)) / d**2
-        ideal = np.trace(m) * np.eye(d) / d
-        worst = max(worst, float(np.max(np.abs(tw - ideal))))
-    return worst, 1e-10, None
-
-
-def _suite_pinching(trials, rng):
-    worst = 0.0
-    offender = None
-    for _ in range(trials):
-        d = int(rng.integers(2, 7))
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = as_hermitian(g + g.conj().T)
-        sig = random_density(d, d, rng)
-        ch = pinching_channel(h)
-        pinched = _apply_raw(ch, sig)
-        v = distinct_eigenvalue_count(h)
-        viol = -float(np.min(Spectrum.eigvalsh(v * pinched - sig).values))
-        if viol > worst:
-            worst, offender = viol, State(sig, (("A", d),))
-    return worst, 1e-10, offender
-
-
-def _suite_duality(trials, rng):
-    worst, offender = 0.0, None
-    for k in range(trials):
-        dims = (("A", 2), ("B", 2), ("C", 3)) if k % 2 == 0 else (("A", 2), ("B", 3), ("C", 2))
-        psi = random_pure(dims, rng)
-        for s in np.linspace(0.1, 1.0, 10):
-            lhs, rhs = duality_pair(psi, ["A"], ["B"], ["C"], float(s))
-            if abs(lhs - rhs) > worst:
-                worst, offender = abs(lhs - rhs), psi
-    return worst, 1e-6, offender
-
-
-def _suite_additivity(trials, rng):
-    worst, offender = 0.0, None
-    kinds = [
-        EntropyKind("petz", 0.6),
-        EntropyKind("sandwiched", 1.5),
-        EntropyKind("petz", 1.3, optimized=True),
-    ]
-    for _ in range(trials):
-        x = random_state((("A", 2), ("B", 2)), int(rng.integers(1, 5)), rng)
-        y = random_state((("C", 2), ("D", 2)), int(rng.integers(1, 5)), rng)
-        joint = x.tensor_with(y)
-        for kind in kinds:
-            sep = cond_entropy(x, ["A"], ["B"], kind) + cond_entropy(y, ["C"], ["D"], kind)
-            tot = cond_entropy(joint, ["A", "C"], ["B", "D"], kind)
-            if abs(sep - tot) > worst:
-                worst, offender = abs(sep - tot), joint
-    return worst, 1e-6, offender
-
-
-SUITES = {
-    "divergence-props": _suite_divergence_props,
-    "sharp-trace": _suite_sharp_trace,
-    "superadditivity": _suite_superadditivity,
-    "relent-floor": _suite_relent_floor,
-    "haar2": _suite_haar2,
-    "pinching": _suite_pinching,
-    "duality": _suite_duality,
-    "additivity": _suite_additivity,
-}
-
-
 def cmd_verify(args) -> int:
     if args.trials < 1:
         return _usage("--trials must be at least 1")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for stream, name in enumerate(names):
         rng = make_rng(args.seed, stream=stream)
-        worst, tol, offender = SUITES[name](args.trials, rng)
+        worst, tol, offender = verify.SUITES[name](args.trials, rng)
         ok = worst <= tol
         print(f"{name}: max violation {worst:.3e} (tolerance {tol:.0e}) "
               f"{'PASS' if ok else 'FAIL'}")
         if not ok:
             failed = True
             if offender is not None:
-                path = f"verify-failure-{name}.json"
+                path = f"verify-failure-{name}-seed{args.seed}.json"
                 save_state(offender, path)
-                print(f"  offending instance (seed {args.seed}) written to {path}",
-                      file=sys.stderr)
+                print(f"  offending instance written to {path}", file=sys.stderr)
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
@@ -393,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_decouple_mc)
 
     v = sub.add_parser("verify", help="run a property verification suite")
-    v.add_argument("--suite", choices=list(SUITES) + ["all"], default="all")
+    v.add_argument("--suite", choices=list(verify.SUITES) + ["all"], default="all")
     v.add_argument("--trials", type=int, default=200)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
@@ -404,7 +250,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (json.JSONDecodeError, KeyError, FileNotFoundError) as exc:
+    except (ParseError, json.JSONDecodeError, KeyError, FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

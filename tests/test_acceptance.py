@@ -14,15 +14,12 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import fractional_matrix_power
-from scipy.optimize import minimize_scalar
 
 from qdecoupling.channels import apply_channel, generalized_dephasing, random_channel
 from qdecoupling.condentropy import (
     EntropyKind,
     SimplexOptimizerConfig,
     cond_entropy,
-    duality_pair,
     minimized_conditioning,
     petz_up_closed_form,
 )
@@ -31,7 +28,6 @@ from qdecoupling.decoupling import (
     decoupling_error_upper_bound_optimized,
     mc_decoupling_error,
     positive_part_inequality_sweep,
-    sharp_trace_inequality,
     standard_instance,
 )
 from qdecoupling.divergences import divergence
@@ -44,15 +40,16 @@ from qdecoupling.exponents import (
 from qdecoupling.linalg import tensor
 from qdecoupling.states import (
     State,
-    haar_second_moment_exact,
     haar_unitary,
-    heisenberg_weyl,
     make_rng,
     max_entangled,
     random_density,
     random_pure,
     random_state,
 )
+from qdecoupling.verify import SUITES, haar2_deviations
+
+from conftest import classical_dephasing_oracle
 
 SEED = 745
 
@@ -103,15 +100,7 @@ def test_criterion_02_lower_bound_sandwich(mc_results):
 
 
 def test_criterion_03_sharp_trace_sweep():
-    rng = make_rng(SEED + 1)
-    worst = -math.inf
-    for _ in range(1000):
-        d = int(rng.integers(2, 9))
-        rho = random_density(d, d, rng)
-        sig = random_density(d, d, rng)
-        for s in np.linspace(0.1, 1.0, 10):
-            lhs, rhs = sharp_trace_inequality(rho, sig, float(s))
-            worst = max(worst, lhs - rhs)
+    worst, _, _ = SUITES["sharp-trace"](1000, make_rng(SEED + 1))
     ok = worst <= 1e-9
     _line("03", ok, f"sharp trace inequality, 1000 pairs x 10 s-values "
           f"(worst lhs-rhs {worst:.3e})")
@@ -128,28 +117,7 @@ def test_criterion_04_positive_part_sweeps():
 
 
 def test_criterion_05_haar_second_moment():
-    rng = make_rng(SEED + 3)
-    n = 20000
-    worst_mc = -math.inf
-    worst_twirl = 0.0
-    for d in (2, 3):
-        exact = haar_second_moment_exact(d)
-        phi = np.eye(d).reshape(d * d) / np.sqrt(d)
-        acc = np.zeros((d**4, d**4), dtype=complex)
-        acc2 = np.zeros((d**4, d**4))
-        for _ in range(n):
-            u = haar_unitary(d, rng)
-            vec = np.kron(u, np.eye(d)) @ phi
-            w = np.kron(vec, vec)
-            samp = np.outer(w, w.conj())
-            acc += samp
-            acc2 += np.abs(samp) ** 2
-        mean = acc / n
-        stderr = np.sqrt(np.maximum(acc2 / n - np.abs(mean) ** 2, 0.0) / n)
-        worst_mc = max(worst_mc, float(np.max(np.abs(mean - exact) - 4.0 * stderr)))
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        tw = sum(u @ m @ u.conj().T for u in heisenberg_weyl(d)) / d**2
-        worst_twirl = max(worst_twirl, float(np.max(np.abs(tw - np.trace(m) * np.eye(d) / d))))
+    worst_mc, worst_twirl = haar2_deviations(20000, make_rng(SEED + 3))
     ok = worst_mc <= 0 and worst_twirl <= 1e-12
     _line("05", ok, f"Haar second moment MC within 4se, d in {{2,3}} "
           f"(worst excess {worst_mc:.2e}); group twirl exact ({worst_twirl:.1e})")
@@ -157,14 +125,7 @@ def test_criterion_05_haar_second_moment():
 
 
 def test_criterion_06_duality():
-    rng = make_rng(SEED + 4)
-    worst = 0.0
-    for k in range(200):
-        dims = (("A", 2), ("B", 2), ("C", 3)) if k % 2 == 0 else (("A", 2), ("B", 3), ("C", 2))
-        psi = random_pure(dims, rng)
-        for s in np.linspace(0.1, 1.0, 10):
-            lhs, rhs = duality_pair(psi, ["A"], ["B"], ["C"], float(s))
-            worst = max(worst, abs(lhs - rhs))
+    worst, _, _ = SUITES["duality"](200, make_rng(SEED + 4))
     ok = worst <= 1e-6
     _line("06", ok, f"entropy duality on 200 pure tripartite states x 10 orders "
           f"(worst gap {worst:.2e})")
@@ -287,20 +248,6 @@ def test_criterion_11_data_processing():
     assert ok
 
 
-def _classical_dephasing_oracle(gram: np.ndarray, r: float) -> float:
-    c = gram.T / gram.shape[0]
-
-    def coh(s):
-        alpha = 1.0 / (1.0 + s)
-        ca = fractional_matrix_power(c, alpha)
-        total = float(np.sum(np.real(np.diag(ca)) ** (1.0 / alpha)))
-        return (alpha / (alpha - 1.0)) * math.log2(total)
-
-    res = minimize_scalar(lambda s: -0.5 * s * (coh(s) - r), bounds=(1e-6, 1 - 1e-9),
-                          method="bounded", options={"xatol": 1e-12})
-    return max(0.0, float(-res.fun))
-
-
 def test_criterion_12_closed_instance_exponents():
     rng = make_rng(SEED + 10)
     worst = 0.0
@@ -315,7 +262,7 @@ def test_criterion_12_closed_instance_exponents():
                                - max(0.0, 2 * r - 2.0)))
     for r in (0.05, 0.2, 0.5):
         got = channel_coding_exponent(ch, r, dephasing=True).achievable
-        worst = max(worst, abs(got - _classical_dephasing_oracle(gram, r)))
+        worst = max(worst, abs(got - classical_dephasing_oracle(gram, r)))
     ok = worst <= 1e-8
     _line("12", ok, f"closed-instance exponents: product, maximally entangled, "
           f"dephasing vs classical oracle (worst gap {worst:.2e})")

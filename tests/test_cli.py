@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from qdecoupling import verify
 from qdecoupling.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
+    EXIT_VERIFY_FAIL,
     doc_to_state,
     load_state,
     main,
@@ -190,12 +192,47 @@ def test_verify_trials_zero_usage(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("suite", ["duality", "additivity", "pinching",
-                                   "superadditivity", "relent-floor"])
+@pytest.mark.parametrize("suite", list(verify.SUITES))
 def test_verify_small_suites_pass(suite, capsys):
     assert main(["verify", "--suite", suite, "--trials", "10", "--seed", "5"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out and suite in out
+
+
+def test_verify_failure_file_per_seed(tmp_path, capsys, monkeypatch, rng):
+    offender = random_state((("A", 2), ("B", 2)), 2, rng)
+    monkeypatch.setitem(verify.SUITES, "duality", lambda trials, rng: (1.0, 1e-6, offender))
+    monkeypatch.chdir(tmp_path)
+    for seed in (1, 2):
+        assert main(["verify", "--suite", "duality", "--trials", "1",
+                     "--seed", str(seed)]) == EXIT_VERIFY_FAIL
+    capsys.readouterr()
+    for seed in (1, 2):
+        replay = load_state(str(tmp_path / f"verify-failure-duality-seed{seed}.json"))
+        assert np.array_equal(replay.density, offender.density)
+
+
+_GOOD_MATRIX = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("state", {"dims": [{"label": "A", "dim": 2}], "matrix": [[0.5, 0], [0, 0.5]]}),
+    ("state", {"dims": 5, "matrix": _GOOD_MATRIX}),
+    ("gram", [[1, 0], [0, 1]]),
+])
+def test_malformed_document_parse_error(kind, doc, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    if kind == "state":
+        argv = ["divergence", str(p), str(p)]
+    else:
+        argv = ["exponent-curve", "--task", "channel", "--gram", str(p), "--r-min", "0.1",
+                "--r-max", "0.2", "--r-steps", "1", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parse error: ")
 
 
 def test_verify_output_reproducible(capsys):

@@ -8,7 +8,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import fractional_matrix_power
 
 from qdecoupling.channels import Channel, generalized_dephasing, identity_channel
 from qdecoupling.cli import CURVE_TASKS
@@ -34,6 +33,8 @@ from qdecoupling.states import (
     random_pure,
     random_state,
 )
+
+from conftest import classical_dephasing_oracle
 
 
 def test_sup_on_interval_examples():
@@ -183,24 +184,6 @@ def test_distillation_max_entangled_closed_form():
     assert not res.exact
     with pytest.raises(ValueError):
         distillation_exponent(phi, ["C"], ["D"], -0.2)
-
-
-def classical_dephasing_oracle(gram: np.ndarray, r: float) -> float:
-    """Independent route: closed scalar formula for a maximally correlated Choi."""
-    d = gram.shape[0]
-    c = gram.T / d
-
-    def coh(s):
-        alpha = 1.0 / (1.0 + s)
-        ca = fractional_matrix_power(c, alpha)
-        total = float(np.sum(np.real(np.diag(ca)) ** (1.0 / alpha)))
-        return (alpha / (alpha - 1.0)) * math.log2(total)
-
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(lambda s: -0.5 * s * (coh(s) - r), bounds=(1e-6, 1 - 1e-9),
-                          method="bounded", options={"xatol": 1e-12})
-    return max(0.0, float(-res.fun))
 
 
 def test_channel_coding_identity():
