@@ -25,7 +25,7 @@ from .exponents import (
     merging_exponents,
     standard_decoupling_exponents,
 )
-from .states import State, haar_unitary, make_rng
+from .states import State, haar_unitaries, haar_unitary, make_rng
 
 __version__ = "0.1.0"
 
@@ -47,6 +47,7 @@ __all__ = [
     "divergence",
     "duality_pair",
     "generalized_dephasing",
+    "haar_unitaries",
     "haar_unitary",
     "make_rng",
     "mc_decoupling_error",

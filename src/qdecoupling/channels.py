@@ -134,6 +134,25 @@ def random_channel(din: int, dout: int, rng: np.random.Generator, rank: int | No
     return Channel(din, dout, choi)
 
 
+def choi_contract(channel: Channel, rho: np.ndarray) -> np.ndarray:
+    """``(T x id)(rho)`` by the Choi contraction identity.
+
+    ``rho`` is an operator on (channel input, rest) with the input factor
+    first, or a stack of them, shape ``(..., din * d_rest, din * d_rest)``;
+    the result has the channel's output factor first.
+    """
+    din, dout = channel.din, channel.dout
+    lead, d_rest = rho.shape[:-2], rho.shape[-1] // din
+    stack = range(len(lead))
+    # the stack axes go last, so that the einsum's inner loop runs over them
+    r = np.moveaxis(rho.reshape(lead + (din, d_rest, din, d_rest)), stack, range(-len(lead), 0))
+    w = channel.choi.reshape(din, dout, din, dout)
+    out = din * np.einsum("icjd,iejf...->cedf...", w, np.ascontiguousarray(r))
+    return np.moveaxis(out, range(4, 4 + len(lead)), stack).reshape(
+        lead + (dout * d_rest, dout * d_rest)
+    )
+
+
 def apply_channel(channel: Channel, state: State, on: str) -> State:
     """Apply a channel to one labelled subsystem of a multipartite state.
 
@@ -146,11 +165,7 @@ def apply_channel(channel: Channel, state: State, on: str) -> State:
         )
     rest = [l for l in state.labels if l != on]
     perm = state.permuted(on, *rest)
-    d_rest = perm.total_dim // channel.din
-    r = perm.density.reshape(channel.din, d_rest, channel.din, d_rest)
-    w = channel.choi.reshape(channel.din, channel.dout, channel.din, channel.dout)
-    out = channel.din * np.einsum("icjd,iejf->cedf", w, r)
-    out = out.reshape(channel.dout * d_rest, channel.dout * d_rest)
+    out = choi_contract(channel, perm.density)
     new_dims = ((on, channel.dout),) + tuple((l, state.dim_of(l)) for l in rest)
     result = State._trusted(
         out, new_dims, subnormalized=state.subnormalized or not channel.trace_preserving

@@ -8,8 +8,9 @@ bound violated by the Monte Carlo estimate, 5 verification suite failure
 not converge).  ``verify`` runs the suites of ``qdecoupling.verify``.
 
 State files are JSON documents {"dims": [{"label": ..., "dim": ...}, ...],
-"matrix": [[[re, im], ...], ...]}; Gram files hold the bare matrix; curve
-files are CSV with 17 significant digits and "." as the decimal separator.
+"matrix": [[[re, im], ...], ...]} with each dim an integral number >= 1;
+Gram files hold the bare matrix; curve files are CSV with 17 significant
+digits and "." as the decimal separator.
 """
 
 from __future__ import annotations
@@ -69,9 +70,17 @@ def _read_matrix(rows) -> np.ndarray:
         raise ParseError(f"a matrix must be rows of [re, im] pairs ({exc})") from None
 
 
+def _read_dim(value) -> int:
+    """A subsystem size: an integral JSON number >= 1 (2 or 2.0, not 2.7, 0 or "2")."""
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value >= 1 and value == int(value)):
+        raise ParseError(f"dim must be an integral number >= 1, got {value!r}")
+    return int(value)
+
+
 def doc_to_state(doc: dict) -> State:
     try:
-        dims = tuple((str(e["label"]), int(e["dim"])) for e in doc["dims"])
+        dims = tuple((str(e["label"]), _read_dim(e["dim"])) for e in doc["dims"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"dims must be a list of {{label, dim}} objects ({exc})") from None
     return State(_read_matrix(doc["matrix"]), dims)

@@ -44,13 +44,32 @@ def as_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    return as_hermitian_stack(m, rtol)
+
+
+def as_hermitian_stack(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+    """:func:`as_hermitian` on a stack of square matrices, shape ``(..., d, d)``.
+
+    Each matrix is checked against its own scale ``max(1, |m|_max)``.
+    """
+    m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if asym > rtol * scale:
-        raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
-    return 0.5 * (m + m.conj().T)
+    adj = np.swapaxes(m.conj(), -1, -2)
+    if m.size:
+        scale = np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
+        asym = np.max(np.abs(m - adj), axis=(-2, -1))
+        if np.any(asym > rtol * scale):
+            raise ValueError(f"matrix is not Hermitian: max asymmetry {np.max(asym):.3e}")
+    return 0.5 * (m + adj)
+
+
+def _eig_call(solver: Callable, h: np.ndarray):
+    """``solver(h)`` with a non-converged eigensolve raised as ``RuntimeError``."""
+    try:
+        return solver(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
 
 
 def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,12 +78,7 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(eigenvalues, eigenvectors)`` with real ascending eigenvalues
     and eigenvectors as the columns of a unitary matrix.
     """
-    h = as_hermitian(h)
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
-    return vals, vecs
+    return _eig_call(np.linalg.eigh, as_hermitian(h))
 
 
 class Spectrum:
@@ -72,6 +86,10 @@ class Spectrum:
 
     Eigenvalues at or below :attr:`cutoff` form the kernel, which the
     functional calculus maps to 0; :meth:`map` alone skips the cutoff.
+    :meth:`eigvalsh` also takes a stack of matrices, shape ``(..., d, d)``;
+    :attr:`cutoff`, :attr:`support` and :meth:`entropy` then hold one entry
+    per matrix of the stack.  A non-converged eigensolve raises
+    ``RuntimeError``.
     """
 
     __slots__ = ("values", "vectors")
@@ -88,23 +106,24 @@ class Spectrum:
     @classmethod
     def eigh(cls, h: np.ndarray) -> "Spectrum":
         """Eigendecomposition of ``h`` as given; only its lower triangle is read."""
-        return cls(*np.linalg.eigh(h))
+        return cls(*_eig_call(np.linalg.eigh, h))
 
     @classmethod
     def eigvalsh(cls, h: np.ndarray) -> "Spectrum":
-        """Eigenvalues only of ``h`` as given; only its lower triangle is read."""
-        return cls(np.linalg.eigvalsh(h))
+        """Eigenvalues only of ``h`` (or a stack) as given; only lower triangles are read."""
+        return cls(_eig_call(np.linalg.eigvalsh, h))
 
     @property
-    def cutoff(self) -> float:
+    def cutoff(self):
         """Rank-revealing cutoff ``dim * eps * max(|lambda|_max, 1)``."""
-        top = float(np.max(np.abs(self.values))) if len(self.values) else 0.0
-        return len(self.values) * _EPS * max(top, 1.0)
+        top = np.max(np.abs(self.values), axis=-1, initial=0.0)
+        cut = self.values.shape[-1] * _EPS * np.maximum(top, 1.0)
+        return float(cut) if cut.ndim == 0 else cut
 
     @property
     def support(self) -> np.ndarray:
         """Mask of the eigenvalues above the cutoff."""
-        return self.values > self.cutoff
+        return self.values > np.expand_dims(self.cutoff, -1)
 
     def _rebuild(self, new_values: np.ndarray) -> np.ndarray:
         return (self.vectors * new_values) @ self.vectors.conj().T
@@ -148,10 +167,13 @@ class Spectrum:
         """Base-2 logarithm on the support, 0 on the kernel."""
         return self.func(np.log2)
 
-    def entropy(self) -> float:
+    def entropy(self):
         """Von Neumann entropy ``-sum lambda log2 lambda`` over the support."""
-        v = self.values[self.support]
-        return float(-np.sum(v * np.log2(v)))
+        if self.values.ndim == 1:
+            v = self.values[self.support]
+            return float(-np.sum(v * np.log2(v)))
+        v = np.where(self.support, self.values, 1.0)
+        return -np.sum(v * np.log2(v), axis=-1)
 
 
 def mat_func(

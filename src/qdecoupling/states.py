@@ -183,13 +183,23 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-distributed unitaries, shape ``(n, d, d)``.
+
+    Ginibre + QR with phase-fixed diagonals, in one draw: the real then the
+    imaginary part of each sample, the same numbers in the same order as n
+    successive :func:`haar_unitary` calls.
+    """
+    g = rng.standard_normal((n, 2, d, d))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    ph /= np.abs(ph)
+    return q * ph[:, None, :]
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via Ginibre + QR with phase-fixed diagonal."""
-    g = _ginibre(d, d, rng)
-    q, r = np.linalg.qr(g)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    return haar_unitaries(d, 1, rng)[0]
 
 
 def random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:

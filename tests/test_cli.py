@@ -219,6 +219,9 @@ _GOOD_MATRIX = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
     ("state", {"dims": [{"label": "A", "dim": 2}], "matrix": [[0.5, 0], [0, 0.5]]}),
     ("state", {"dims": 5, "matrix": _GOOD_MATRIX}),
     ("gram", [[1, 0], [0, 1]]),
+    ("state", {"dims": [{"label": "A", "dim": 2.7}], "matrix": _GOOD_MATRIX}),
+    ("state", {"dims": [{"label": "A", "dim": 0}], "matrix": _GOOD_MATRIX}),
+    ("state", {"dims": [{"label": "A", "dim": "two"}], "matrix": _GOOD_MATRIX}),
 ])
 def test_malformed_document_parse_error(kind, doc, tmp_path, capsys):
     p = tmp_path / "bad.json"
@@ -274,3 +277,23 @@ def test_numerical_failure_exit(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines() == ["numerical failure: simplex minimizer hit 500 iterations"]
+
+
+def test_stacked_eigensolver_failure_exit(tmp_path, capsys, monkeypatch, rng):
+    """A failed stacked solve in the Monte Carlo estimator exits 6, not 3."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def fail_on_stacks(h):
+        if np.ndim(h) > 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_stacks)
+    p = write_state(random_state((("A", 4), ("E", 2)), 2, rng), tmp_path / "s.json")
+    code = main(["decouple-mc", "--state", p, "--da1", "2", "--da2", "2",
+                 "--samples", "10", "--seed", "0"])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: eigensolver failed")

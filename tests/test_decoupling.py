@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdecoupling.channels import full_trace_channel
+import qdecoupling.decoupling as decoupling
+from qdecoupling.channels import channel_from_kraus, full_trace_channel, identity_channel
 from qdecoupling.decoupling import (
     DecouplingInstance,
     decoupling_error_lower_bound,
@@ -22,6 +23,7 @@ from qdecoupling.decoupling import (
 from qdecoupling.linalg import positive_part_trace, tensor
 from qdecoupling.states import (
     State,
+    haar_unitaries,
     haar_unitary,
     make_rng,
     max_entangled,
@@ -92,6 +94,85 @@ def test_mc_reproducibility(rng):
     assert a.per_sample == b.per_sample
     c = mc_decoupling_error(inst, n_samples=20, seed=10, keep_samples=True)
     assert a.per_sample != c.per_sample
+
+
+def _equivalence_instances():
+    rng = make_rng(808)
+    out = [(f"e{de}-rank{rank}",
+            standard_instance(random_state((("A", 4), ("E", de)), rank, rng), 2, 2))
+           for de in (2, 3) for rank in (1, 2, 3, 4)]
+    out.append(("product", product_instance(rng)))
+    out.append(("full-trace",
+                DecouplingInstance(random_state((("A", 4), ("E", 2)), 3, rng),
+                                   full_trace_channel(4))))
+    # a random channel A -> C with |A| = 4, |C| = 3: two Kraus operators
+    # cut from a 6 x 4 isometry
+    iso = haar_unitary(6, rng)[:, :4]
+    kraus = channel_from_kraus([iso[:3], iso[3:]])
+    out.append(("kraus", DecouplingInstance(random_state((("A", 4), ("E", 3)), 2, rng), kraus)))
+    return out
+
+
+@pytest.mark.parametrize("name, inst", _equivalence_instances())
+def test_mc_matches_the_per_sample_loop(name, inst):
+    """Stacked estimator == decoupling_error_sample on the same Haar draws.
+
+    The draws are sequential, so the first n of a 300-sample loop are the
+    draws of an n-sample run; 2, 128, 129 and 300 cover one partial chunk,
+    one full chunk, and runs that end one and 44 samples into a new chunk.
+    """
+    rng = make_rng(31)
+    ref = np.array([decoupling_error_sample(inst, haar_unitary(inst.dim_a, rng))
+                    for _ in range(300)])
+    assert np.all(np.isfinite(ref))
+    for n in (2, 128, 129, 300):
+        est = mc_decoupling_error(inst, n_samples=n, seed=31, keep_samples=True)
+        assert len(est.per_sample) == n and est.n_infinite == 0
+        assert np.max(np.abs(np.array(est.per_sample) - ref[:n])) <= 1e-13
+        assert est.mean == pytest.approx(np.mean(ref[:n]), abs=1e-13)
+        assert est.stderr == pytest.approx(np.std(ref[:n], ddof=1) / math.sqrt(n), abs=1e-13)
+
+
+class _LeakyTarget(DecouplingInstance):
+    """Identity channel on a qutrit A, scored against (I/2 + 0) x rho_E.
+
+    The target misses |2>, so a unitary that keeps A inside span{|0>, |1>}
+    gives a finite sample and a generic one leaks out of the support.
+    """
+
+    @property
+    def omega_c(self):
+        return np.diag([0.5, 0.5, 0.0])
+
+
+def test_mc_leaking_samples_are_infinite(monkeypatch):
+    rng = make_rng(44)
+    rho_a = np.zeros((3, 3), dtype=complex)
+    rho_a[:2, :2] = random_density(2, 2, rng)
+    rho = State(np.kron(rho_a, random_density(2, 2, rng)), (("A", 3), ("E", 2)))
+    inst = _LeakyTarget(rho, identity_channel(3))
+
+    drawn = []
+
+    def sampler(d, n, rng):
+        u = haar_unitaries(d, n, rng)
+        u[::3] = 0.0  # every third sample: a unitary on span{|0>, |1>} only
+        u[::3, :2, :2] = haar_unitaries(2, len(u[::3]), rng)
+        u[::3, 2, 2] = 1.0
+        drawn.append(u)
+        return u
+
+    monkeypatch.setattr(decoupling, "haar_unitaries", sampler)
+    est = mc_decoupling_error(inst, n_samples=200, seed=3, keep_samples=True)
+    ref = np.array([decoupling_error_sample(inst, u) for u in np.concatenate(drawn)])
+    finite = np.isfinite(ref)
+    assert len(ref) == 200 and np.count_nonzero(finite) == 67
+    assert est.n_infinite == 133 and not est.is_finite
+    per_sample = np.array(est.per_sample)
+    assert np.all(np.isnan(per_sample[~finite]))
+    assert np.max(np.abs(per_sample[finite] - ref[finite])) <= 1e-13
+    assert est.mean == pytest.approx(np.mean(ref[finite]), abs=1e-13)
+    assert est.stderr == pytest.approx(np.std(ref[finite], ddof=1) / math.sqrt(67), abs=1e-13)
 
 
 def test_upper_bound_dominates_mc(rng):

@@ -2,8 +2,9 @@
 
 Every eigensolve goes through ``linalg.Spectrum``, each operand is
 decomposed at most once per call, states derived from valid states skip
-the spectral check that the public constructor runs, and a rate curve on
-one state decomposes each of its operands once per distinct order.
+the spectral check that the public constructor runs, a rate curve on
+one state decomposes each of its operands once per distinct order, and
+the Monte Carlo estimator solves one stack of samples at a time.
 """
 
 import numpy as np
@@ -11,7 +12,11 @@ import pytest
 
 from qdecoupling.channels import apply_channel, random_channel
 from qdecoupling.condentropy import EntropyKind, cond_entropy
-from qdecoupling.decoupling import decoupling_error_sample, standard_instance
+from qdecoupling.decoupling import (
+    decoupling_error_sample,
+    mc_decoupling_error,
+    standard_instance,
+)
 from qdecoupling.divergences import d_max, petz_renyi, sandwiched_renyi, umegaki
 from qdecoupling.exponents import standard_decoupling_exponents
 from qdecoupling.linalg import Spectrum
@@ -30,6 +35,26 @@ def test_spectrum_calculus_on_a_diagonal_matrix():
     # map applies the function to the kernel too: no cutoff
     assert np.allclose(spec.map(lambda w: w + 1.0), np.diag([1.0, 1.25, 1.75]), atol=1e-15)
     assert np.array_equal(Spectrum.eigvalsh(np.diag([0.75, 0.0, 0.25])).values, spec.values)
+
+
+def test_stacked_spectrum_matches_each_matrix(rng):
+    """Cutoff, support and entropy of a stack, row by row.
+
+    The rows include a rank-deficient matrix, whose roundoff eigenvalues
+    must fall below its own cutoff, and a matrix of norm 100.
+    """
+    stack = np.array([random_density(4, 4, rng), random_density(4, 2, rng),
+                      100.0 * random_density(4, 3, rng), np.diag([0.0, 0.0, 0.5, 0.5])])
+    spec = Spectrum.eigvalsh(stack)
+    assert spec.cutoff.shape == spec.entropy().shape == (4,)
+    for k, m in enumerate(stack):
+        row = Spectrum.eigvalsh(m)
+        assert isinstance(row.cutoff, float)
+        assert spec.cutoff[k] == row.cutoff
+        assert np.array_equal(spec.support[k], row.support)
+        assert spec.entropy()[k] == pytest.approx(row.entropy(), abs=1e-13)
+    assert np.count_nonzero(spec.support[1]) == 2
+    assert spec.entropy()[3] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_spectrum_pow_rejects_negative():
@@ -73,6 +98,16 @@ def test_eigensolves_per_call(solves, rng):
     assert solves(state.marginal, "E") == (0, 0)
     assert solves(state.permuted, "E", "A") == (0, 0)
     assert solves(State, rho, (("A", 3),)) == (0, 1)
+
+
+def test_eigensolves_of_mc(solves):
+    """One eigh of the fixed target and one stacked eigvalsh per chunk of 128.
+
+    The per-sample loop it replaced made 2 eigh per sample, 1000 in all.
+    """
+    state = random_state((("A", 4), ("E", 3)), 2, make_rng(2))
+    inst = standard_instance(state, 2, 2)
+    assert solves(mc_decoupling_error, inst, 500) == (1, 4)
 
 
 def test_eigensolves_of_a_rate_curve(solves):

@@ -7,6 +7,7 @@ from qdecoupling.linalg import fidelity, tensor
 from qdecoupling.states import (
     State,
     haar_second_moment_exact,
+    haar_unitaries,
     haar_unitary,
     heisenberg_weyl,
     make_rng,
@@ -59,6 +60,17 @@ def test_haar_unitary_d1_and_unitarity(rng):
     assert abs(abs(u1[0, 0]) - 1.0) < 1e-12
     u = haar_unitary(5, rng)
     assert np.allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 5])
+def test_haar_unitaries_are_the_haar_unitary_draws(d):
+    rng_stacked, rng = make_rng(3), make_rng(3)
+    stacked = haar_unitaries(d, 7, rng_stacked)
+    one_by_one = np.array([haar_unitary(d, rng) for _ in range(7)])
+    assert stacked.shape == (7, d, d)
+    assert np.array_equal(stacked, one_by_one)
+    # both leave the generator at the same point
+    assert rng_stacked.standard_normal() == rng.standard_normal()
 
 
 def test_make_rng_determinism():
