@@ -61,7 +61,9 @@ def as_hermitian_stack(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndar
         asym = np.max(np.abs(m - adj), axis=(-2, -1))
         if np.any(asym > rtol * scale):
             raise ValueError(f"matrix is not Hermitian: max asymmetry {np.max(asym):.3e}")
-    return 0.5 * (m + adj)
+    out = m + adj
+    out *= 0.5
+    return out
 
 
 def _eig_call(solver: Callable, h: np.ndarray):

@@ -192,9 +192,8 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """
     g = rng.standard_normal((n, 2, d, d))
     q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    ph /= np.abs(ph)
-    return q * ph[:, None, :]
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (ph / np.abs(ph))[:, None, :]
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

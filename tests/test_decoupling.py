@@ -118,8 +118,8 @@ def test_mc_matches_the_per_sample_loop(name, inst):
     """Stacked estimator == decoupling_error_sample on the same Haar draws.
 
     The draws are sequential, so the first n of a 300-sample loop are the
-    draws of an n-sample run; 2, 128, 129 and 300 cover one partial chunk,
-    one full chunk, and runs that end one and 44 samples into a new chunk.
+    draws of an n-sample run.  With chunks of 64, 2 is one partial chunk,
+    128 two full ones, and 129 and 300 end 1 and 44 samples into a chunk.
     """
     rng = make_rng(31)
     ref = np.array([decoupling_error_sample(inst, haar_unitary(inst.dim_a, rng))
@@ -156,7 +156,7 @@ def test_mc_leaking_samples_are_infinite(monkeypatch):
 
     def sampler(d, n, rng):
         u = haar_unitaries(d, n, rng)
-        u[::3] = 0.0  # every third sample: a unitary on span{|0>, |1>} only
+        u[::3] = 0.0  # every third sample of a stack: a unitary on span{|0>, |1>}
         u[::3, :2, :2] = haar_unitaries(2, len(u[::3]), rng)
         u[::3, 2, 2] = 1.0
         drawn.append(u)
@@ -164,15 +164,20 @@ def test_mc_leaking_samples_are_infinite(monkeypatch):
 
     monkeypatch.setattr(decoupling, "haar_unitaries", sampler)
     est = mc_decoupling_error(inst, n_samples=200, seed=3, keep_samples=True)
-    ref = np.array([decoupling_error_sample(inst, u) for u in np.concatenate(drawn)])
+    unitaries = np.concatenate(drawn)
+    ref = np.array([decoupling_error_sample(inst, u) for u in unitaries])
     finite = np.isfinite(ref)
-    assert len(ref) == 200 and np.count_nonzero(finite) == 67
-    assert est.n_infinite == 133 and not est.is_finite
+    # exactly the samples that keep A inside span{|0>, |1>} stay finite
+    assert len(ref) == 200
+    assert np.array_equal(finite, np.abs(unitaries[:, 2, 2]) == 1.0)
+    n_finite = np.count_nonzero(finite)
+    assert 0 < n_finite < 200 and est.n_infinite == 200 - n_finite and not est.is_finite
     per_sample = np.array(est.per_sample)
     assert np.all(np.isnan(per_sample[~finite]))
     assert np.max(np.abs(per_sample[finite] - ref[finite])) <= 1e-13
     assert est.mean == pytest.approx(np.mean(ref[finite]), abs=1e-13)
-    assert est.stderr == pytest.approx(np.std(ref[finite], ddof=1) / math.sqrt(67), abs=1e-13)
+    assert est.stderr == pytest.approx(
+        np.std(ref[finite], ddof=1) / math.sqrt(n_finite), abs=1e-13)
 
 
 def test_upper_bound_dominates_mc(rng):

@@ -101,13 +101,13 @@ def test_eigensolves_per_call(solves, rng):
 
 
 def test_eigensolves_of_mc(solves):
-    """One eigh of the fixed target and one stacked eigvalsh per chunk of 128.
+    """One eigh of the fixed target and one stacked eigvalsh per chunk of 64.
 
     The per-sample loop it replaced made 2 eigh per sample, 1000 in all.
     """
     state = random_state((("A", 4), ("E", 3)), 2, make_rng(2))
     inst = standard_instance(state, 2, 2)
-    assert solves(mc_decoupling_error, inst, 500) == (1, 4)
+    assert solves(mc_decoupling_error, inst, 500) == (1, 8)
 
 
 def test_eigensolves_of_a_rate_curve(solves):
