@@ -53,14 +53,14 @@ def as_hermitian_stack(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndar
     Each matrix is checked against its own scale ``max(1, |m|_max)``.
     """
     m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
-    adj = np.swapaxes(m.conj(), -1, -2)
+    adj = m.conj().swapaxes(-1, -2)
     if m.size:
-        scale = np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
-        asym = np.max(np.abs(m - adj), axis=(-2, -1))
-        if np.any(asym > rtol * scale):
-            raise ValueError(f"matrix is not Hermitian: max asymmetry {np.max(asym):.3e}")
+        scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+        asym = np.abs(m - adj).max(axis=(-2, -1))
+        if (asym > rtol * scale).any():
+            raise ValueError(f"matrix is not Hermitian: max asymmetry {asym.max():.3e}")
     out = m + adj
     out *= 0.5
     return out
@@ -115,17 +115,21 @@ class Spectrum:
         """Eigenvalues only of ``h`` (or a stack) as given; only lower triangles are read."""
         return cls(_eig_call(np.linalg.eigvalsh, h))
 
+    def _cutoffs(self) -> np.ndarray:
+        """:attr:`cutoff` with a trailing axis, to compare with the eigenvalues."""
+        top = np.abs(self.values).max(axis=-1, keepdims=True, initial=0.0)
+        return self.values.shape[-1] * _EPS * np.maximum(top, 1.0)
+
     @property
-    def cutoff(self):
+    def cutoff(self) -> float | np.ndarray:
         """Rank-revealing cutoff ``dim * eps * max(|lambda|_max, 1)``."""
-        top = np.max(np.abs(self.values), axis=-1, initial=0.0)
-        cut = self.values.shape[-1] * _EPS * np.maximum(top, 1.0)
+        cut = self._cutoffs()[..., 0]
         return float(cut) if cut.ndim == 0 else cut
 
     @property
     def support(self) -> np.ndarray:
         """Mask of the eigenvalues above the cutoff."""
-        return self.values > np.expand_dims(self.cutoff, -1)
+        return self.values > self._cutoffs()
 
     def _rebuild(self, new_values: np.ndarray) -> np.ndarray:
         return (self.vectors * new_values) @ self.vectors.conj().T
@@ -169,7 +173,7 @@ class Spectrum:
         """Base-2 logarithm on the support, 0 on the kernel."""
         return self.func(np.log2)
 
-    def entropy(self):
+    def entropy(self) -> float | np.ndarray:
         """Von Neumann entropy ``-sum lambda log2 lambda`` over the support."""
         if self.values.ndim == 1:
             v = self.values[self.support]
