@@ -62,15 +62,23 @@ def test_haar_unitary_d1_and_unitarity(rng):
     assert np.allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
 
 
+def _ginibre_qr_unitary(d, rng):
+    """One draw as Ginibre + QR with a phase-fixed diagonal, written out."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    ph = np.diag(r)
+    return q * (ph / np.abs(ph))
+
+
 @pytest.mark.parametrize("d", [1, 2, 4, 5])
 def test_haar_unitaries_are_the_haar_unitary_draws(d):
-    rng_stacked, rng = make_rng(3), make_rng(3)
-    stacked = haar_unitaries(d, 7, rng_stacked)
-    one_by_one = np.array([haar_unitary(d, rng) for _ in range(7)])
+    rngs = [make_rng(3) for _ in range(3)]
+    stacked = haar_unitaries(d, 7, rngs[0])
     assert stacked.shape == (7, d, d)
-    assert np.array_equal(stacked, one_by_one)
-    # both leave the generator at the same point
-    assert rng_stacked.standard_normal() == rng.standard_normal()
+    assert np.array_equal(stacked, [haar_unitary(d, rngs[1]) for _ in range(7)])
+    assert np.array_equal(stacked, [_ginibre_qr_unitary(d, rngs[2]) for _ in range(7)])
+    # all three leave the generator at the same point
+    assert len({r.standard_normal() for r in rngs}) == 1
 
 
 def test_make_rng_determinism():
