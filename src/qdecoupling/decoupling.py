@@ -5,10 +5,11 @@ Haar average over unitaries U on A of D(T(U rho U*) || omega_C x rho_E),
 with omega_C = T(I_A/|A|).  Everything is in bits.
 
 :func:`mc_decoupling_error` estimates it on stacks of Haar samples: each
-stack is drawn, rotated, passed through T and scored against the one
-decomposition of omega_C x rho_E as arrays.  :func:`decoupling_error_sample`
-computes a single sample through ``State``, ``apply_channel`` and
-``umegaki``; it is the exact reference that the estimator is tested against.
+stack is drawn, rotated and passed through T as arrays, and one stacked
+``umegaki`` call scores it against the one decomposition of
+omega_C x rho_E.  :func:`decoupling_error_sample` computes a single sample
+through ``State``, ``apply_channel`` and ``umegaki``; it is the exact
+reference that the estimator is tested against.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from .channels import Channel, apply_channel, choi_contract, partial_trace_chann
 from .condentropy import EntropyKind, choi_cond_entropy, cond_entropy, sandwiched_cond_entropy
 from .divergences import sandwiched_renyi, support_contained, umegaki
 from .linalg import (
-    SUPPORT_LEAK_TOL,
     Spectrum,
-    as_hermitian_stack,
+    as_hermitian,
     distinct_eigenvalue_count,
     positive_part_trace,
     tensor,
@@ -124,9 +124,9 @@ def mc_decoupling_error(
 
     The samples are drawn and scored in stacks of :data:`MC_CHUNK`: each
     stack of unitaries is applied to rho_AE and passed through the channel
-    as one array, and its relative entropies to the fixed target
-    omega_C x rho_E come from one stacked eigenvalue solve.  Per sample this
-    is :func:`decoupling_error_sample` up to roundoff.
+    as one array, and one stacked :func:`umegaki` call scores it against
+    the one decomposition of the fixed target omega_C x rho_E.  Per sample
+    this is :func:`decoupling_error_sample` up to roundoff.
 
     Infinite samples (support violations of single draws) are counted and
     surfaced through ``n_infinite`` rather than dropped; the mean and
@@ -138,21 +138,12 @@ def mc_decoupling_error(
     da, de = inst.dim_a, inst.rho_ae.dim_of("E")
     rho = inst.rho_ae.density.reshape(da, de, da, de)
     target = Spectrum.of(tensor(inst.omega_c, inst.rho_e))
-    off_support = np.eye(len(target.values)) - target.projector()
-    log_target = target.log2()
     chunks = []
     for start in range(0, n_samples, MC_CHUNK):
         u = haar_unitaries(da, min(MC_CHUNK, n_samples - start), rng)
         rotated = np.einsum("nab,bedf,ncd->naecf", u, rho, u.conj(), optimize=True)
-        rotated = as_hermitian_stack(rotated.reshape(len(u), da * de, da * de))
-        out = as_hermitian_stack(choi_contract(inst.channel, rotated))
-        # D(out || target) = -H(out) - tr(out log target), +inf when out
-        # leaks more than SUPPORT_LEAK_TOL out of the target's support
-        leak = np.einsum("nij,ji->n", out, off_support).real
-        cross = np.einsum("nij,ji->n", out, log_target).real
-        vals = -Spectrum.eigvalsh(out).entropy() - cross
-        vals[leak > SUPPORT_LEAK_TOL] = math.inf
-        chunks.append(vals)
+        rotated = as_hermitian(rotated.reshape(len(u), da * de, da * de))
+        chunks.append(umegaki(choi_contract(inst.channel, rotated), target))
     vals = np.concatenate(chunks)
     infinite = np.isinf(vals)
     n_inf = int(np.count_nonzero(infinite))

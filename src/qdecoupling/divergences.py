@@ -25,15 +25,16 @@ def _spectrum(p) -> Spectrum:
     return p if isinstance(p, Spectrum) else Spectrum.of(p)
 
 
-def support_contained(rho: np.ndarray, sigma, tol: float = SUPPORT_LEAK_TOL) -> bool:
+def support_contained(rho: np.ndarray, sigma, tol: float = SUPPORT_LEAK_TOL):
     """Whether supp(rho) fits inside supp(sigma) up to a mass leak of ``tol``.
 
-    ``sigma`` is a PSD matrix or its :class:`Spectrum`.
+    ``sigma`` is a PSD matrix or its :class:`Spectrum`.  ``rho`` may be a
+    stack, shape ``(..., d, d)``; the answer is then a boolean array with
+    one entry per matrix.
     """
     proj = _spectrum(sigma).projector()
-    comp = np.eye(proj.shape[0]) - proj
-    leak = float(np.real(np.trace(comp @ rho @ comp)))
-    return leak <= tol
+    leak = np.einsum("...ij,ji->...", rho, np.eye(proj.shape[0]) - proj).real
+    return bool(leak <= tol) if leak.ndim == 0 else leak <= tol
 
 
 def supports_overlap(rho, sigma, tol: float = SUPPORT_LEAK_TOL) -> bool:
@@ -42,13 +43,22 @@ def supports_overlap(rho, sigma, tol: float = SUPPORT_LEAK_TOL) -> bool:
     return overlap > tol
 
 
-def umegaki(rho: np.ndarray, sigma) -> float:
-    """Relative entropy tr(rho(log rho - log sigma)) in bits; +inf off-support."""
+def umegaki(rho: np.ndarray, sigma):
+    """Relative entropy tr(rho(log rho - log sigma)) in bits; +inf off-support.
+
+    ``rho`` may be a stack, shape ``(..., d, d)``, scored against the one
+    ``sigma``; the result is then an array with one value per matrix, whose
+    entropies come from one stacked eigenvalue solve.
+    """
     rho = as_hermitian(rho)
     sig = _spectrum(sigma)
-    if not support_contained(rho, sig):
-        return math.inf
-    return -Spectrum.of(rho).entropy() - float(np.real(np.trace(rho @ sig.log2())))
+    inside = support_contained(rho, sig)
+    if rho.ndim == 2:
+        if not inside:
+            return math.inf
+        return -Spectrum.of(rho).entropy() - float(np.real(np.trace(rho @ sig.log2())))
+    vals = -Spectrum.eigvalsh(rho).entropy() - np.einsum("...ij,ji->...", rho, sig.log2()).real
+    return np.where(inside, vals, math.inf)
 
 
 def petz_renyi(rho: np.ndarray, sigma, alpha: float) -> float:

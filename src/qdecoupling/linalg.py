@@ -36,23 +36,16 @@ class DomainError(ValueError):
 
 
 def as_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Validate and symmetrize an (almost) Hermitian matrix.
+    """Validate and symmetrize an (almost) Hermitian matrix or stack of them.
 
-    Asymmetry up to ``rtol * max(1, |m|_max)`` is absorbed by averaging with
-    the adjoint; anything larger raises ``ValueError``.
+    ``m`` has shape ``(..., d, d)``.  Asymmetry up to
+    ``rtol * max(1, |m|_max)``, with each matrix of a stack judged on its
+    own scale, is absorbed by averaging with the adjoint; anything larger
+    raises ``ValueError``.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return as_hermitian_stack(m, rtol)
-
-
-def as_hermitian_stack(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """:func:`as_hermitian` on a stack of square matrices, shape ``(..., d, d)``.
-
-    Each matrix is checked against its own scale ``max(1, |m|_max)``.
-    """
-    m = np.asarray(m, dtype=complex)
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     adj = m.conj().swapaxes(-1, -2)
@@ -89,8 +82,8 @@ class Spectrum:
     Eigenvalues at or below :attr:`cutoff` form the kernel, which the
     functional calculus maps to 0; :meth:`map` alone skips the cutoff.
     :meth:`eigvalsh` also takes a stack of matrices, shape ``(..., d, d)``;
-    :attr:`cutoff`, :attr:`support` and :meth:`entropy` then hold one entry
-    per matrix of the stack.  A non-converged eigensolve raises
+    :attr:`support` and :meth:`entropy` then hold one entry per matrix of
+    the stack.  A non-converged eigensolve raises
     ``RuntimeError``.
     """
 
@@ -116,15 +109,14 @@ class Spectrum:
         return cls(_eig_call(np.linalg.eigvalsh, h))
 
     def _cutoffs(self) -> np.ndarray:
-        """:attr:`cutoff` with a trailing axis, to compare with the eigenvalues."""
+        """The cutoff of each matrix, with a trailing axis to compare with the eigenvalues."""
         top = np.abs(self.values).max(axis=-1, keepdims=True, initial=0.0)
         return self.values.shape[-1] * _EPS * np.maximum(top, 1.0)
 
     @property
-    def cutoff(self) -> float | np.ndarray:
-        """Rank-revealing cutoff ``dim * eps * max(|lambda|_max, 1)``."""
-        cut = self._cutoffs()[..., 0]
-        return float(cut) if cut.ndim == 0 else cut
+    def cutoff(self) -> float:
+        """Rank-revealing cutoff ``dim * eps * max(|lambda|_max, 1)`` of one matrix."""
+        return float(self._cutoffs()[0])
 
     @property
     def support(self) -> np.ndarray:

@@ -17,6 +17,7 @@ from qdecoupling.divergences import (
     supports_overlap,
     umegaki,
 )
+from qdecoupling.linalg import Spectrum
 from qdecoupling.states import State, make_rng, random_density
 
 from conftest import commuting_pair
@@ -63,6 +64,22 @@ def test_orthogonal_supports_give_inf():
     assert petz_renyi(a, b, 0.5) == math.inf
     assert sandwiched_renyi(a, b, 2.0) == math.inf
     assert sandwiched_renyi(a, b, 0.5) == math.inf
+
+
+def test_umegaki_on_a_stack_is_umegaki_of_each_matrix(rng):
+    """Each matrix of a stack is scored against the one sigma; leaks are +inf."""
+    sigma = np.diag([0.5, 0.3, 0.2, 0.0])
+    inside = [np.pad(random_density(3, r, rng), ((0, 1), (0, 1))) for r in (1, 2, 3)]
+    stack = np.array(inside + [random_density(4, 2, rng), np.diag([0.0, 0.0, 0.0, 0.5])])
+    stack = stack.reshape(1, 5, 4, 4)
+    contained = support_contained(stack, sigma)
+    vals = umegaki(stack, Spectrum.of(sigma))
+    assert contained.shape == vals.shape == (1, 5)
+    assert list(contained[0]) == [True, True, True, False, False]
+    for c, v, m in zip(contained[0], vals[0], stack[0]):
+        assert c == support_contained(m, sigma)
+        assert v == pytest.approx(umegaki(m, sigma), abs=1e-13)
+    assert np.isinf(vals[0, 3:]).all()
 
 
 def test_partial_support_alpha_below_one_finite():

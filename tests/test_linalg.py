@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qdecoupling.linalg import (
     DomainError,
     as_hermitian,
-    as_hermitian_stack,
     distinct_eigenvalue_count,
     eigenvalue_clusters,
     fidelity,
@@ -142,20 +141,20 @@ def test_as_hermitian_rejects_asymmetric():
         as_hermitian(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
-def test_as_hermitian_stack_checks_each_matrix():
+def test_as_hermitian_checks_each_matrix_of_a_stack():
     rng = make_rng(6)
     stack = np.array([random_herm(3, rng) for _ in range(4)])
     stack[2, 0, 1] += 1e-12  # roundoff-level asymmetry is absorbed
-    sym = as_hermitian_stack(stack)
+    sym = as_hermitian(stack)
     for m, s in zip(stack, sym):
         assert np.array_equal(s, as_hermitian(m))
     # a small matrix is judged on its own scale, not on the stack's
     bad = np.array([1e6 * np.eye(2), [[0.0, 1e-3], [0.0, 0.0]]])
     with pytest.raises(ValueError, match="not Hermitian"):
-        as_hermitian_stack(bad)
+        as_hermitian(bad)
     stack[3, 1, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        as_hermitian_stack(stack)
+        as_hermitian(stack)
 
 
 def test_trace_norm_matches_abs_eigvals():

@@ -46,11 +46,10 @@ def test_stacked_spectrum_matches_each_matrix(rng):
     stack = np.array([random_density(4, 4, rng), random_density(4, 2, rng),
                       100.0 * random_density(4, 3, rng), np.diag([0.0, 0.0, 0.5, 0.5])])
     spec = Spectrum.eigvalsh(stack)
-    assert spec.cutoff.shape == spec.entropy().shape == (4,)
+    assert spec.entropy().shape == (4,)
     for k, m in enumerate(stack):
         row = Spectrum.eigvalsh(m)
-        assert isinstance(row.cutoff, float)
-        assert spec.cutoff[k] == row.cutoff
+        assert spec._cutoffs()[k, 0] == row.cutoff
         assert np.array_equal(spec.support[k], row.support)
         assert spec.entropy()[k] == pytest.approx(row.entropy(), abs=1e-13)
     assert np.count_nonzero(spec.support[1]) == 2
