@@ -1,14 +1,15 @@
 """Quantum channels in Choi form, plus the structured families used here.
 
-The Choi state of a channel ``T`` with input dimension ``din`` is stored
-normalized (trace 1), on the ordered pair (input copy, output); applying the
-channel to a labelled subsystem contracts the input indices of the Choi
-state against that subsystem.
+Every channel is CPTP: completely positive and trace preserving.  The Choi
+state of a channel ``T`` with input dimension ``din`` is stored normalized
+(trace 1), on the ordered pair (input copy, output); applying the channel to
+a labelled subsystem contracts the input indices of the Choi state against
+that subsystem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +19,9 @@ from .states import State
 
 @dataclass(frozen=True)
 class Channel:
-    """Completely positive map in normalized-Choi representation.
+    """CPTP map in normalized-Choi representation.
 
-    ``trace_preserving=False`` relaxes the marginal condition to
-    trace non-increasing (marginal on the input copy <= I/din).  A channel
+    The Choi matrix is PSD with marginal I/din on the input copy.  A channel
     is immutable: per-channel work is kept on it (``states.memo_on``), so
     its Choi matrix must not be changed in place.
     """
@@ -29,7 +29,6 @@ class Channel:
     din: int
     dout: int
     choi: np.ndarray
-    trace_preserving: bool = field(default=True)
 
     def __post_init__(self):
         c = as_hermitian(self.choi)
@@ -39,28 +38,19 @@ class Channel:
         if min_eig < -1e-9:
             raise ValueError(f"Choi matrix is not PSD (min eig {min_eig:.3e})")
         marg = partial_trace(c, [self.din, self.dout], [0])
-        target = np.eye(self.din) / self.din
-        if self.trace_preserving:
-            if float(np.max(np.abs(marg - target))) > 1e-9:
-                raise ValueError("Choi marginal on the input copy is not I/din")
-        else:
-            if float(Spectrum.eigvalsh(target - marg).values[0]) < -1e-9:
-                raise ValueError("map increases trace: Choi marginal exceeds I/din")
+        if float(np.max(np.abs(marg - np.eye(self.din) / self.din))) > 1e-9:
+            raise ValueError("Choi marginal on the input copy is not I/din")
         object.__setattr__(self, "choi", c)
 
     def choi_state(self, labels: tuple[str, str] = ("Ain", "C")) -> State:
-        return State._trusted(
-            self.choi,
-            ((labels[0], self.din), (labels[1], self.dout)),
-            subnormalized=not self.trace_preserving,
-        )
+        return State._trusted(self.choi, ((labels[0], self.din), (labels[1], self.dout)))
 
     def output_of_max_mixed(self) -> np.ndarray:
         """Image of I/din: the marginal of the Choi state on the output."""
         return partial_trace(self.choi, [self.din, self.dout], [1])
 
 
-def channel_from_kraus(kraus: list[np.ndarray], trace_preserving: bool = True) -> Channel:
+def channel_from_kraus(kraus: list[np.ndarray]) -> Channel:
     kraus = [np.asarray(k, dtype=complex) for k in kraus]
     dout, din = kraus[0].shape
     choi = np.zeros((din * dout, din * dout), dtype=complex)
@@ -68,7 +58,7 @@ def channel_from_kraus(kraus: list[np.ndarray], trace_preserving: bool = True) -
         # vectorized |i><j| -> K|i><j|K* contribution, index order (i, c)
         m = k.T.reshape(din * dout)  # m[i*dout + c] = K[c, i]
         choi += np.outer(m, m.conj())
-    return Channel(din, dout, choi / din, trace_preserving)
+    return Channel(din, dout, choi / din)
 
 
 def kraus_operators(channel: Channel) -> list[np.ndarray]:
@@ -121,11 +111,10 @@ def generalized_dephasing(overlaps: np.ndarray) -> Channel:
     return Channel(d, d, choi)
 
 
-def random_channel(din: int, dout: int, rng: np.random.Generator, rank: int | None = None) -> Channel:
-    """Random CPTP map from a normalized Ginibre-induced Choi matrix."""
-    if rank is None:
-        rank = din * dout
-    g = rng.standard_normal((din * dout, rank)) + 1j * rng.standard_normal((din * dout, rank))
+def random_channel(din: int, dout: int, rng: np.random.Generator) -> Channel:
+    """Random CPTP map from a normalized full-rank Ginibre-induced Choi matrix."""
+    n = din * dout
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T
     marg = partial_trace(m, [din, dout], [0])
     inv_sqrt = Spectrum.of(marg).map(lambda w: w**-0.5)
@@ -167,10 +156,7 @@ def apply_channel(channel: Channel, state: State, on: str) -> State:
     perm = state.permuted(on, *rest)
     out = choi_contract(channel, perm.density)
     new_dims = ((on, channel.dout),) + tuple((l, state.dim_of(l)) for l in rest)
-    result = State._trusted(
-        out, new_dims, subnormalized=state.subnormalized or not channel.trace_preserving
-    )
-    return result.permuted(*state.labels)
+    return State._trusted(out, new_dims, state.subnormalized).permuted(*state.labels)
 
 
 def apply_kraus(channel: Channel, state: State, on: str) -> State:
@@ -183,7 +169,4 @@ def apply_kraus(channel: Channel, state: State, on: str) -> State:
         big = np.kron(k, np.eye(d_rest))
         out += big @ perm.density @ big.conj().T
     new_dims = ((on, channel.dout),) + tuple((l, state.dim_of(l)) for l in rest)
-    result = State._trusted(
-        out, new_dims, subnormalized=state.subnormalized or not channel.trace_preserving
-    )
-    return result.permuted(*state.labels)
+    return State._trusted(out, new_dims, state.subnormalized).permuted(*state.labels)

@@ -42,11 +42,9 @@ class SimplexOptimizerConfig:
     """Knobs for the mirror-descent minimizer over density matrices."""
 
     max_iters: int = 500
-    step_init: float = 1.0
     grad_tol: float = 1e-9
     stall_tol: float = 1e-12
     stall_iters: int = 50
-    fd_step: float = 1e-6
     restarts: int = 1
 
 
@@ -201,12 +199,12 @@ def _mirror_descent(obj, d: int, sigma0: np.ndarray, cfg: SimplexOptimizerConfig
     sigma = sigma0 / np.real(np.trace(sigma0))
     fval = obj(sigma)
     eye = np.eye(d)
-    eta = cfg.step_init
+    eta = 1.0
     history = [fval]
     grad_norm = math.inf
     for it in range(cfg.max_iters):
         grad = np.zeros((d, d), dtype=complex)
-        h = cfg.fd_step * max(1.0, float(np.max(np.abs(sigma))))
+        h = 1e-6 * max(1.0, float(np.max(np.abs(sigma))))
         for b in basis:
             df = obj(sigma + h * b) - obj(sigma - h * b)
             grad += (df / (2.0 * h)) * b

@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .channels import Channel, apply_channel, choi_contract, partial_trace_channel
 from .condentropy import EntropyKind, choi_cond_entropy, cond_entropy, sandwiched_cond_entropy
 from .divergences import sandwiched_renyi, support_contained, umegaki
+from .exponents import S_MIN, sup_on_interval
 from .linalg import (
     Spectrum,
     as_hermitian,
@@ -181,26 +181,13 @@ def decoupling_error_upper_bound(inst: DecouplingInstance, s: float) -> float:
     return (prefactor(s) / s) * 2.0 ** (-s * _entropy_sum(inst, s))
 
 
-def decoupling_error_upper_bound_optimized(
-    inst: DecouplingInstance, s_min: float = 1e-4
-) -> tuple[float, float]:
-    """Minimum of the one-shot upper bound over s in (0, 1]; returns (bound, s*)."""
-    grid = np.geomspace(s_min, 1.0, 48)
-    vals = [decoupling_error_upper_bound(inst, float(s)) for s in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if hi - lo < 1e-12:
-        return float(vals[i]), float(grid[i])
-    res = optimize.minimize_scalar(
-        lambda s: decoupling_error_upper_bound(inst, float(np.clip(s, s_min, 1.0))),
-        bounds=(float(lo), float(hi)),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    if res.fun < vals[i]:
-        return float(res.fun), float(np.clip(res.x, s_min, 1.0))
-    return float(vals[i]), float(grid[i])
+def decoupling_error_upper_bound_optimized(inst: DecouplingInstance) -> tuple[float, float]:
+    """Minimum of the one-shot upper bound over s in (0, 1]; returns (bound, s*).
+
+    The search is :func:`exponents.sup_on_interval` on the negated bound.
+    """
+    curve = sup_on_interval(lambda s: -decoupling_error_upper_bound(inst, s), S_MIN, 1.0, 48)
+    return -curve.sup_value, curve.argmax_s
 
 
 def decoupling_error_lower_bound(rho_ae: State, d_a1: int, d_a2: int) -> float:
@@ -270,20 +257,19 @@ class SweepReport:
         return max(self.superadditivity_violation, self.relent_floor_violation)
 
 
-def positive_part_inequality_sweep(
-    n_samples: int, seed: int = 0, dim: int = 4, n_terms: int = 3
-) -> SweepReport:
-    """Random sweep of two positive-part inequalities.
+def positive_part_inequality_sweep(n_samples: int, seed: int = 0) -> SweepReport:
+    """Random sweep of two positive-part inequalities on 4 x 4 matrices.
 
-    Checks tr(sum_x A_x - lam I)_+ >= sum_x tr(A_x - lam I)_+ for PSD A_x,
-    and D(rho||sigma) >= tr(rho - 9 sigma)_+ for random state pairs.
+    Checks tr(sum_x A_x - lam I)_+ >= sum_x tr(A_x - lam I)_+ for three PSD
+    A_x, and D(rho||sigma) >= tr(rho - 9 sigma)_+ for random state pairs.
     """
+    dim = 4
     rng = make_rng(seed)
     worst_super = 0.0
     worst_floor = 0.0
     for _ in range(n_samples):
         mats = []
-        for _ in range(n_terms):
+        for _ in range(3):
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             mats.append(g @ g.conj().T / dim)
         lam = float(rng.uniform(0.0, 2.0))

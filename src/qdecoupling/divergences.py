@@ -25,8 +25,8 @@ def _spectrum(p) -> Spectrum:
     return p if isinstance(p, Spectrum) else Spectrum.of(p)
 
 
-def support_contained(rho: np.ndarray, sigma, tol: float = SUPPORT_LEAK_TOL):
-    """Whether supp(rho) fits inside supp(sigma) up to a mass leak of ``tol``.
+def support_contained(rho: np.ndarray, sigma):
+    """Whether supp(rho) fits inside supp(sigma), up to a leak of ``SUPPORT_LEAK_TOL``.
 
     ``sigma`` is a PSD matrix or its :class:`Spectrum`.  ``rho`` may be a
     stack, shape ``(..., d, d)``; the answer is then a boolean array with
@@ -34,13 +34,13 @@ def support_contained(rho: np.ndarray, sigma, tol: float = SUPPORT_LEAK_TOL):
     """
     proj = _spectrum(sigma).projector()
     leak = np.einsum("...ij,ji->...", rho, np.eye(proj.shape[0]) - proj).real
-    return bool(leak <= tol) if leak.ndim == 0 else leak <= tol
+    return leak <= SUPPORT_LEAK_TOL
 
 
-def supports_overlap(rho, sigma, tol: float = SUPPORT_LEAK_TOL) -> bool:
+def supports_overlap(rho, sigma) -> bool:
     """Whether the supports are non-orthogonal; either may be a :class:`Spectrum`."""
     overlap = float(np.real(np.trace(_spectrum(rho).projector() @ _spectrum(sigma).projector())))
-    return overlap > tol
+    return overlap > SUPPORT_LEAK_TOL
 
 
 def umegaki(rho: np.ndarray, sigma):
@@ -52,13 +52,9 @@ def umegaki(rho: np.ndarray, sigma):
     """
     rho = as_hermitian(rho)
     sig = _spectrum(sigma)
-    inside = support_contained(rho, sig)
-    if rho.ndim == 2:
-        if not inside:
-            return math.inf
-        return -Spectrum.of(rho).entropy() - float(np.real(np.trace(rho @ sig.log2())))
     vals = -Spectrum.eigvalsh(rho).entropy() - np.einsum("...ij,ji->...", rho, sig.log2()).real
-    return np.where(inside, vals, math.inf)
+    out = np.where(support_contained(rho, sig), vals, math.inf)
+    return float(out) if out.ndim == 0 else out
 
 
 def petz_renyi(rho: np.ndarray, sigma, alpha: float) -> float:

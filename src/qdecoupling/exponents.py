@@ -272,7 +272,7 @@ def merging_exponents(state: State, a_labels, b_labels, r_labels, r: float, mode
 # -- entanglement distillation and channel coding --------------------------
 
 
-def is_maximally_correlated(state: State, tol: float = 1e-10) -> bool:
+def is_maximally_correlated(state: State) -> bool:
     """Whether the bipartite state is supported on span{|xx>}."""
     if len(state.dims) != 2 or state.dims[0][1] != state.dims[1][1]:
         return False
@@ -280,7 +280,7 @@ def is_maximally_correlated(state: State, tol: float = 1e-10) -> bool:
     mask = np.ones((d * d, d * d), dtype=bool)
     idx = [x * d + x for x in range(d)]
     mask[np.ix_(idx, idx)] = False
-    return float(np.max(np.abs(state.density[mask]))) <= tol
+    return float(np.max(np.abs(state.density[mask]))) <= 1e-10
 
 
 def distillation_exponent(rho_cd: State, c_labels, d_labels, r: float) -> ExponentResult:
@@ -315,9 +315,7 @@ def channel_coding_exponent(
     channel: Channel,
     r: float,
     restarts: int = 8,
-    seed: int = 0,
     dephasing: bool = False,
-    n_grid: int = 24,
 ) -> ExponentResult:
     """Quantum channel coding exponent (s/2)(I_{1/(1+s)}(channel) - r).
 
@@ -334,7 +332,7 @@ def channel_coding_exponent(
             channel, ("dephasing",),
             lambda s: _petz_coherent_of_output(channel.choi, channel.din, 1.0 / (1.0 + s)))
     else:
-        rng = make_rng(seed)
+        rng = make_rng(0)
         warm: dict[str, np.ndarray | None] = {"x0": None}
 
         def coh(s: float) -> float:
@@ -352,7 +350,7 @@ def channel_coding_exponent(
     def f(s: float) -> float:
         return 0.5 * s * (coh(s) - r)
 
-    ach = sup_on_interval(f, S_MIN, 1.0 - 1e-9, n_grid=n_grid)
+    ach = sup_on_interval(f, S_MIN, 1.0 - 1e-9, n_grid=24)
     if not dephasing:
         rc = _fd_derivative(lambda s: s * coh(s), 1.0)
         return ExponentResult.of(ach, math.inf, rc, False)

@@ -35,13 +35,13 @@ class DomainError(ValueError):
     """A scalar function was evaluated outside its domain on the spectrum."""
 
 
-def as_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def as_hermitian(m: np.ndarray) -> np.ndarray:
     """Validate and symmetrize an (almost) Hermitian matrix or stack of them.
 
     ``m`` has shape ``(..., d, d)``.  Asymmetry up to
-    ``rtol * max(1, |m|_max)``, with each matrix of a stack judged on its
-    own scale, is absorbed by averaging with the adjoint; anything larger
-    raises ``ValueError``.
+    ``HERMITICITY_RTOL * max(1, |m|_max)``, with each matrix of a stack
+    judged on its own scale, is absorbed by averaging with the adjoint;
+    anything larger raises ``ValueError``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -52,7 +52,7 @@ def as_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     if m.size:
         scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
         asym = np.abs(m - adj).max(axis=(-2, -1))
-        if (asym > rtol * scale).any():
+        if (asym > HERMITICITY_RTOL * scale).any():
             raise ValueError(f"matrix is not Hermitian: max asymmetry {asym.max():.3e}")
     out = m + adj
     out *= 0.5
@@ -167,11 +167,9 @@ class Spectrum:
 
     def entropy(self) -> float | np.ndarray:
         """Von Neumann entropy ``-sum lambda log2 lambda`` over the support."""
-        if self.values.ndim == 1:
-            v = self.values[self.support]
-            return float(-np.sum(v * np.log2(v)))
         v = np.where(self.support, self.values, 1.0)
-        return -np.sum(v * np.log2(v), axis=-1)
+        h = -np.sum(v * np.log2(v), axis=-1)
+        return float(h) if h.ndim == 0 else h
 
 
 def mat_func(

@@ -10,13 +10,13 @@ import numpy as np
 
 from .channels import apply_channel, pinching_channel, random_channel
 from .condentropy import EntropyKind, cond_entropy, duality_pair
-from .decoupling import positive_part_inequality_sweep, sharp_trace_inequality
+from .decoupling import MC_CHUNK, positive_part_inequality_sweep, sharp_trace_inequality
 from .divergences import divergence
 from .linalg import Spectrum, as_hermitian, distinct_eigenvalue_count
 from .states import (
     State,
     haar_second_moment_exact,
-    haar_unitary,
+    haar_unitaries,
     heisenberg_weyl,
     random_density,
     random_pure,
@@ -77,20 +77,21 @@ def _suite_relent_floor(trials, rng):
 def haar2_deviations(n, rng):
     """(worst_mc, worst_twirl) for d in {2, 3}: the n-sample Monte Carlo Haar second
     moment's largest entrywise excess over 4 standard errors, and the largest
-    entrywise error of the exact Heisenberg-Weyl twirl of a random matrix."""
+    entrywise error of the exact Heisenberg-Weyl twirl of a random matrix.  Each
+    stack of ``MC_CHUNK`` samples w w*, w = vec x vec, is summed by matrix products."""
     worst_mc, worst_twirl = -math.inf, 0.0
     for d in (2, 3):
         exact = haar_second_moment_exact(d)
-        phi = np.eye(d).reshape(d * d) / np.sqrt(d)
         acc = np.zeros((d**4, d**4), dtype=complex)
         acc2 = np.zeros((d**4, d**4))
-        for _ in range(n):
-            u = haar_unitary(d, rng)
-            vec = np.kron(u, np.eye(d)) @ phi
-            w = np.kron(vec, vec)
-            samp = np.outer(w, w.conj())
-            acc += samp
-            acc2 += np.abs(samp) ** 2
+        for start in range(0, n, MC_CHUNK):
+            u = haar_unitaries(d, min(MC_CHUNK, n - start), rng)
+            # (U x I)|phi> has entries U[a, i] / sqrt(d) at index a * d + i
+            vec = u.reshape(len(u), d * d) * (1.0 / np.sqrt(d))
+            w = (vec[:, :, None] * vec[:, None, :]).reshape(len(u), d**4)
+            acc += w.T @ w.conj()
+            sq = np.abs(w) ** 2
+            acc2 += sq.T @ sq
         mean = acc / n
         stderr = np.sqrt(np.maximum(acc2 / n - np.abs(mean) ** 2, 0.0) / n)
         worst_mc = max(worst_mc, float(np.max(np.abs(mean - exact) - 4.0 * stderr)))

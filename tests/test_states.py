@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from qdecoupling.states import (
     swap_operator,
     tensor_power,
 )
+from qdecoupling.verify import haar2_deviations
 
 
 def test_state_validation():
@@ -79,6 +82,40 @@ def test_haar_unitaries_are_the_haar_unitary_draws(d):
     assert np.array_equal(stacked, [_ginibre_qr_unitary(d, rngs[2]) for _ in range(7)])
     # all three leave the generator at the same point
     assert len({r.standard_normal() for r in rngs}) == 1
+
+
+def _haar2_loop(n, rng):
+    """haar2_deviations as one outer product per Haar sample."""
+    worst_mc, worst_twirl = -math.inf, 0.0
+    for d in (2, 3):
+        exact = haar_second_moment_exact(d)
+        phi = np.eye(d).reshape(d * d) / np.sqrt(d)
+        acc = np.zeros((d**4, d**4), dtype=complex)
+        acc2 = np.zeros((d**4, d**4))
+        for _ in range(n):
+            vec = np.kron(haar_unitary(d, rng), np.eye(d)) @ phi
+            samp = np.outer(np.kron(vec, vec), np.kron(vec, vec).conj())
+            acc += samp
+            acc2 += np.abs(samp) ** 2
+        mean = acc / n
+        stderr = np.sqrt(np.maximum(acc2 / n - np.abs(mean) ** 2, 0.0) / n)
+        worst_mc = max(worst_mc, float(np.max(np.abs(mean - exact) - 4.0 * stderr)))
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        tw = sum(u @ m @ u.conj().T for u in heisenberg_weyl(d)) / d**2
+        worst_twirl = max(worst_twirl, float(np.max(np.abs(tw - np.trace(m) * np.eye(d) / d))))
+    return worst_mc, worst_twirl
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 300])
+def test_haar2_deviations_match_the_per_sample_loop(n):
+    """The stacks of 64 give the loop's values; n = 64, 65 and 300 end a stack
+    exactly, one sample into a new stack, and part way through the fifth."""
+    rngs = [make_rng(3), make_rng(3)]
+    got, want = haar2_deviations(n, rngs[0]), _haar2_loop(n, rngs[1])
+    assert got[0] == pytest.approx(want[0], rel=0, abs=1e-15)
+    assert got[1] == pytest.approx(want[1], rel=0, abs=1e-15)
+    # the same draws, in the same order
+    assert rngs[0].standard_normal() == rngs[1].standard_normal()
 
 
 def test_make_rng_determinism():
