@@ -129,95 +129,112 @@ def choi_cond_entropy(channel: Channel) -> ConditionalEntropy:
         channel.choi_state(("Ain", "C")), ["Ain"], ["C"]))
 
 
-# -- fast objectives for the sigma minimization ----------------------------
+# -- objectives for the sigma minimization --------------------------------
 #
-# Both return D_family(rho_AB || I_A x sigma) as a function of sigma alone,
-# with everything independent of sigma precomputed.  They tolerate slightly
-# indefinite sigma (finite-difference probes) by clamping the spectrum.
+# Both take sigma by its eigenvalues w (clamped below at _TINY) and
+# eigenvectors v, and return D_family(rho_AB || I_A x sigma) together with
+# its exact gradient G, the Hermitian matrix with dD = tr(G dsigma).  All
+# that does not depend on sigma is precomputed.  The derivative of sigma^c
+# comes from the Daleckii-Krein formula d(sigma^c) = V (L o V^+ dsigma V) V^+,
+# with L the divided differences of x^c at w.
+
+
+def _pow_derivative(w: np.ndarray, v: np.ndarray, c: float, x: np.ndarray) -> np.ndarray:
+    """The G with tr(G dsigma) = tr(x d(sigma^c)), for Hermitian x.
+
+    L[i, j] = (w_i^c - w_j^c) / (w_i - w_j), c w_i^(c-1) where w_i = w_j, is
+    written as (w_i w_j)^((c-1)/2) sinh(c u) / sinh(u) with u = log(w_i / w_j) / 2,
+    which loses no digits to cancellation when w_i and w_j are close.
+    """
+    lw = np.log(w)
+    u = 0.5 * (lw[:, None] - lw[None, :])
+    same = u == 0.0
+    ratio = np.where(same, c, np.sinh(c * u) / np.where(same, 1.0, np.sinh(u)))
+    dd = np.exp(0.5 * (c - 1.0) * (lw[:, None] + lw[None, :])) * ratio
+    return v @ (dd * (v.conj().T @ x @ v)) @ v.conj().T
 
 
 def _petz_objective(rho: np.ndarray, da: int, alpha: float):
     db = rho.shape[0] // da
     m = _herm_part(partial_trace(mat_pow(rho, alpha), [da, db], [1]))
+    c = 1.0 - alpha
 
-    def f(sigma: np.ndarray) -> float:
-        pw = Spectrum.eigh(_herm_part(sigma)).map(lambda w: np.maximum(w, _TINY) ** (1.0 - alpha))
-        q = float(np.real(np.trace(m @ pw)))
+    def f(w: np.ndarray, v: np.ndarray):
+        # q = tr(m sigma^c), read in sigma's eigenbasis
+        q = float(np.real(np.einsum("ij,ij,j->", v.conj(), m @ v, w**c)))
         if q <= 0:
-            return math.inf
-        return math.log2(q) / (alpha - 1.0)
+            return math.inf, None
+        scale = 1.0 / (q * math.log(2.0) * (alpha - 1.0))
+        return math.log2(q) / (alpha - 1.0), scale * _pow_derivative(w, v, c, m)
 
     return f
 
 
 def _sandwiched_objective(rho: np.ndarray, da: int, alpha: float):
+    db = rho.shape[0] // da
     c = (1.0 - alpha) / (2.0 * alpha)
-    eye_a = np.eye(da)
+    # rho's db x db blocks: blocks[a, a'] = <a| rho |a'> on B
+    blocks = np.ascontiguousarray(rho.reshape(da, db, da, db).transpose(0, 2, 1, 3))
 
-    def f(sigma: np.ndarray) -> float:
-        conj = Spectrum.eigh(_herm_part(sigma)).map(lambda w: np.maximum(w, _TINY) ** c)
-        big = np.kron(eye_a, conj)
-        mv = Spectrum.eigvalsh(_herm_part(big @ rho @ big)).values
-        q = float(np.sum(np.maximum(mv, 0.0) ** alpha))
+    def f(w: np.ndarray, v: np.ndarray):
+        conj = (v * w**c) @ v.conj().T
+        # blocks of rho Gamma and of M = Gamma rho Gamma, Gamma = I_A x sigma^c
+        rg = blocks @ conj
+        big = (conj @ rg).transpose(0, 2, 1, 3).reshape(da * db, da * db)
+        spec = Spectrum.eigh(_herm_part(big))
+        sup = spec.support
+        lam, vecs = spec.values[sup], spec.vectors[:, sup]
+        q = float(np.sum(lam**alpha))
         if q <= 0:
-            return math.inf
-        return math.log2(q) / (alpha - 1.0)
+            return math.inf, None
+        # Z_B = tr_A(rho Gamma M^(alpha-1)) + h.c., M^(alpha-1) on the support
+        mpow = ((vecs * lam ** (alpha - 1.0)) @ vecs.conj().T).reshape(da, db, da, db)
+        z = np.sum(rg @ mpow.transpose(2, 0, 1, 3), axis=(0, 1))
+        z = z + z.conj().T
+        scale = alpha / (q * math.log(2.0) * (alpha - 1.0))
+        return math.log2(q) / (alpha - 1.0), scale * _pow_derivative(w, v, c, z)
 
     return f
 
 
-def _herm_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) Hermitian basis of d x d matrices."""
-    basis = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2)
-            basis.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = -1j / np.sqrt(2)
-            e[j, i] = 1j / np.sqrt(2)
-            basis.append(e)
-    return basis
+def _density_of_log(h: np.ndarray):
+    """(eigenvalues clamped at _TINY, eigenvectors, log sigma) of sigma = exp(h) / tr exp(h)."""
+    spec = Spectrum.eigh(h)
+    # the shift by the top eigenvalue guards against overflow
+    e = np.exp(spec.values - spec.values[-1])
+    total = float(np.sum(e))
+    log_sigma = h.copy()
+    log_sigma[np.diag_indices_from(h)] -= spec.values[-1] + math.log(total)
+    return np.maximum(e / total, _TINY), spec.vectors, log_sigma
 
 
-def _exp_update(sigma: np.ndarray, direction: np.ndarray, eta: float) -> np.ndarray:
-    """Mirror step: normalize(exp(log sigma - eta * direction))."""
-    logs = Spectrum.eigh(_herm_part(sigma)).map(lambda w: np.log(np.maximum(w, _TINY)))
-    # the shift by the top eigenvalue guards against overflow; the
-    # normalization absorbs it
-    out = Spectrum.eigh(_herm_part(logs - eta * direction)).map(lambda w: np.exp(w - np.max(w)))
-    return out / np.real(np.trace(out))
+def _mirror_descent(obj, sigma0: np.ndarray, cfg: SimplexOptimizerConfig):
+    """Minimize ``obj`` over density matrices by mirror descent.
 
-
-def _mirror_descent(obj, d: int, sigma0: np.ndarray, cfg: SimplexOptimizerConfig):
-    basis = _herm_basis(d)
-    sigma = sigma0 / np.real(np.trace(sigma0))
-    fval = obj(sigma)
-    eye = np.eye(d)
+    The iterate is held as log sigma, and a step is normalize(exp(log sigma
+    - eta * grad)), with a backtracking search on eta.  A trial point costs
+    one eigendecomposition plus one evaluation of ``obj``.
+    """
+    spec = Spectrum.eigh(_herm_part(sigma0 / np.real(np.trace(sigma0))))
+    w, v = np.maximum(spec.values, _TINY), spec.vectors
+    sigma = (v * w) @ v.conj().T
+    log_sigma = (v * np.log(w)) @ v.conj().T
+    fval, grad = obj(w, v)
+    eye = np.eye(len(w))
     eta = 1.0
     history = [fval]
     grad_norm = math.inf
     for it in range(cfg.max_iters):
-        grad = np.zeros((d, d), dtype=complex)
-        h = 1e-6 * max(1.0, float(np.max(np.abs(sigma))))
-        for b in basis:
-            df = obj(sigma + h * b) - obj(sigma - h * b)
-            grad += (df / (2.0 * h)) * b
         proj = grad - float(np.real(np.trace(grad @ sigma))) * eye
         grad_norm = float(np.linalg.norm(proj))
         if grad_norm <= cfg.grad_tol:
             return MinimizeResult(fval, sigma, it, grad_norm, True)
         accepted = False
         for _ in range(40):
-            cand = _exp_update(sigma, grad, eta)
-            fc = obj(cand)
+            w, v, cand_log = _density_of_log(log_sigma - eta * grad)
+            fc, gc = obj(w, v)
             if fc < fval - 1e-15:
-                sigma, fval = cand, fc
+                sigma, log_sigma, fval, grad = (v * w) @ v.conj().T, cand_log, fc, gc
                 eta = min(eta * 1.3, 1e3)
                 accepted = True
                 break
@@ -293,7 +310,7 @@ def minimized_conditioning(
         starts.append(np.eye(db, dtype=complex) / db)
     best = None
     for s0 in starts[: max(cfg.restarts, 1)]:
-        res = _mirror_descent(obj, db, s0, cfg)
+        res = _mirror_descent(obj, s0, cfg)
         if best is None or res.value < best.value:
             best = res
     if basis is not None:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from qdecoupling.channels import generalized_dephasing, identity_channel
 from qdecoupling.condentropy import (
     EntropyKind,
+    _petz_objective,
+    _sandwiched_objective,
     SimplexOptimizerConfig,
     channel_coherent_info,
     coherent_info,
@@ -24,6 +26,7 @@ from qdecoupling.states import (
     State,
     make_rng,
     max_entangled,
+    purify,
     random_density,
     random_pure,
     random_state,
@@ -151,3 +154,71 @@ def test_minimized_conditioning_reports_convergence(rng):
     assert res.converged
     assert res.sigma.shape == (2, 2)
     assert np.trace(res.sigma).real == pytest.approx(1.0, abs=1e-8)
+
+
+def _divergence_to_conditioning(rho, da, family, alpha, sigma):
+    """D(rho_AB || I_A x sigma) from full eigendecompositions, apart from the library.
+
+    Eigenvalues below 1e-12 count as 0: raised to a power below 1, the
+    roundoff eigenvalues of a rank-deficient rho move the central difference
+    by up to 3e-4 relative.
+    """
+    w, v = np.linalg.eigh(sigma)
+    if family == "petz":
+        u, x = np.linalg.eigh(rho)
+        rho_a = (x * np.where(u > 1e-12, u, 0.0) ** alpha) @ x.conj().T
+        q = np.trace(rho_a @ np.kron(np.eye(da), (v * w ** (1.0 - alpha)) @ v.conj().T))
+    else:
+        g = np.kron(np.eye(da), (v * w ** ((1.0 - alpha) / (2.0 * alpha))) @ v.conj().T)
+        u = np.linalg.eigvalsh(g @ rho @ g)
+        q = np.sum(np.where(u > 1e-12, u, 0.0) ** alpha)
+    return math.log2(float(np.real(q))) / (alpha - 1.0)
+
+
+@pytest.mark.parametrize("family,alphas", [("sandwiched", (0.6, 0.8, 1.5, 2.0, 3.0)),
+                                           ("petz", (0.4, 0.6, 1.5))])
+@pytest.mark.parametrize("db", [2, 3, 4])
+def test_objective_gradient_matches_central_difference(family, alphas, db):
+    """The analytic gradient against a central difference over a Hermitian basis.
+
+    rho_AB has rank 3, below full rank; sigma is full rank with
+    lambda_min >= 0.02, and the step is 1e-5 lambda_min(sigma).
+    """
+    rng = make_rng(db, stream=7)
+    make = _petz_objective if family == "petz" else _sandwiched_objective
+    basis = []
+    for i in range(db):
+        for j in range(i, db):
+            for phase in ((1.0,) if i == j else (1.0, 1j)):
+                e = np.zeros((db, db), dtype=complex)
+                e[i, j] = phase
+                e[j, i] = np.conj(phase)
+                basis.append(e / np.linalg.norm(e))
+    for alpha in alphas:
+        rho = random_density(2 * db, 3, rng)
+        sigma = random_density(db, db, rng)
+        while np.linalg.eigvalsh(sigma)[0] < 0.02:
+            sigma = random_density(db, db, rng)
+        _, grad = make(rho, 2, alpha)(*np.linalg.eigh(sigma))
+        h = 1e-5 * np.linalg.eigvalsh(sigma)[0]
+        fd = sum((_divergence_to_conditioning(rho, 2, family, alpha, sigma + h * e)
+                  - _divergence_to_conditioning(rho, 2, family, alpha, sigma - h * e))
+                 / (2.0 * h) * e for e in basis)
+        assert np.linalg.norm(grad - fd) <= 1e-7 * np.linalg.norm(fd), (family, db, alpha)
+
+
+@pytest.mark.parametrize("seed", range(101, 111))
+def test_duality_of_minimized_pairs_on_rank_two_b4(seed):
+    """D*_alpha(A|B) + D*_beta(A|C) = 0 for 1/alpha + 1/beta = 2 on |A| = 2, |B| = 4.
+
+    Rank-2 rho_AB gives minimizers with small eigenvalues, where a
+    finite-difference gradient missed duality by up to 4.8e-6.
+    """
+    rng = np.random.default_rng([2, seed])
+    for alpha in (0.6, 0.8, 1.5, 2.0):
+        beta = 1.0 / (2.0 - 1.0 / alpha)
+        ab = State(random_density(8, 2, rng), (("A", 2), ("B", 4)))
+        ac = purify(ab, "C").marginal("A", "C")
+        d_b = minimized_conditioning(ab, ["A"], ["B"], "sandwiched", alpha).value
+        d_c = minimized_conditioning(ac, ["A"], ["C"], "sandwiched", beta).value
+        assert abs(d_b + d_c) <= 1e-10, (alpha, d_b + d_c)

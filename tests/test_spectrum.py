@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qdecoupling.channels import apply_channel, random_channel
-from qdecoupling.condentropy import EntropyKind, cond_entropy
+from qdecoupling.condentropy import EntropyKind, cond_entropy, minimized_conditioning
 from qdecoupling.decoupling import (
     decoupling_error_sample,
     mc_decoupling_error,
@@ -124,6 +124,25 @@ def test_eigensolves_of_a_rate_curve(solves):
     assert solves(sweep) == (298, 1)
     # the second sweep on the same state finds every value in its memo
     assert solves(sweep) == (0, 0)
+
+
+def test_eigensolves_of_mirror_descent(solves):
+    """One sandwiched minimization at |B| = 2 and at |B| = 4, alpha = 1.5.
+
+    Three eigh set up (rho_B, the start and its objective); each trial
+    point of the line search costs one eigh for the iterate and one for
+    I x sigma^c rho I x sigma^c, whatever |B|.  A finite-difference
+    gradient made 4 |B|^2 more per iteration.
+    """
+    per_iter = {}
+    for db, pinned, iters in ((2, (123, 0), 11), (4, (191, 0), 17)):
+        state = random_state((("A", 2), ("B", db)), 2 * db, make_rng(db, stream=11))
+        res = []
+        count = solves(lambda: res.append(
+            minimized_conditioning(state, ["A"], ["B"], "sandwiched", 1.5)))
+        assert (count, res[0].iters) == (pinned, iters)
+        per_iter[db] = sum(count) / res[0].iters
+    assert per_iter[4] <= 1.5 * per_iter[2]
 
 
 def test_derived_states_match_the_public_constructor(rng):
