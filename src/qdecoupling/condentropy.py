@@ -9,7 +9,7 @@ the conditioning state sigma_B instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize
@@ -20,6 +20,9 @@ from .linalg import Spectrum, as_hermitian, mat_pow, partial_trace, tensor
 from .states import State, memo_on, tensor_power
 
 _TINY = 1e-300
+
+# Relative size below which a decrease of the objective cannot show in a float.
+_RESOLUTION = 16.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class MinimizeResult:
     sigma: np.ndarray
     iters: int
     grad_norm: float
-    converged: bool
+    exit: str  # why the minimizer stopped; see _mirror_descent
 
 
 class OptimizerDivergence(RuntimeError):
@@ -213,7 +216,17 @@ def _mirror_descent(obj, sigma0: np.ndarray, cfg: SimplexOptimizerConfig):
 
     The iterate is held as log sigma, and a step is normalize(exp(log sigma
     - eta * grad)), with a backtracking search on eta.  A trial point costs
-    one eigendecomposition plus one evaluation of ``obj``.
+    one eigendecomposition plus one evaluation of ``obj``.  ``exit`` says why
+    it stopped:
+
+    * ``"grad_tol"``: the projected gradient P = G - tr(G sigma) I has norm
+      at most ``cfg.grad_tol``;
+    * ``"resolution"``: before a trial point, the step's first-order decrease
+      eta tr(P sigma P) is below _RESOLUTION max(1, |f|), too small to show
+      in f; eta halves on every failed trial, so the line search ends;
+    * ``"stall"``: f fell by less than ``cfg.stall_tol`` in ``cfg.stall_iters`` steps;
+    * ``"max_iters"``: none of these; :class:`OptimizerDivergence` is raised
+      instead if the gradient norm is above 1e-4.
     """
     spec = Spectrum.eigh(_herm_part(sigma0 / np.real(np.trace(sigma0))))
     w, v = np.maximum(spec.values, _TINY), spec.vectors
@@ -228,31 +241,31 @@ def _mirror_descent(obj, sigma0: np.ndarray, cfg: SimplexOptimizerConfig):
         proj = grad - float(np.real(np.trace(grad @ sigma))) * eye
         grad_norm = float(np.linalg.norm(proj))
         if grad_norm <= cfg.grad_tol:
-            return MinimizeResult(fval, sigma, it, grad_norm, True)
-        accepted = False
-        for _ in range(40):
+            return MinimizeResult(fval, sigma, it, grad_norm, "grad_tol")
+        slope = float(np.real(np.vdot(proj, sigma @ proj)))
+        floor = _RESOLUTION * max(1.0, abs(fval))
+        while eta * slope >= floor:
             w, v, cand_log = _density_of_log(log_sigma - eta * grad)
             fc, gc = obj(w, v)
             if fc < fval - 1e-15:
                 sigma, log_sigma, fval, grad = (v * w) @ v.conj().T, cand_log, fc, gc
                 eta = min(eta * 1.3, 1e3)
-                accepted = True
                 break
             eta *= 0.5
-        if not accepted:
-            return MinimizeResult(fval, sigma, it, grad_norm, True)
+        else:
+            return MinimizeResult(fval, sigma, it, grad_norm, "resolution")
         history.append(fval)
         if (
             len(history) > cfg.stall_iters
             and history[-cfg.stall_iters - 1] - fval < cfg.stall_tol
         ):
-            return MinimizeResult(fval, sigma, it + 1, grad_norm, True)
+            return MinimizeResult(fval, sigma, it + 1, grad_norm, "stall")
     if grad_norm > 1e-4:
         raise OptimizerDivergence(
             f"simplex minimizer hit {cfg.max_iters} iterations, "
             f"projected gradient norm {grad_norm:.3e}"
         )
-    return MinimizeResult(fval, sigma, cfg.max_iters, grad_norm, False)
+    return MinimizeResult(fval, sigma, cfg.max_iters, grad_norm, "max_iters")
 
 
 def minimized_conditioning(
@@ -275,7 +288,7 @@ def minimized_conditioning(
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
         sigma_b = partial_trace(rho, [da, db], [1])
         val = umegaki(rho, tensor(np.eye(da), sigma_b))
-        return MinimizeResult(val, sigma_b, 0, 0.0, True)
+        return MinimizeResult(val, sigma_b, 0, 0.0, "closed_form")
     # The minimizer is supported on supp(rho_B): pinching with the support
     # projector leaves rho invariant and cannot increase the divergence, and
     # renormalizing the in-support block only decreases it.  Restricting to
@@ -314,13 +327,7 @@ def minimized_conditioning(
         if best is None or res.value < best.value:
             best = res
     if basis is not None:
-        best = MinimizeResult(
-            best.value,
-            basis @ best.sigma @ basis.conj().T,
-            best.iters,
-            best.grad_norm,
-            best.converged,
-        )
+        best = replace(best, sigma=basis @ best.sigma @ basis.conj().T)
     return best
 
 

@@ -37,9 +37,9 @@ def support_contained(rho: np.ndarray, sigma):
     return leak <= SUPPORT_LEAK_TOL
 
 
-def supports_overlap(rho, sigma) -> bool:
-    """Whether the supports are non-orthogonal; either may be a :class:`Spectrum`."""
-    overlap = float(np.real(np.trace(_spectrum(rho).projector() @ _spectrum(sigma).projector())))
+def supports_overlap(rho: np.ndarray, sigma) -> bool:
+    """Whether tr(rho P_sigma) > SUPPORT_LEAK_TOL for PSD rho; sigma may be a :class:`Spectrum`."""
+    overlap = float(np.einsum("ij,ji->", rho, _spectrum(sigma).projector()).real)
     return overlap > SUPPORT_LEAK_TOL
 
 
@@ -67,7 +67,7 @@ def petz_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
     r, s = Spectrum.of(rho), _spectrum(sigma)
     if alpha > 1 and not support_contained(rho, s):
         return math.inf
-    if alpha < 1 and not supports_overlap(r, s):
+    if alpha < 1 and not supports_overlap(rho, s):
         return math.inf
     q = float(np.real(np.trace(r.pow(alpha) @ s.pow(1.0 - alpha))))
     if q <= 0:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qdecoupling.channels import generalized_dephasing, identity_channel
 from qdecoupling.condentropy import (
     EntropyKind,
+    OptimizerDivergence,
     _petz_objective,
     _sandwiched_objective,
     SimplexOptimizerConfig,
@@ -151,9 +152,36 @@ def test_channel_coherent_info_full_dephasing():
 def test_minimized_conditioning_reports_convergence(rng):
     st_ = random_state((("A", 2), ("B", 2)), 2, rng)
     res = minimized_conditioning(st_, ["A"], ["B"], "sandwiched", 2.0)
-    assert res.converged
+    assert res.exit in ("resolution", "grad_tol")
     assert res.sigma.shape == (2, 2)
     assert np.trace(res.sigma).real == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.5, 2.0])
+@pytest.mark.parametrize("db", [2, 3])
+def test_minimized_conditioning_of_a_classical_state(db, alpha):
+    """Diagonal rho_AB against its closed form (alpha/(alpha-1)) log2 sum_b |p(., b)|_alpha.
+
+    At |B| = 3 the last b has no weight, so the minimizer runs on the
+    support of rho_B and its result is mapped back to the full space.
+    """
+    p = make_rng(db, stream=12).dirichlet(np.ones(3 * db)).reshape(3, db)
+    if db == 3:
+        p[:, -1] = 0.0
+        p /= p.sum()
+    st_ = State(np.diag(p.ravel()).astype(complex), (("A", 3), ("B", db)))
+    exact = (alpha / (alpha - 1.0)) * math.log2(
+        np.sum(np.sum(p**alpha, axis=0) ** (1.0 / alpha)))
+    res = minimized_conditioning(st_, ["A"], ["B"], "sandwiched", alpha)
+    assert abs(res.value - exact) <= 1e-12
+    assert res.exit in ("resolution", "grad_tol")
+    assert res.sigma.shape == (db, db)
+    try:
+        short = minimized_conditioning(st_, ["A"], ["B"], "sandwiched", alpha,
+                                       SimplexOptimizerConfig(max_iters=2))
+    except OptimizerDivergence:
+        return
+    assert short.exit == "max_iters"
 
 
 def _divergence_to_conditioning(rho, da, family, alpha, sigma):
