@@ -117,7 +117,7 @@ def random_channel(din: int, dout: int, rng: np.random.Generator) -> Channel:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T
     marg = partial_trace(m, [din, dout], [0])
-    inv_sqrt = Spectrum.of(marg).map(lambda w: w**-0.5)
+    inv_sqrt = Spectrum.of(marg).pow(-0.5)
     corr = np.kron(inv_sqrt, np.eye(dout))
     choi = corr @ m @ corr / din
     return Channel(din, dout, choi)
@@ -156,7 +156,7 @@ def apply_channel(channel: Channel, state: State, on: str) -> State:
     perm = state.permuted(on, *rest)
     out = choi_contract(channel, perm.density)
     new_dims = ((on, channel.dout),) + tuple((l, state.dim_of(l)) for l in rest)
-    return State._trusted(out, new_dims, state.subnormalized).permuted(*state.labels)
+    return State._trusted(out, new_dims).permuted(*state.labels)
 
 
 def apply_kraus(channel: Channel, state: State, on: str) -> State:
@@ -169,4 +169,4 @@ def apply_kraus(channel: Channel, state: State, on: str) -> State:
         big = np.kron(k, np.eye(d_rest))
         out += big @ perm.density @ big.conj().T
     new_dims = ((on, channel.dout),) + tuple((l, state.dim_of(l)) for l in rest)
-    return State._trusted(out, new_dims, state.subnormalized).permuted(*state.labels)
+    return State._trusted(out, new_dims).permuted(*state.labels)

@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 parse or usage error (including a state or Gram
 file without the structure below), 3 precondition violation, 4 decoupling
 bound violated by the Monte Carlo estimate, 5 verification suite failure
 (the offending instance goes to verify-failure-<suite>-seed<N>.json),
-6 numerical failure (an optimizer that diverged or an eigensolver that did
-not converge).  ``verify`` runs the suites of ``qdecoupling.verify``.
+6 numerical failure (an optimizer that diverged, an eigensolver that did
+not converge, or a divergence that evaluated to nan).  ``verify`` runs the
+suites of ``qdecoupling.verify``.
 
 State files are JSON documents {"dims": [{"label": ..., "dim": ...}, ...],
 "matrix": [[[re, im], ...], ...]} with each dim an integral number >= 1;
@@ -115,7 +116,11 @@ def cmd_divergence(args) -> int:
     b = load_state(args.state_b)
     if args.kind in ("petz", "sandwiched") and args.alpha is None:
         return _usage("--alpha is required for Renyi divergences")
-    val = divergence(a.density, b.density, args.kind, args.alpha)
+    # an overflowing power ends in nan, reported once below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = divergence(a.density, b.density, args.kind, args.alpha)
+    if math.isnan(val):
+        raise RuntimeError(f"the {args.kind} divergence evaluated to nan")
     print(_fmt(val))
     return EXIT_OK
 

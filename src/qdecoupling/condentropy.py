@@ -416,7 +416,8 @@ def tensor_power_entropy(
 def _petz_coherent_of_output(rho: np.ndarray, da: int, alpha: float) -> float:
     """I_alpha(A>B) of a bipartite density via the closed form, raw arrays."""
     db = rho.shape[0] // da
-    pa = Spectrum.eigh(_herm_part(rho)).map(lambda w: np.maximum(w, 0.0) ** alpha)
+    spec = Spectrum.eigh(_herm_part(rho))
+    pa = (spec.vectors * np.maximum(spec.values, 0.0) ** alpha) @ spec.vectors.conj().T
     m = partial_trace(pa, [da, db], [1])
     mw = np.maximum(Spectrum.eigvalsh(_herm_part(m)).values, 0.0)
     t = float(np.sum(mw ** (1.0 / alpha)))
@@ -431,13 +432,15 @@ def channel_coherent_info(
     rng: np.random.Generator | None = None,
     x0: np.ndarray | None = None,
 ) -> tuple[float, State]:
-    """Best Renyi coherent information over pure channel inputs.
+    """Best Petz-Renyi coherent information over pure channel inputs.
 
     Multi-start ascent: the maximally entangled input is always tried, plus
     ``restarts - 1`` random pure starts (and ``x0`` if given).  The channel
     input maximization is non-convex; the best value found is returned with
-    its achieving input.
+    its achieving input.  ``family`` must be ``"petz"``.
     """
+    if family != "petz":
+        raise ValueError(f"channel coherent information is Petz only, got {family!r}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     din, dout = channel.din, channel.dout
@@ -452,10 +455,7 @@ def channel_coherent_info(
         psi = (v / nrm).reshape(din, din)
         out = din * np.einsum("icjd,ri,sj->rcsd", w, psi, psi.conj())
         out = out.reshape(din * dout, din * dout)
-        if family == "petz":
-            return -_petz_coherent_of_output(out, din, alpha)
-        ref = State._trusted(out, (("R", din), ("B", dout)), subnormalized=True)
-        return -coherent_info(ref, ["R"], ["B"], family, alpha)
+        return -_petz_coherent_of_output(out, din, alpha)
 
     starts = []
     phi = np.eye(din).reshape(n) / np.sqrt(din)

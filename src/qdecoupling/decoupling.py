@@ -73,8 +73,8 @@ class DecouplingInstance:
 
 def standard_instance(rho_ae: State, d_a1: int, d_a2: int) -> DecouplingInstance:
     """Standard decoupling: trace out a d_a2-dimensional factor of A."""
-    if d_a1 * d_a2 != rho_ae.dim_of("A"):
-        raise ValueError("d_a1 * d_a2 must equal |A|")
+    if d_a1 < 1 or d_a2 < 1 or d_a1 * d_a2 != rho_ae.dim_of("A"):
+        raise ValueError("d_a1 and d_a2 must be >= 1 with d_a1 * d_a2 = |A|")
     return DecouplingInstance(rho_ae, partial_trace_channel(d_a1, d_a2))
 
 
@@ -197,8 +197,8 @@ def decoupling_error_lower_bound(rho_ae: State, d_a1: int, d_a2: int) -> float:
     distinct eigenvalues of rho_E.
     """
     da = rho_ae.dim_of("A")
-    if d_a1 * d_a2 != da:
-        raise ValueError("d_a1 * d_a2 must equal |A|")
+    if d_a1 < 1 or d_a2 < 1 or d_a1 * d_a2 != da:
+        raise ValueError("d_a1 and d_a2 must be >= 1 with d_a1 * d_a2 = |A|")
     rho_e = rho_ae.marginal("E").density
     v = distinct_eigenvalue_count(rho_e)
     shift = 9.0 * v * (d_a2 / d_a1) * tensor(np.eye(da), rho_e)

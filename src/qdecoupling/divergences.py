@@ -59,8 +59,8 @@ def umegaki(rho: np.ndarray, sigma):
 
 def petz_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
     """Quasi-entropy family built on tr(rho^a sigma^(1-a)), in bits."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be a positive finite number")
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
         return umegaki(rho, sigma)
     rho = as_hermitian(rho)
@@ -78,8 +78,8 @@ def petz_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
 
 def sandwiched_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
     """Sandwiched family built on tr((sigma^c rho sigma^c)^a), c=(1-a)/2a, in bits."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be a positive finite number")
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
         return umegaki(rho, sigma)
     rho = as_hermitian(rho)

@@ -61,7 +61,6 @@ class ExponentResult:
     critical_rate: float
     exact: bool
     argmax_s: float
-    raw_achievable: float = field(default=math.nan)
     converse_capped: bool = field(default=False)
     converse_diverges: bool = field(default=False)
     duality_gap: float = field(default=math.nan)
@@ -71,7 +70,7 @@ class ExponentResult:
            capped: bool = False, diverges: bool = False, **extra) -> "ExponentResult":
         """Result whose achievable exponent is the supremum of ``ach``, clamped at 0."""
         return cls(max(0.0, ach.sup_value), converse, critical_rate, exact, ach.argmax_s,
-                   ach.sup_value, capped, diverges, **extra)
+                   capped, diverges, **extra)
 
 
 def sup_on_interval(f, lo: float, hi: float, n_grid: int = 64) -> ExponentCurve:
@@ -114,11 +113,11 @@ def _fd_derivative(g, x: float, h: float = 1e-4) -> float:
 def _converse_sup(f, asym_slope: float | None):
     """Supremum over s > 0: bracket doubling with divergence detection.
 
-    Returns (value, argmax, capped, diverges).  ``asym_slope`` is the known
+    Returns (value, capped, diverges).  ``asym_slope`` is the known
     limit of f(s)/s as s grows; a positive limit means the supremum is +inf.
     """
     if asym_slope is not None and asym_slope > 1e-9:
-        return math.inf, math.inf, False, True
+        return math.inf, False, True
     s_hi = 1.0
     while s_hi < S_CAP:
         ds = s_hi * 1e-5
@@ -129,7 +128,7 @@ def _converse_sup(f, asym_slope: float | None):
     capped = s_hi >= S_CAP
     curve = sup_on_interval(f, S_MIN, s_hi)
     # f(0+) = 0 for every objective here, so the true supremum is >= 0
-    return max(0.0, curve.sup_value), curve.argmax_s, capped, False
+    return max(0.0, curve.sup_value), capped, False
 
 
 def _coherent_curve(owner, key, coh):
@@ -175,7 +174,7 @@ def standard_decoupling_exponents(rho_ae: State, log_a: float, r: float) -> Expo
         return s * (2.0 * r - log_a + h(1.0 + s))
 
     ach_curve = sup_on_interval(f, S_MIN, 1.0)
-    conv, conv_arg, capped, diverges = _converse_sup(f, 2.0 * r - log_a + h.min_entropy())
+    conv, capped, diverges = _converse_sup(f, 2.0 * r - log_a + h.min_entropy())
     rc = critical_rate(rho_ae)
     exact = r <= rc + 1e-12
     return ExponentResult.of(ach_curve, conv, rc, exact, capped, diverges)
@@ -261,7 +260,7 @@ def merging_exponents(state: State, a_labels, b_labels, r_labels, r: float, mode
 
     ach = sup_on_interval(f, S_MIN, 1.0 - 1e-9)
     ach_dual = sup_on_interval(f_dual, S_MIN, 1.0 - 1e-9)
-    conv, conv_arg, capped, diverges = _converse_sup(f, 0.5 * (h.min_entropy() + sign * r))
+    conv, capped, diverges = _converse_sup(f, 0.5 * (h.min_entropy() + sign * r))
     exact = (r >= rc - 1e-12) if mode == "distill" else (r <= -rc + 1e-12)
     return ExponentResult.of(
         ach, conv, rc if mode == "distill" else -rc, exact, capped, diverges,
@@ -307,7 +306,7 @@ def distillation_exponent(rho_cd: State, c_labels, d_labels, r: float) -> Expone
     )
     if not max_corr:
         return ExponentResult.of(ach, math.inf, rc, False)
-    conv, _, capped, diverges = _converse_sup(f, None)
+    conv, capped, diverges = _converse_sup(f, None)
     return ExponentResult.of(ach, conv, rc, r >= rc - 1e-12, capped, diverges)
 
 
@@ -354,5 +353,5 @@ def channel_coding_exponent(
     if not dephasing:
         rc = _fd_derivative(lambda s: s * coh(s), 1.0)
         return ExponentResult.of(ach, math.inf, rc, False)
-    conv, _, capped, diverges = _converse_sup(f, None)
+    conv, capped, diverges = _converse_sup(f, None)
     return ExponentResult.of(ach, conv, rc, r >= rc - 1e-12, capped, diverges)

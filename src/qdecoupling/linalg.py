@@ -31,10 +31,6 @@ SUPPORT_LEAK_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
-class DomainError(ValueError):
-    """A scalar function was evaluated outside its domain on the spectrum."""
-
-
 def as_hermitian(m: np.ndarray) -> np.ndarray:
     """Validate and symmetrize an (almost) Hermitian matrix or stack of them.
 
@@ -79,12 +75,12 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Spectrum:
     """Ascending eigenvalues of a Hermitian matrix, eigenvectors if computed.
 
-    Eigenvalues at or below :attr:`cutoff` form the kernel, which the
-    functional calculus maps to 0; :meth:`map` alone skips the cutoff.
+    Eigenvalues at or below :attr:`cutoff` form the kernel, and every
+    function of the spectrum applies that cutoff: :meth:`pow`,
+    :meth:`projector`, :meth:`log2` and :meth:`entropy` map the kernel to 0.
     :meth:`eigvalsh` also takes a stack of matrices, shape ``(..., d, d)``;
     :attr:`support` and :meth:`entropy` then hold one entry per matrix of
-    the stack.  A non-converged eigensolve raises
-    ``RuntimeError``.
+    the stack.  A non-converged eigensolve raises ``RuntimeError``.
     """
 
     __slots__ = ("values", "vectors")
@@ -126,24 +122,6 @@ class Spectrum:
     def _rebuild(self, new_values: np.ndarray) -> np.ndarray:
         return (self.vectors * new_values) @ self.vectors.conj().T
 
-    def map(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """``f`` on every eigenvalue, for callers that clamp instead of cutting."""
-        return self._rebuild(f(self.values))
-
-    def func(self, f: Callable[[np.ndarray], np.ndarray], kernel_value: float = 0.0):
-        """``f`` on the support and ``kernel_value`` on the kernel.
-
-        Raises :class:`DomainError` where ``f`` is non-finite on the support.
-        """
-        sup = self.support
-        out = np.full(len(self.values), float(kernel_value))
-        if np.any(sup):
-            fv = np.asarray(f(self.values[sup]), dtype=float)
-            if not np.all(np.isfinite(fv)):
-                raise DomainError("function is non-finite on an in-support eigenvalue")
-            out[sup] = fv
-        return self._rebuild(out)
-
     def pow(self, t: float) -> np.ndarray:
         """Power of a PSD matrix with the pseudo-inverse convention.
 
@@ -163,7 +141,10 @@ class Spectrum:
 
     def log2(self) -> np.ndarray:
         """Base-2 logarithm on the support, 0 on the kernel."""
-        return self.func(np.log2)
+        sup = self.support
+        out = np.zeros(len(self.values))
+        out[sup] = np.log2(self.values[sup])
+        return self._rebuild(out)
 
     def entropy(self) -> float | np.ndarray:
         """Von Neumann entropy ``-sum lambda log2 lambda`` over the support."""
@@ -172,44 +153,15 @@ class Spectrum:
         return float(h) if h.ndim == 0 else h
 
 
-def mat_func(
-    h: np.ndarray,
-    f: Callable[[np.ndarray], np.ndarray],
-    kernel_value: float = 0.0,
-) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix (see :meth:`Spectrum.func`)."""
-    return Spectrum.of(h).func(f, kernel_value)
-
-
 def mat_pow(p: np.ndarray, t: float) -> np.ndarray:
     """Power of a PSD matrix (see :meth:`Spectrum.pow`)."""
     return Spectrum.of(p).pow(t)
-
-
-def support_projector(p: np.ndarray) -> np.ndarray:
-    return Spectrum.of(p).projector()
 
 
 def positive_part_trace(h: np.ndarray) -> float:
     """Trace of the positive part: the sum of positive eigenvalues."""
     vals, _ = herm_eig(h)
     return float(np.sum(vals[vals > 0.0]))
-
-
-def proj_geq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Projector onto the eigenspaces of ``a - b`` with eigenvalue >= 0.
-
-    A small negative tolerance keeps roundoff-level zero modes included,
-    so ``proj_geq(h, h)`` is the identity.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError("operands must have equal dimensions")
-    vals, vecs = herm_eig(a - b)
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
-    sel = (vals >= -tol).astype(float)
-    return (vecs * sel) @ vecs.conj().T
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
@@ -273,12 +225,6 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 def purified_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     f = fidelity(rho, sigma)
     return math.sqrt(max(0.0, 1.0 - f * f))
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    rho = _check_state(rho, "rho")
-    sigma = _check_state(sigma, "sigma")
-    return 0.5 * trace_norm(rho - sigma)
 
 
 def eigenvalue_clusters(h: np.ndarray) -> list[tuple[float, np.ndarray]]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +20,15 @@ class State:
     """Density operator together with an ordered, labelled subsystem split.
 
     ``dims`` is a tuple of (label, dimension) pairs in tensor order.  The
-    matrix is symmetrized on construction; PSD and normalization are
-    validated (``subnormalized=True`` relaxes trace == 1 to trace <= 1).
-    Only this public constructor validates: states derived inside the
-    package from valid ones come from :meth:`_trusted`.  A state is
+    matrix is symmetrized on construction and must be PSD with trace 1
+    (to 1e-10).  Only this public constructor validates: states derived
+    inside the package from valid ones come from :meth:`_trusted`.  A state is
     immutable: the exponent functions keep per-state work on it
     (:func:`memo_on`), so its density must not be changed in place.
     """
 
     density: np.ndarray
     dims: tuple[tuple[str, int], ...]
-    subnormalized: bool = field(default=False)
 
     def __post_init__(self):
         self._set_structure()
@@ -38,10 +36,7 @@ class State:
         if float(spec.values[0]) < -spec.cutoff - 1e-10:
             raise ValueError(f"density is not PSD (min eigenvalue {spec.values[0]:.3e})")
         tr = float(np.real(np.trace(self.density)))
-        if self.subnormalized:
-            if tr > 1.0 + 1e-10:
-                raise ValueError(f"sub-normalized state has trace {tr:.6f} > 1")
-        elif abs(tr - 1.0) > 1e-10:
+        if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"state has trace {tr:.12f} != 1")
 
     def _set_structure(self) -> None:
@@ -59,17 +54,16 @@ class State:
         object.__setattr__(self, "dims", dims)
 
     @classmethod
-    def _trusted(cls, density, dims, subnormalized: bool = False) -> "State":
+    def _trusted(cls, density, dims) -> "State":
         """A state derived from valid states, with the structural checks only.
 
         Partial traces, permutations, tensor products, channels and unitary
-        rotations keep a state PSD with a valid trace, up to roundoff, so
+        rotations keep a state PSD with trace 1, up to roundoff, so
         the spectral and trace checks of the public constructor are skipped.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "density", density)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "subnormalized", subnormalized)
         self._set_structure()
         return self
 
@@ -100,7 +94,7 @@ class State:
         keep = sorted(self.index_of(l) for l in labels)
         sizes = [d for _, d in self.dims]
         m = partial_trace(self.density, sizes, keep)
-        return State._trusted(m, tuple(self.dims[i] for i in keep), self.subnormalized)
+        return State._trusted(m, tuple(self.dims[i] for i in keep))
 
     def permuted(self, *labels: str) -> "State":
         """Same state with subsystems reordered to the given label order."""
@@ -112,21 +106,15 @@ class State:
         t = self.density.reshape(sizes + sizes)
         t = np.transpose(t, perm + [n + p for p in perm])
         return State._trusted(
-            t.reshape(self.total_dim, self.total_dim),
-            tuple(self.dims[p] for p in perm),
-            self.subnormalized,
+            t.reshape(self.total_dim, self.total_dim), tuple(self.dims[p] for p in perm)
         )
 
     def tensor_with(self, other: "State") -> "State":
-        return State._trusted(
-            tensor(self.density, other.density),
-            self.dims + other.dims,
-            self.subnormalized or other.subnormalized,
-        )
+        return State._trusted(tensor(self.density, other.density), self.dims + other.dims)
 
     def relabeled(self, mapping: dict[str, str]) -> "State":
         dims = tuple((mapping.get(l, l), d) for l, d in self.dims)
-        return State._trusted(self.density, dims, self.subnormalized)
+        return State._trusted(self.density, dims)
 
 
 def memo_on(obj, key, make):
@@ -238,9 +226,7 @@ def purify(state: State, label: str = "P") -> State:
     nrm = np.linalg.norm(vec)
     if nrm > 0:
         vec = vec / nrm * np.sqrt(tr)
-    return State._trusted(
-        np.outer(vec, vec.conj()), state.dims + ((label, rank),), state.subnormalized
-    )
+    return State._trusted(np.outer(vec, vec.conj()), state.dims + ((label, rank),))
 
 
 # -- group ensembles and exact moments ------------------------------------
@@ -255,14 +241,6 @@ def heisenberg_weyl(d: int) -> list[np.ndarray]:
         for b in range(d):
             out.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
     return out
-
-
-def swap_operator(d: int) -> np.ndarray:
-    f = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            f[i * d + j, j * d + i] = 1.0
-    return f
 
 
 def _embed_swap(d: int, n_sys: int, i: int, j: int) -> np.ndarray:

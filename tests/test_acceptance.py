@@ -5,7 +5,6 @@ capture) and then asserts, so a plain ``pytest tests/test_acceptance.py``
 run shows the complete scorecard.
 """
 
-import json
 import math
 import os
 import subprocess

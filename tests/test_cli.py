@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -82,6 +81,37 @@ def test_divergence_usage_errors(tmp_path, capsys, rng):
     bad.write_text("{not json")
     assert main(["divergence", p, str(bad)]) == EXIT_USAGE
     capsys.readouterr()
+
+
+_ALPHA_ERROR = "precondition violated: alpha must be a positive finite number"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, first_line", [
+    (["divergence", "{p}", "{p}", "--kind", "petz", "--alpha", "nan"],
+     EXIT_PRECONDITION, _ALPHA_ERROR),
+    (["divergence", "{p}", "{p}", "--kind", "petz", "--alpha", "inf"],
+     EXIT_PRECONDITION, _ALPHA_ERROR),
+    (["divergence", "{p}", "{p}", "--kind", "sandwiched", "--alpha", "nan"],
+     EXIT_PRECONDITION, _ALPHA_ERROR),
+    (["divergence", "{p}", "{p}", "--kind", "sandwiched", "--alpha", "inf"],
+     EXIT_PRECONDITION, _ALPHA_ERROR),
+    # finite, but sigma^(1 - alpha) overflows and the trace is nan
+    (["divergence", "{p}", "{p}", "--kind", "petz", "--alpha", "1e308"],
+     EXIT_NUMERICAL, "numerical failure: the petz divergence evaluated to nan"),
+    (["decouple-mc", "--state", "{p}", "--da1", "-2", "--da2", "-1", "--samples", "4"],
+     EXIT_PRECONDITION, "precondition violated: d_a1 and d_a2 must be >= 1"),
+    (["decouple-mc", "--state", "{p}", "--da1", "0", "--da2", "2", "--samples", "4"],
+     EXIT_PRECONDITION, "precondition violated: d_a1 and d_a2 must be >= 1"),
+])
+def test_bad_numeric_flags_exit_with_one_line(argv, code, first_line, tmp_path, capsys, rng):
+    """A full-rank |A| = 2 state: each flag gets its exit code and one stderr line."""
+    p = write_state(random_state((("A", 2), ("E", 1)), 2, rng), tmp_path / "a.json")
+    assert main([a.format(p=p) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(first_line)
 
 
 def test_decouple_mc_decoupled_instance(tmp_path, capsys, rng):

@@ -149,6 +149,11 @@ def test_channel_coherent_info_full_dephasing():
     assert val <= 1e-6
 
 
+def test_channel_coherent_info_is_petz_only():
+    with pytest.raises(ValueError):
+        channel_coherent_info(identity_channel(2), 0.5, family="sandwiched")
+
+
 def test_minimized_conditioning_reports_convergence(rng):
     st_ = random_state((("A", 2), ("B", 2)), 2, rng)
     res = minimized_conditioning(st_, ["A"], ["B"], "sandwiched", 2.0)

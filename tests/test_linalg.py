@@ -4,46 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdecoupling.linalg import (
-    DomainError,
     as_hermitian,
     distinct_eigenvalue_count,
     eigenvalue_clusters,
     fidelity,
-    mat_func,
     mat_pow,
     partial_trace,
     positive_part_trace,
-    proj_geq,
     purified_distance,
-    support_projector,
     tensor,
-    trace_distance,
     trace_norm,
 )
 from qdecoupling.states import make_rng
 
 from conftest import random_herm
-
-
-def test_mat_func_sqrt_diag():
-    out = mat_func(np.diag([1.0, 4.0]), np.sqrt, 0.0)
-    assert np.allclose(out, np.diag([1.0, 2.0]), atol=1e-14)
-
-
-def test_mat_func_log2_uniform():
-    out = mat_func(np.diag([0.5, 0.5]), np.log2, 0.0)
-    assert np.allclose(out, np.diag([-1.0, -1.0]), atol=1e-14)
-
-
-def test_mat_func_kernel_value():
-    out = mat_func(np.diag([1.0, 0.0]), np.log2, -7.0)
-    assert np.allclose(out, np.diag([0.0, -7.0]), atol=1e-14)
-
-
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_mat_func_domain_error():
-    with pytest.raises(DomainError):
-        mat_func(np.diag([1.0, 2.0]), lambda v: np.log(v - 1.5), 0.0)
 
 
 def test_mat_pow_examples():
@@ -56,7 +30,6 @@ def test_mat_pow_examples():
 def test_mat_pow_kernel_and_projector():
     p = np.diag([0.7, 0.0, 0.3])
     assert np.allclose(mat_pow(p, -1.0), np.diag([1 / 0.7, 0.0, 1 / 0.3]), atol=1e-12)
-    assert np.allclose(support_projector(p), np.diag([1.0, 0.0, 1.0]), atol=1e-14)
 
 
 def test_mat_pow_rejects_negative():
@@ -67,12 +40,6 @@ def test_mat_pow_rejects_negative():
 def test_positive_part_trace_examples():
     assert positive_part_trace(np.diag([0.3, -0.1])) == pytest.approx(0.3, abs=1e-14)
     assert positive_part_trace(-np.eye(3)) == 0.0
-
-
-def test_proj_geq_examples():
-    assert np.allclose(proj_geq(np.diag([2.0, 0.0]), np.diag([1.0, 1.0])), np.diag([1.0, 0.0]))
-    h = random_herm(4, make_rng(1))
-    assert np.allclose(proj_geq(h, h), np.eye(4), atol=1e-12)
 
 
 def test_tensor_examples():
@@ -108,14 +75,12 @@ def test_fidelity_and_distances_self():
     rho /= np.trace(rho).real
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
     assert purified_distance(rho, rho) == pytest.approx(0.0, abs=1e-5)
-    assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fidelity_orthogonal():
     a = np.diag([1.0, 0.0])
     b = np.diag([0.0, 1.0])
     assert fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
-    assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distinct_eigenvalue_count_examples():

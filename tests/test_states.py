@@ -20,7 +20,6 @@ from qdecoupling.states import (
     random_density,
     random_pure,
     random_state,
-    swap_operator,
     tensor_power,
 )
 from qdecoupling.verify import haar2_deviations
@@ -35,8 +34,8 @@ def test_state_validation():
         State(np.diag([1.5, -0.5]), (("A", 2),))  # not PSD
     with pytest.raises(ValueError):
         State(np.eye(2), (("A", 2),))  # trace 2
-    sub = State(np.eye(2) / 4, (("A", 2),), subnormalized=True)
-    assert sub.total_dim == 2
+    with pytest.raises(ValueError):
+        State(np.eye(2) / 4, (("A", 2),))  # trace 0.5
 
 
 def test_state_permute_marginal_roundtrip(rng):
@@ -206,14 +205,6 @@ def test_purify_marginal_recovers_state(seed, rank):
     st_ = random_state((("A", 2), ("B", 2)), rank, rng)
     psi = purify(st_)
     assert np.allclose(psi.marginal("A", "B").density, st_.density, atol=1e-10)
-
-
-def test_swap_operator():
-    f = swap_operator(2)
-    v = np.kron(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    w = np.kron(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-    assert np.allclose(f @ v, w)
-    assert np.allclose(f @ f, np.eye(4))
 
 
 def test_tensor_power_labels(rng):
