@@ -36,8 +36,8 @@ class EntropyKind:
     def __post_init__(self):
         if self.family not in ("petz", "sandwiched"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,43 @@ def choi_cond_entropy(channel: Channel) -> ConditionalEntropy:
         channel.choi_state(("Ain", "C")), ["Ain"], ["C"]))
 
 
+class PetzUpEntropy:
+    """Optimized Petz H_up_alpha(A|B) of one rho_AB, A first with |A| = ``da``.
+
+    Closed form (Tomamichel, Berta and Hayashi, JMP 2014): (alpha/(1-alpha))
+    log2 tr m^(1/alpha) with m = tr_A rho^alpha.  rho is decomposed once and
+    its kernel cut; a call sums mu^(1/alpha) over the support of m and is
+    memoized on the float ``alpha``, which must not be 1.
+    """
+
+    def __init__(self, rho: np.ndarray, da: int):
+        self.spec = Spectrum.of(rho)
+        self.dims = [da, rho.shape[0] // da]
+        self._values: dict[float, float] = {}
+
+    @classmethod
+    def of(cls, state: State, a_labels, b_labels) -> "PetzUpEntropy":
+        """The entropy of the (A, B) partition of ``state``."""
+        rho, da, _ = _split_blocks(state, a_labels, b_labels)
+        return cls(rho, da)
+
+    def marginal(self, alpha: float) -> np.ndarray:
+        """m = tr_A rho^alpha, symmetrized."""
+        return _herm_part(partial_trace(self.spec.pow(alpha), self.dims, [1]))
+
+    def __call__(self, alpha: float) -> float:
+        h = self._values.get(alpha)
+        if h is None:
+            mu = Spectrum.eigvalsh(self.marginal(alpha))
+            t = float(np.sum(mu.values[mu.support] ** (1.0 / alpha)))
+            h = self._values[alpha] = (alpha / (1.0 - alpha)) * math.log2(t)
+        return h
+
+    def coherent(self, s: float) -> float:
+        """-H_up at alpha = 1/(1+s): the Petz coherent information of the exponents."""
+        return -self(1.0 / (1.0 + s))
+
+
 # -- objectives for the sigma minimization --------------------------------
 #
 # Both take sigma by its eigenvalues w (clamped below at _TINY) and
@@ -158,8 +195,7 @@ def _pow_derivative(w: np.ndarray, v: np.ndarray, c: float, x: np.ndarray) -> np
 
 
 def _petz_objective(rho: np.ndarray, da: int, alpha: float):
-    db = rho.shape[0] // da
-    m = _herm_part(partial_trace(mat_pow(rho, alpha), [da, db], [1]))
+    m = PetzUpEntropy(rho, da).marginal(alpha)
     c = 1.0 - alpha
 
     def f(w: np.ndarray, v: np.ndarray):
@@ -315,7 +351,7 @@ def minimized_conditioning(
         rho_b = partial_trace(rho, [da, db], [1])
         starts.append((1.0 - 1e-9) * rho_b + 1e-9 * np.eye(db) / db)
     if cfg.restarts > 1:
-        m = partial_trace(mat_pow(rho, alpha), [da, db], [1])
+        m = PetzUpEntropy(rho, da).marginal(alpha)
         petz_opt = mat_pow(m, 1.0 / alpha)
         petz_opt = petz_opt / np.real(np.trace(petz_opt))
         starts.append((1.0 - 1e-9) * petz_opt + 1e-9 * np.eye(db) / db)
@@ -332,19 +368,12 @@ def minimized_conditioning(
 
 
 def petz_up_closed_form(state: State, a_labels, b_labels, alpha: float) -> float:
-    """Optimized Petz conditional entropy via its closed-form expression.
-
-    H_up(A|B) = (alpha/(1-alpha)) * log2 tr[(tr_A rho^alpha)^(1/alpha)].
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    rho, da, db = _split_blocks(state, a_labels, b_labels)
-    if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
-        sigma_b = partial_trace(rho, [da, db], [1])
-        return -umegaki(rho, tensor(np.eye(da), sigma_b))
-    m = partial_trace(mat_pow(rho, alpha), [da, db], [1])
-    t = float(np.real(np.trace(mat_pow(m, 1.0 / alpha))))
-    return (alpha / (1.0 - alpha)) * math.log2(t)
+    """Optimized Petz H_up_alpha(A|B) by :class:`PetzUpEntropy`, or by Umegaki near alpha = 1."""
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be a positive finite number")
+    if abs(alpha - 1.0) < ALPHA_ONE_GUARD:  # the minimizer's closed form
+        return -minimized_conditioning(state, a_labels, b_labels, "petz", alpha).value
+    return PetzUpEntropy.of(state, a_labels, b_labels)(alpha)
 
 
 def cond_entropy(
@@ -413,17 +442,6 @@ def tensor_power_entropy(
 # -- channel input optimization --------------------------------------------
 
 
-def _petz_coherent_of_output(rho: np.ndarray, da: int, alpha: float) -> float:
-    """I_alpha(A>B) of a bipartite density via the closed form, raw arrays."""
-    db = rho.shape[0] // da
-    spec = Spectrum.eigh(_herm_part(rho))
-    pa = (spec.vectors * np.maximum(spec.values, 0.0) ** alpha) @ spec.vectors.conj().T
-    m = partial_trace(pa, [da, db], [1])
-    mw = np.maximum(Spectrum.eigvalsh(_herm_part(m)).values, 0.0)
-    t = float(np.sum(mw ** (1.0 / alpha)))
-    return -(alpha / (1.0 - alpha)) * math.log2(t)
-
-
 def channel_coherent_info(
     channel: Channel,
     alpha: float,
@@ -454,8 +472,7 @@ def channel_coherent_info(
             return 0.0
         psi = (v / nrm).reshape(din, din)
         out = din * np.einsum("icjd,ri,sj->rcsd", w, psi, psi.conj())
-        out = out.reshape(din * dout, din * dout)
-        return -_petz_coherent_of_output(out, din, alpha)
+        return PetzUpEntropy(out.reshape(din * dout, din * dout), din)(alpha)
 
     starts = []
     phi = np.eye(din).reshape(n) / np.sqrt(din)

@@ -9,17 +9,17 @@ number at an arbitrary cutoff.  All rates and exponents are in bits.
 The rate enters every objective linearly, so the expensive part, the
 entropy at each s, depends on the input alone.  Each exponent function
 keeps that part on its input ``State`` or ``Channel`` (see
-``states.memo_on``): the entropy is memoized on s, and the critical rate
-and the asymptotic slope are computed once.  A rate curve on one input
-object therefore evaluates each (input, s) pair once.  Inputs are
-immutable; changing a state's density in place would leave stale values.
-The one exception is ``channel_coding_exponent`` without ``dephasing``,
-whose randomized input search depends on call order and is not memoized.
+``states.memo_on``): a ``ConditionalEntropy`` for the sandwiched order 1 + s
+or a ``PetzUpEntropy`` for the Petz order 1/(1 + s), each memoized on its
+order.  A rate curve on one input object therefore evaluates each (input, s)
+pair once, critical rates included.  Inputs are immutable; changing a
+state's density in place would leave stale values.  The one exception is
+``channel_coding_exponent`` without ``dephasing``, whose randomized input
+search depends on call order and is not memoized.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,13 +29,12 @@ from scipy import optimize
 from .channels import Channel
 from .condentropy import (
     ConditionalEntropy,
+    PetzUpEntropy,
     SimplexOptimizerConfig,
-    _petz_coherent_of_output,
     channel_coherent_info,
     choi_cond_entropy,
     cond_vn_entropy,
     minimized_conditioning,
-    petz_up_closed_form,
     sandwiched_cond_entropy,
 )
 from .linalg import Spectrum
@@ -47,9 +46,8 @@ S_CAP = 64.0
 
 @dataclass(frozen=True)
 class ExponentCurve:
-    """Sampled objective s -> f(s) with its refined supremum."""
+    """The refined supremum of an objective s -> f(s) and where it is attained."""
 
-    grid: tuple[tuple[float, float], ...]
     argmax_s: float
     sup_value: float
 
@@ -99,8 +97,7 @@ def sup_on_interval(f, lo: float, hi: float, n_grid: int = 64) -> ExponentCurve:
         )
         if -res.fun > best_v:
             best_s, best_v = float(np.clip(res.x, lo, hi)), float(-res.fun)
-    grid = tuple((float(s), float(v)) for s, v in zip(grid_s, vals))
-    return ExponentCurve(grid, best_s, best_v)
+    return ExponentCurve(best_s, best_v)
 
 
 def _fd_derivative(g, x: float, h: float = 1e-4) -> float:
@@ -129,16 +126,6 @@ def _converse_sup(f, asym_slope: float | None):
     curve = sup_on_interval(f, S_MIN, s_hi)
     # f(0+) = 0 for every objective here, so the true supremum is >= 0
     return max(0.0, curve.sup_value), capped, False
-
-
-def _coherent_curve(owner, key, coh):
-    """(coh memoized on s, the slope of s * coh(s) at s = 1), kept on ``owner``."""
-
-    def make():
-        cached = functools.cache(coh)
-        return cached, _fd_derivative(lambda s: s * cached(s), 1.0)
-
-    return memo_on(owner, key, make)
 
 
 # -- decoupling ------------------------------------------------------------
@@ -216,7 +203,7 @@ def _merging_terms(state: State, a_labels, b_labels, r_labels):
     """The rate-independent parts of the merging exponents of one pure state.
 
     Returns H(A|R), the sandwiched H_alpha(A|R), s -> -Hup_{1/(1+s)}(A|B)
-    (Petz, memoized on s) and the slope of s * H_{1+s}(A|R) at s = 1.
+    (Petz, memoized on the order) and the slope of s * H_{1+s}(A|R) at s = 1.
     """
     purity = float(np.real(np.trace(state.density @ state.density)))
     if purity < 1.0 - 1e-8:
@@ -224,11 +211,7 @@ def _merging_terms(state: State, a_labels, b_labels, r_labels):
     ar = state.marginal(*(list(a_labels) + list(r_labels)))
     ab = state.marginal(*(list(a_labels) + list(b_labels)))
     h = ConditionalEntropy(ar, a_labels, r_labels)
-
-    @functools.cache
-    def h_dual(s: float) -> float:
-        return -petz_up_closed_form(ab, a_labels, b_labels, 1.0 / (1.0 + s))
-
+    h_dual = PetzUpEntropy.of(ab, a_labels, b_labels).coherent
     rc = _fd_derivative(lambda s: s * h(1.0 + s), 1.0)
     return cond_vn_entropy(ar, a_labels, r_labels), h, h_dual, rc
 
@@ -293,9 +276,9 @@ def distillation_exponent(rho_cd: State, c_labels, d_labels, r: float) -> Expone
     if r < 0:
         raise ValueError("rate r must be nonnegative")
     c_labels, d_labels = tuple(c_labels), tuple(d_labels)
-    coh, rc = _coherent_curve(
-        rho_cd, ("distill", c_labels, d_labels),
-        lambda s: -petz_up_closed_form(rho_cd, c_labels, d_labels, 1.0 / (1.0 + s)))
+    coh = memo_on(rho_cd, ("distill", c_labels, d_labels),
+                  lambda: PetzUpEntropy.of(rho_cd, c_labels, d_labels)).coherent
+    rc = _fd_derivative(lambda s: s * coh(s), 1.0)
 
     def f(s: float) -> float:
         return 0.5 * s * (coh(s) - r)
@@ -327,9 +310,8 @@ def channel_coding_exponent(
     if r < 0:
         raise ValueError("rate r must be nonnegative")
     if dephasing:
-        coh, rc = _coherent_curve(
-            channel, ("dephasing",),
-            lambda s: _petz_coherent_of_output(channel.choi, channel.din, 1.0 / (1.0 + s)))
+        coh = memo_on(channel, ("dephasing",),
+                      lambda: PetzUpEntropy(channel.choi, channel.din)).coherent
     else:
         rng = make_rng(0)
         warm: dict[str, np.ndarray | None] = {"x0": None}
@@ -350,8 +332,8 @@ def channel_coding_exponent(
         return 0.5 * s * (coh(s) - r)
 
     ach = sup_on_interval(f, S_MIN, 1.0 - 1e-9, n_grid=24)
+    rc = _fd_derivative(lambda s: s * coh(s), 1.0)
     if not dephasing:
-        rc = _fd_derivative(lambda s: s * coh(s), 1.0)
         return ExponentResult.of(ach, math.inf, rc, False)
     conv, capped, diverges = _converse_sup(f, None)
     return ExponentResult.of(ach, conv, rc, r >= rc - 1e-12, capped, diverges)

@@ -30,8 +30,12 @@ def commuting_pair(d, rng):
     return rho, sig, p, q
 
 
-def classical_dephasing_oracle(gram, r):
-    """Independent route: closed scalar formula for a maximally correlated Choi."""
+def classical_coherent_info(gram):
+    """s -> I_{1/(1+s)} of the dephasing channel of ``gram``, by a closed scalar formula.
+
+    The Choi state is maximally correlated with coefficient matrix c = gram^T / d,
+    so tr_A rho^alpha is diagonal with entries (c^alpha)_xx.
+    """
     c = gram.T / gram.shape[0]
 
     def coh(s):
@@ -40,6 +44,32 @@ def classical_dephasing_oracle(gram, r):
         total = float(np.sum(np.real(np.diag(ca)) ** (1.0 / alpha)))
         return (alpha / (alpha - 1.0)) * math.log2(total)
 
+    return coh
+
+
+def classical_dephasing_oracle(gram, r):
+    """Independent route: closed scalar formula for a maximally correlated Choi."""
+    coh = classical_coherent_info(gram)
     res = minimize_scalar(lambda s: -0.5 * s * (coh(s) - r), bounds=(1e-6, 1 - 1e-9),
                           method="bounded", options={"xatol": 1e-12})
     return max(0.0, float(-res.fun))
+
+
+def classical_dephasing_converse_oracle(gram, r):
+    """sup over s in (0, 64] of (s/2)(I_{1/(1+s)} - r), from the same scalar formula.
+
+    A geometric grid of 257 points locates the best cell, which a bounded
+    scalar search then polishes.
+    """
+    coh = classical_coherent_info(gram)
+
+    def f(s):
+        return 0.5 * s * (coh(s) - r)
+
+    grid = np.geomspace(1e-6, 64.0, 257)
+    vals = [f(float(s)) for s in grid]
+    i = int(np.argmax(vals))
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
+    res = minimize_scalar(lambda s: -f(s), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12})
+    return max(0.0, vals[i], float(-res.fun))

@@ -121,6 +121,15 @@ def test_duality_rejects_mixed(rng):
         duality_pair(st_, ["A"], ["B"], ["C"], 0.5)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_orders_outside_the_positive_reals_are_rejected(alpha, rng):
+    st_ = random_state((("A", 2), ("B", 2)), 3, rng)
+    with pytest.raises(ValueError, match="alpha must be a positive finite number"):
+        EntropyKind("petz", alpha, optimized=True)
+    with pytest.raises(ValueError, match="alpha must be a positive finite number"):
+        petz_up_closed_form(st_, ["A"], ["B"], alpha)
+
+
 def test_tensor_power_single_copy_and_additivity(rng):
     st_ = random_state((("A", 2), ("B", 2)), 3, rng)
     kind = EntropyKind("sandwiched", 1.5)

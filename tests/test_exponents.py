@@ -34,7 +34,7 @@ from qdecoupling.states import (
     random_state,
 )
 
-from conftest import classical_dephasing_oracle
+from conftest import classical_dephasing_converse_oracle, classical_dephasing_oracle
 
 
 def test_sup_on_interval_examples():
@@ -47,7 +47,7 @@ def test_sup_on_interval_examples():
     assert c.sup_value == pytest.approx(0.25, abs=1e-10)
     assert c.argmax_s == pytest.approx(0.5, abs=1e-5)
     # refinement never loses to the raw grid
-    assert c.sup_value >= max(v for _, v in c.grid)
+    assert c.sup_value >= max(s * (1 - s) for s in np.geomspace(1e-4, 1.0, 64))
 
 
 def test_sup_on_interval_rejects_nonfinite():
@@ -200,6 +200,23 @@ def test_channel_coding_dephasing_matches_classical_oracle():
         res = channel_coding_exponent(ch, r, dephasing=True)
         assert res.achievable == pytest.approx(classical_dephasing_oracle(g, r), abs=1e-8)
         assert math.isfinite(res.converse)
+
+
+def test_dephasing_converse_matches_classical_oracle():
+    """The converse sup over s in (0, 64] on a complex Gram matrix of full rank.
+
+    At large s the order 1/(1+s) is small, so the Choi state's kernel must
+    be cut: its roundoff eigenvalues raised to that power would count.
+    """
+    g = np.random.default_rng(1).standard_normal((3, 6)).view(complex)
+    m = g @ g.conj().T
+    d = np.sqrt(np.real(np.diag(m)))
+    gram = m / np.outer(d, d)
+    np.fill_diagonal(gram, 1.0)
+    ch = generalized_dephasing(gram)
+    for r in (0.01, 0.05, 0.1):
+        res = channel_coding_exponent(ch, r, dephasing=True)
+        assert abs(res.converse - classical_dephasing_converse_oracle(gram, r)) <= 1e-10
 
 
 # -- per-input memo --------------------------------------------------------

@@ -57,3 +57,41 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items()
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
+
+
+def _eigensolver_uses(tree: ast.Module) -> list[str]:
+    """Lines that reach an eigensolver of ``numpy.linalg`` or ``scipy.linalg`` directly.
+
+    That is an attribute ``linalg.<solver>`` (``np.linalg.eigh``,
+    ``scipy.linalg.eigvals``, ...) or an import of a solver from a ``linalg``
+    module.  ``Spectrum.eigh`` and ``Spectrum.eigvalsh`` do not match.
+    """
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS:
+            owner = node.value
+            name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", "")
+            if name == "linalg":
+                uses.append(f"linalg.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            uses += [f"import of {a.name} (line {node.lineno})"
+                     for a in node.names if a.name in EIGENSOLVERS]
+    return uses
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.parent.name == "qdecoupling"
+                                  and p.name != "linalg.py"], ids=lambda p: p.name)
+def test_eigensolvers_only_in_linalg(path):
+    """Only ``linalg`` calls numpy's eigensolvers; every other module goes through ``Spectrum``."""
+    uses = _eigensolver_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not uses, f"{path.name} calls an eigensolver outside linalg.Spectrum: {', '.join(uses)}"
+
+
+def test_eigensolver_check_sees_direct_calls():
+    src = ("import numpy as np\nfrom scipy.linalg import eigvals\n"
+           "w = np.linalg.eigvalsh(m)\nv = Spectrum.eigh(m)\n")
+    assert _eigensolver_uses(ast.parse(src)) == ["import of eigvals (line 2)",
+                                                 "linalg.eigvalsh (line 3)"]

@@ -11,16 +11,29 @@ import numpy as np
 import pytest
 
 from qdecoupling.channels import apply_channel, random_channel
-from qdecoupling.condentropy import EntropyKind, cond_entropy, minimized_conditioning
+from qdecoupling.condentropy import (
+    EntropyKind,
+    PetzUpEntropy,
+    cond_entropy,
+    minimized_conditioning,
+    petz_up_closed_form,
+)
 from qdecoupling.decoupling import (
     decoupling_error_sample,
     mc_decoupling_error,
     standard_instance,
 )
 from qdecoupling.divergences import d_max, petz_renyi, sandwiched_renyi, umegaki
-from qdecoupling.exponents import standard_decoupling_exponents
+from qdecoupling.exponents import distillation_exponent, standard_decoupling_exponents
 from qdecoupling.linalg import Spectrum
-from qdecoupling.states import State, haar_unitary, make_rng, random_density, random_state
+from qdecoupling.states import (
+    State,
+    haar_unitary,
+    make_rng,
+    maximally_correlated,
+    random_density,
+    random_state,
+)
 
 
 def test_spectrum_calculus_on_a_diagonal_matrix():
@@ -93,6 +106,8 @@ def test_eigensolves_per_call(solves, rng):
     assert solves(d_max, rho, sigma) == (1, 1)
     kind = EntropyKind("sandwiched", 1.5)
     assert solves(cond_entropy, state, ["A"], ["E"], kind) == (2, 0)
+    # rho_AE once, and the eigenvalues of tr_A rho^alpha
+    assert solves(petz_up_closed_form, state, ["A"], ["E"], 0.7) == (1, 1)
     assert solves(decoupling_error_sample, inst, u) == (1, 1)
     assert solves(state.marginal, "E") == (0, 0)
     assert solves(state.permuted, "E", "A") == (0, 0)
@@ -123,6 +138,31 @@ def test_eigensolves_of_a_rate_curve(solves):
 
     assert solves(sweep) == (298, 1)
     # the second sweep on the same state finds every value in its memo
+    assert solves(sweep) == (0, 0)
+
+
+def test_eigensolves_of_a_distillation_curve(solves, monkeypatch):
+    """A 20-rate distillation sweep on one 3 x 3 maximally correlated state.
+
+    rho_CD is decomposed once; each distinct Petz order asked for costs one
+    eigvalsh of tr_C rho^alpha (631 here).  Decomposing rho_CD and the
+    marginal at every order made 1304 eigh for this sweep.
+    """
+    state = maximally_correlated(random_density(3, 3, make_rng(3)), ("C", "D"))
+    orders = set()
+    call = PetzUpEntropy.__call__
+
+    def recorded(self, alpha):
+        orders.add(alpha)
+        return call(self, alpha)
+
+    monkeypatch.setattr(PetzUpEntropy, "__call__", recorded)
+
+    def sweep():
+        for r in np.linspace(0.05, 1.2, 20):
+            distillation_exponent(state, ["C"], ["D"], float(r))
+
+    assert solves(sweep) == (1, len(orders))
     assert solves(sweep) == (0, 0)
 
 
