@@ -1,12 +1,13 @@
 """Command-line surface: divergences, exponent curves, MC decoupling, verify.
 
 Exit codes: 0 success, 2 parse or usage error (including a state or Gram
-file without the structure below), 3 precondition violation, 4 decoupling
-bound violated by the Monte Carlo estimate, 5 verification suite failure
-(the offending instance goes to verify-failure-<suite>-seed<N>.json),
-6 numerical failure (an optimizer that diverged, an eigensolver that did
-not converge, or a divergence that evaluated to nan).  ``verify`` runs the
-suites of ``qdecoupling.verify``.
+file that is not UTF-8 or lacks the structure below, and a path that cannot
+be read or written), 3 precondition violation, 4 decoupling bound violated
+by the Monte Carlo estimate, 5 verification suite failure (the offending
+instance goes to verify-failure-<suite>-seed<N>.json), 6 numerical failure
+(an optimizer that diverged, an eigensolver that did not converge, or a
+divergence that evaluated to nan).  ``verify`` runs the suites of
+``qdecoupling.verify``.
 
 State files are JSON documents {"dims": [{"label": ..., "dim": ...}, ...],
 "matrix": [[[re, im], ...], ...]} with each dim an integral number >= 1;
@@ -67,7 +68,7 @@ def _read_matrix(rows) -> np.ndarray:
     """The complex matrix of JSON rows of [re, im] pairs."""
     try:
         return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"a matrix must be rows of [re, im] pairs ({exc})") from None
 
 
@@ -82,7 +83,7 @@ def _read_dim(value) -> int:
 def doc_to_state(doc: dict) -> State:
     try:
         dims = tuple((str(e["label"]), _read_dim(e["dim"])) for e in doc["dims"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"dims must be a list of {{label, dim}} objects ({exc})") from None
     return State(_read_matrix(doc["matrix"]), dims)
 
@@ -131,6 +132,12 @@ def _load_gram_channel(path: str):
         return generalized_dephasing(_read_matrix(json.load(fh)))
 
 
+def _distill_at_rate(st: State, r: float, args):
+    if len(st.labels) != 2:
+        raise ValueError("the distill task needs a state of two subsystems")
+    return distillation_exponent(st, [st.labels[0]], [st.labels[1]], r)
+
+
 # exponent-curve tasks: the input option and the exponents at one rate on
 # the loaded input.  Functions are looked up by name when called, so
 # rebinding one in this module (a tracer, a test double) takes effect.
@@ -141,8 +148,7 @@ CURVE_TASKS = {
         st, ["A"], ["B"], ["R"], r, "distill")),
     "merging-c": ("state", lambda st, r, args: merging_exponents(
         st, ["A"], ["B"], ["R"], r, "cost")),
-    "distill": ("state", lambda st, r, args: distillation_exponent(
-        st, [st.labels[0]], [st.labels[1]], r)),
+    "distill": ("state", _distill_at_rate),
     "channel": ("gram", lambda ch, r, args: channel_coding_exponent(ch, r, dephasing=True)),
 }
 
@@ -170,6 +176,8 @@ def cmd_exponent_curve(args) -> int:
 
 
 def cmd_decouple_mc(args) -> int:
+    if args.seed < 0:
+        return _usage("--seed must be non-negative")
     state = load_state(args.state)
     inst = standard_instance(state, args.da1, args.da2)
     est = mc_decoupling_error(inst, args.samples, seed=args.seed)
@@ -196,6 +204,8 @@ def cmd_decouple_mc(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         return _usage("--trials must be at least 1")
+    if args.seed < 0:
+        return _usage("--seed must be non-negative")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for stream, name in enumerate(names):
@@ -264,8 +274,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, json.JSONDecodeError, KeyError, FileNotFoundError) as exc:
+    except (ParseError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

@@ -16,13 +16,19 @@ from scipy import optimize
 
 from .channels import Channel
 from .divergences import ALPHA_ONE_GUARD, d_max, divergence, umegaki
-from .linalg import Spectrum, as_hermitian, mat_pow, partial_trace, tensor
+from .linalg import Spectrum, as_hermitian, partial_trace, tensor
 from .states import State, memo_on, tensor_power
 
 _TINY = 1e-300
 
 # Relative size below which a decrease of the objective cannot show in a float.
 _RESOLUTION = 16.0 * float(np.finfo(float).eps)
+
+# The stopping rules of _mirror_descent.
+_MAX_ITERS = 500
+_GRAD_TOL = 1e-9
+_STALL_TOL = 1e-12
+_STALL_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -38,17 +44,6 @@ class EntropyKind:
             raise ValueError(f"unknown family {self.family!r}")
         if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be a positive finite number")
-
-
-@dataclass(frozen=True)
-class SimplexOptimizerConfig:
-    """Knobs for the mirror-descent minimizer over density matrices."""
-
-    max_iters: int = 500
-    grad_tol: float = 1e-9
-    stall_tol: float = 1e-12
-    stall_iters: int = 50
-    restarts: int = 1
 
 
 @dataclass(frozen=True)
@@ -247,20 +242,20 @@ def _density_of_log(h: np.ndarray):
     return np.maximum(e / total, _TINY), spec.vectors, log_sigma
 
 
-def _mirror_descent(obj, sigma0: np.ndarray, cfg: SimplexOptimizerConfig):
+def _mirror_descent(obj, sigma0: np.ndarray):
     """Minimize ``obj`` over density matrices by mirror descent.
 
     The iterate is held as log sigma, and a step is normalize(exp(log sigma
     - eta * grad)), with a backtracking search on eta.  A trial point costs
-    one eigendecomposition plus one evaluation of ``obj``.  ``exit`` says why
-    it stopped:
+    one eigendecomposition plus one evaluation of ``obj``.  It runs at most
+    _MAX_ITERS steps, and ``exit`` says why it stopped:
 
     * ``"grad_tol"``: the projected gradient P = G - tr(G sigma) I has norm
-      at most ``cfg.grad_tol``;
+      at most _GRAD_TOL;
     * ``"resolution"``: before a trial point, the step's first-order decrease
       eta tr(P sigma P) is below _RESOLUTION max(1, |f|), too small to show
       in f; eta halves on every failed trial, so the line search ends;
-    * ``"stall"``: f fell by less than ``cfg.stall_tol`` in ``cfg.stall_iters`` steps;
+    * ``"stall"``: f fell by less than _STALL_TOL in _STALL_ITERS steps;
     * ``"max_iters"``: none of these; :class:`OptimizerDivergence` is raised
       instead if the gradient norm is above 1e-4.
     """
@@ -273,10 +268,10 @@ def _mirror_descent(obj, sigma0: np.ndarray, cfg: SimplexOptimizerConfig):
     eta = 1.0
     history = [fval]
     grad_norm = math.inf
-    for it in range(cfg.max_iters):
+    for it in range(_MAX_ITERS):
         proj = grad - float(np.real(np.trace(grad @ sigma))) * eye
         grad_norm = float(np.linalg.norm(proj))
-        if grad_norm <= cfg.grad_tol:
+        if grad_norm <= _GRAD_TOL:
             return MinimizeResult(fval, sigma, it, grad_norm, "grad_tol")
         slope = float(np.real(np.vdot(proj, sigma @ proj)))
         floor = _RESOLUTION * max(1.0, abs(fval))
@@ -291,17 +286,14 @@ def _mirror_descent(obj, sigma0: np.ndarray, cfg: SimplexOptimizerConfig):
         else:
             return MinimizeResult(fval, sigma, it, grad_norm, "resolution")
         history.append(fval)
-        if (
-            len(history) > cfg.stall_iters
-            and history[-cfg.stall_iters - 1] - fval < cfg.stall_tol
-        ):
+        if len(history) > _STALL_ITERS and history[-_STALL_ITERS - 1] - fval < _STALL_TOL:
             return MinimizeResult(fval, sigma, it + 1, grad_norm, "stall")
     if grad_norm > 1e-4:
         raise OptimizerDivergence(
-            f"simplex minimizer hit {cfg.max_iters} iterations, "
+            f"simplex minimizer hit {_MAX_ITERS} iterations, "
             f"projected gradient norm {grad_norm:.3e}"
         )
-    return MinimizeResult(fval, sigma, cfg.max_iters, grad_norm, "max_iters")
+    return MinimizeResult(fval, sigma, _MAX_ITERS, grad_norm, "max_iters")
 
 
 def minimized_conditioning(
@@ -310,16 +302,16 @@ def minimized_conditioning(
     b_labels,
     family: str,
     alpha: float,
-    config: SimplexOptimizerConfig | None = None,
     sigma0: np.ndarray | None = None,
 ) -> MinimizeResult:
-    """inf over sigma_B of D(rho_AB || I_A x sigma_B), by mirror descent.
+    """inf over sigma_B of D(rho_AB || I_A x sigma_B), by one mirror descent.
 
-    Starts from ``sigma0`` when given, else from rho_B; with
-    ``config.restarts > 1`` additional starts at the closed-form Petz
-    optimizer and maximally mixed are tried and the best result kept.
+    The problem is convex at every order the library uses (sandwiched
+    alpha >= 1/2, Petz alpha in (0, 2]), so one start suffices: ``sigma0``
+    when given and not orthogonal to supp rho_B, else (1 - 1e-9) rho_B +
+    1e-9 I / |B|.  At alpha near 1 the Umegaki value at sigma_B = rho_B is
+    returned directly.
     """
-    cfg = config or SimplexOptimizerConfig()
     rho, da, db = _split_blocks(state, a_labels, b_labels)
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
         sigma_b = partial_trace(rho, [da, db], [1])
@@ -344,27 +336,13 @@ def minimized_conditioning(
             tr0 = float(np.real(np.trace(s0)))
             sigma0 = s0 / tr0 if tr0 > 1e-12 else None
     obj = (_petz_objective if family == "petz" else _sandwiched_objective)(rho, da, alpha)
-    starts = []
-    if sigma0 is not None:
-        starts.append(np.asarray(sigma0, dtype=complex))
-    else:
+    if sigma0 is None:
         rho_b = partial_trace(rho, [da, db], [1])
-        starts.append((1.0 - 1e-9) * rho_b + 1e-9 * np.eye(db) / db)
-    if cfg.restarts > 1:
-        m = PetzUpEntropy(rho, da).marginal(alpha)
-        petz_opt = mat_pow(m, 1.0 / alpha)
-        petz_opt = petz_opt / np.real(np.trace(petz_opt))
-        starts.append((1.0 - 1e-9) * petz_opt + 1e-9 * np.eye(db) / db)
-    if cfg.restarts > 2:
-        starts.append(np.eye(db, dtype=complex) / db)
-    best = None
-    for s0 in starts[: max(cfg.restarts, 1)]:
-        res = _mirror_descent(obj, s0, cfg)
-        if best is None or res.value < best.value:
-            best = res
+        sigma0 = (1.0 - 1e-9) * rho_b + 1e-9 * np.eye(db) / db
+    res = _mirror_descent(obj, np.asarray(sigma0, dtype=complex))
     if basis is not None:
-        best = replace(best, sigma=basis @ best.sigma @ basis.conj().T)
-    return best
+        res = replace(res, sigma=basis @ res.sigma @ basis.conj().T)
+    return res
 
 
 def petz_up_closed_form(state: State, a_labels, b_labels, alpha: float) -> float:
@@ -376,21 +354,13 @@ def petz_up_closed_form(state: State, a_labels, b_labels, alpha: float) -> float
     return PetzUpEntropy.of(state, a_labels, b_labels)(alpha)
 
 
-def cond_entropy(
-    state: State,
-    a_labels,
-    b_labels,
-    kind: EntropyKind,
-    config: SimplexOptimizerConfig | None = None,
-) -> float:
+def cond_entropy(state: State, a_labels, b_labels, kind: EntropyKind) -> float:
     """Conditional Renyi entropy of the (A, B) partition, in bits."""
     if not kind.optimized:
         return ConditionalEntropy(state, a_labels, b_labels, kind.family)(kind.alpha)
     if kind.family == "petz":
         return petz_up_closed_form(state, a_labels, b_labels, kind.alpha)
-    return -minimized_conditioning(
-        state, a_labels, b_labels, kind.family, kind.alpha, config
-    ).value
+    return -minimized_conditioning(state, a_labels, b_labels, kind.family, kind.alpha).value
 
 
 def coherent_info(
@@ -399,12 +369,9 @@ def coherent_info(
     b_labels,
     family: str = "petz",
     alpha: float = 0.5,
-    config: SimplexOptimizerConfig | None = None,
 ) -> float:
     """Renyi coherent information I(A>B): sign-flipped optimized entropy."""
-    return -cond_entropy(
-        state, a_labels, b_labels, EntropyKind(family, alpha, optimized=True), config
-    )
+    return -cond_entropy(state, a_labels, b_labels, EntropyKind(family, alpha, optimized=True))
 
 
 def duality_pair(state: State, a_labels, b_labels, c_labels, s: float):

@@ -30,7 +30,6 @@ from .channels import Channel
 from .condentropy import (
     ConditionalEntropy,
     PetzUpEntropy,
-    SimplexOptimizerConfig,
     channel_coherent_info,
     choi_cond_entropy,
     cond_vn_entropy,
@@ -172,7 +171,6 @@ def comparator_exponent(
     log_a: float,
     r: float,
     n_grid: int = 16,
-    config: SimplexOptimizerConfig | None = None,
 ) -> float:
     """Half the supremum of s(2r - log|A| + Hup_{1/(1-s)}(A|E)) over (0,1).
 
@@ -182,14 +180,11 @@ def comparator_exponent(
     """
     if r <= 0:
         raise ValueError("rate r must be positive")
-    cfg = config or SimplexOptimizerConfig()
     best = -math.inf
     sigma0 = None
     for s in np.linspace(0.02, 0.98, n_grid):
         alpha = 1.0 / (1.0 - float(s))
-        res = minimized_conditioning(
-            rho_ae, ["A"], ["E"], "sandwiched", alpha, cfg, sigma0=sigma0
-        )
+        res = minimized_conditioning(rho_ae, ["A"], ["E"], "sandwiched", alpha, sigma0=sigma0)
         sigma0 = res.sigma
         h_up = -res.value
         best = max(best, 0.5 * float(s) * (2.0 * r - log_a + h_up))

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qdecoupling import verify
 from qdecoupling.cli import (
@@ -103,6 +110,10 @@ _ALPHA_ERROR = "precondition violated: alpha must be a positive finite number"
      EXIT_PRECONDITION, "precondition violated: d_a1 and d_a2 must be >= 1"),
     (["decouple-mc", "--state", "{p}", "--da1", "0", "--da2", "2", "--samples", "4"],
      EXIT_PRECONDITION, "precondition violated: d_a1 and d_a2 must be >= 1"),
+    (["decouple-mc", "--state", "{p}", "--da1", "1", "--da2", "2", "--samples", "4",
+      "--seed", "-1"], EXIT_USAGE, "error: --seed must be non-negative"),
+    (["verify", "--suite", "duality", "--trials", "2", "--seed", "-1"],
+     EXIT_USAGE, "error: --seed must be non-negative"),
 ])
 def test_bad_numeric_flags_exit_with_one_line(argv, code, first_line, tmp_path, capsys, rng):
     """A full-rank |A| = 2 state: each flag gets its exit code and one stderr line."""
@@ -112,6 +123,46 @@ def test_bad_numeric_flags_exit_with_one_line(argv, code, first_line, tmp_path, 
     assert captured.out == "" and "Traceback" not in captured.err
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(first_line)
+
+
+_CURVE = ["exponent-curve", "--task", "standard-decoupling", "--r-min", "0.1",
+          "--r-max", "0.2", "--r-steps", "1"]
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (["divergence", "{dir}", "{p}"], "error: "),
+    (_CURVE + ["--state", "{p}", "--out", "{dir}"], "error: "),
+    (["divergence", "{huge}", "{p}"], "parse error: "),
+    (["divergence", "{latin1}", "{p}"], "parse error: "),
+    (["exponent-curve", "--task", "channel", "--gram", "{latin1}", "--r-min", "0.1",
+      "--r-max", "0.2", "--r-steps", "1", "--out", "{out}"], "parse error: "),
+])
+def test_unreadable_paths_and_documents_exit_with_one_line(argv, first_line, tmp_path,
+                                                           capsys, rng):
+    """A directory, an entry too large for a float or a file that is not UTF-8 exits 2."""
+    p = write_state(random_state((("A", 2), ("E", 1)), 2, rng), tmp_path / "a.json")
+    doc = state_to_doc(load_state(p))
+    doc["matrix"][0][0][0] = 10**400
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"dims": [{"label": "Ä", "dim": 2}]}'.encode("latin-1"))
+    paths = {"p": p, "dir": str(tmp_path), "huge": str(huge), "latin1": str(latin1),
+             "out": str(tmp_path / "x.csv")}
+    assert main([a.format(**paths) for a in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(first_line)
+
+
+def test_distill_task_needs_two_subsystems(tmp_path, capsys, rng):
+    p = write_state(random_state((("A", 2),), 2, rng), tmp_path / "a.json")
+    assert main(_CURVE[:2] + ["distill"] + _CURVE[3:]
+                + ["--state", p, "--out", str(tmp_path / "x.csv")]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "precondition violated: the distill task needs a state of two subsystems"]
 
 
 def test_decouple_mc_decoupled_instance(tmp_path, capsys, rng):
@@ -327,3 +378,98 @@ def test_stacked_eigensolver_failure_exit(tmp_path, capsys, monkeypatch, rng):
     assert captured.out == "" and "Traceback" not in captured.err
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure: eigensolver failed")
+
+
+# -- fuzzing the boundary ----------------------------------------------------
+
+_DOCUMENTED_EXITS = {EXIT_OK, EXIT_USAGE, EXIT_PRECONDITION, EXIT_BOUND_VIOLATION,
+                     EXIT_VERIFY_FAIL, EXIT_NUMERICAL}
+_BAD_ENTRIES = [math.nan, math.inf, -math.inf, 10**400, "x", [1.0, 0.0, 0.0], 1.0]
+_BAD_DIMS = [0, -1, 2.5, math.nan, math.inf, 10**400, "two", True, None]
+_FLOATS = [-0.5, 0.0, 0.1, 0.7, 2.0, math.nan, math.inf]
+
+
+@st.composite
+def _matrix_rows(draw, n: int):
+    """An n x n matrix as rows of [re, im] pairs: a density, or one of its faults."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_density(n, int(rng.integers(1, n + 1)), rng)
+    fault = draw(st.sampled_from(["none"] * 5 + ["trace", "indefinite", "non-hermitian",
+                                                 "entry", "short", "ragged", "long"]))
+    if fault == "trace":
+        m = m * draw(st.sampled_from([0.0, 0.5, 3.0]))
+    elif fault == "indefinite":
+        m = m - np.diag(np.arange(n) == 0).astype(float)
+    elif fault == "non-hermitian":
+        m = m + 0.3j * np.tril(np.ones((n, n)), -1) + 0.1
+    rows = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    if fault == "entry":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        bad = draw(st.sampled_from(_BAD_ENTRIES))
+        rows[i][j] = [bad, 0.0] if draw(st.booleans()) else bad
+    elif fault == "short":
+        rows = rows[:-1]
+    elif fault == "ragged":
+        rows[-1] = rows[-1][:-1]
+    elif fault == "long":
+        rows.append(rows[-1])
+    return rows
+
+
+@st.composite
+def _state_docs(draw):
+    """A state document on subsystems A, E of sizes 1 to 3, perhaps with bad dims."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    dims = [{"label": l, "dim": d} for l, d in zip("AE", sizes)]
+    n = int(np.prod(sizes))
+    fault = draw(st.sampled_from(["none"] * 3 + ["dim", "dims", "mismatch"]))
+    if fault == "dim":
+        dims[-1]["dim"] = draw(st.sampled_from(_BAD_DIMS))
+    elif fault == "dims":
+        dims = draw(st.sampled_from([5, [{"label": "A"}], [[1, 2]], None]))
+    elif fault == "mismatch":
+        n += 1
+    return {"dims": dims, "matrix": draw(_matrix_rows(n))}
+
+
+_RATES = ["--r-min", "{r_min}", "--r-max", "{r_max}", "--r-steps", "{r_steps}"]
+_COMMANDS = [
+    ["divergence", "{state}", "{state2}"],
+    ["divergence", "{state}", "{state2}", "--kind", "petz", "--alpha", "{alpha}"],
+    ["divergence", "{state}", "{state2}", "--kind", "sandwiched", "--alpha", "{alpha}"],
+    ["divergence", "{state}", "{state2}", "--kind", "max"],
+    ["exponent-curve", "--state", "{state}", "--task", "standard-decoupling",
+     "--out", "{out}"] + _RATES,
+    ["exponent-curve", "--state", "{state}", "--task", "distill", "--out", "{out}"] + _RATES,
+    ["exponent-curve", "--gram", "{gram}", "--task", "channel", "--out", "{out}"] + _RATES,
+    ["decouple-mc", "--state", "{state}", "--da1", "{da1}", "--da2", "{da2}",
+     "--samples", "2", "--seed", "{seed}"],
+]
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(_COMMANDS), state=_state_docs(), state2=_state_docs(),
+       gram=st.integers(1, 3).flatmap(_matrix_rows),
+       r_min=st.sampled_from(_FLOATS), r_max=st.sampled_from(_FLOATS),
+       r_steps=st.integers(-1, 2), alpha=st.sampled_from(_FLOATS + [1.0, 1e308]),
+       da1=st.integers(-1, 3), da2=st.integers(-1, 3), seed=st.integers(-2, 5))
+def test_fuzzed_inputs_exit_with_a_documented_code(command, state, state2, gram, r_min,
+                                                   r_max, r_steps, alpha, da1, da2, seed):
+    """Malformed documents and flags map to documented exit codes, never a traceback."""
+    with tempfile.TemporaryDirectory() as d:
+        paths = {}
+        for name, doc in (("state", state), ("state2", state2), ("gram", gram)):
+            paths[name] = os.path.join(d, f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(doc, fh)
+        values = dict(paths, out=os.path.join(d, "curve.csv"), r_min=r_min, r_max=r_max,
+                      r_steps=r_steps, alpha=alpha, da1=da1, da2=da2, seed=seed)
+        argv = [a.format(**values) for a in command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the flags
+                code = exc.code
+    assert code in _DOCUMENTED_EXITS, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

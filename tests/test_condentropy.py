@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdecoupling import condentropy
 from qdecoupling.channels import generalized_dephasing, identity_channel
 from qdecoupling.condentropy import (
     EntropyKind,
     OptimizerDivergence,
     _petz_objective,
     _sandwiched_objective,
-    SimplexOptimizerConfig,
     channel_coherent_info,
     coherent_info,
     cond_entropy,
@@ -25,6 +25,7 @@ from qdecoupling.condentropy import (
 from qdecoupling.linalg import tensor
 from qdecoupling.states import (
     State,
+    haar_unitary,
     make_rng,
     max_entangled,
     purify,
@@ -82,8 +83,7 @@ def test_petz_up_closed_form_matches_numeric(seed, alpha):
     rng = make_rng(seed)
     st_ = random_state((("A", 2), ("B", 2)), int(rng.integers(1, 5)), rng)
     closed = petz_up_closed_form(st_, ["A"], ["B"], alpha)
-    res = minimized_conditioning(st_, ["A"], ["B"], "petz", alpha,
-                                 SimplexOptimizerConfig(restarts=2))
+    res = minimized_conditioning(st_, ["A"], ["B"], "petz", alpha)
     assert -res.value == pytest.approx(closed, abs=1e-6)
 
 
@@ -173,7 +173,7 @@ def test_minimized_conditioning_reports_convergence(rng):
 
 @pytest.mark.parametrize("alpha", [0.6, 1.5, 2.0])
 @pytest.mark.parametrize("db", [2, 3])
-def test_minimized_conditioning_of_a_classical_state(db, alpha):
+def test_minimized_conditioning_of_a_classical_state(db, alpha, monkeypatch):
     """Diagonal rho_AB against its closed form (alpha/(alpha-1)) log2 sum_b |p(., b)|_alpha.
 
     At |B| = 3 the last b has no weight, so the minimizer runs on the
@@ -190,12 +190,49 @@ def test_minimized_conditioning_of_a_classical_state(db, alpha):
     assert abs(res.value - exact) <= 1e-12
     assert res.exit in ("resolution", "grad_tol")
     assert res.sigma.shape == (db, db)
+    monkeypatch.setattr(condentropy, "_MAX_ITERS", 2)
     try:
-        short = minimized_conditioning(st_, ["A"], ["B"], "sandwiched", alpha,
-                                       SimplexOptimizerConfig(max_iters=2))
+        short = minimized_conditioning(st_, ["A"], ["B"], "sandwiched", alpha)
     except OptimizerDivergence:
         return
     assert short.exit == "max_iters"
+
+
+def _embedded_in_b3(seed: int):
+    """A rank-3 rho_AB with |A| = |B| = 2, its B mapped isometrically into |B| = 3.
+
+    Returns the embedded state and the projector onto the complement of
+    supp rho_B.
+    """
+    rng = make_rng(seed, stream=14)
+    x = random_state((("A", 2), ("B", 2)), 3, rng)
+    v = haar_unitary(3, rng)[:, :2]
+    iso = tensor(np.eye(2), v)
+    emb = State(iso @ x.density @ iso.conj().T, (("A", 2), ("B", 3)))
+    return emb, np.eye(3) - v @ v.conj().T
+
+
+@pytest.mark.parametrize("family,alpha", [("petz", 0.6), ("petz", 1.5),
+                                          ("sandwiched", 0.6), ("sandwiched", 2.0)])
+@pytest.mark.parametrize("seed", range(3))
+def test_warm_start_on_a_rank_deficient_rho_b(family, alpha, seed):
+    """A full-rank sigma0 is cut to supp rho_B and reaches the cold-start value."""
+    emb, _ = _embedded_in_b3(seed)
+    cold = minimized_conditioning(emb, ["A"], ["B"], family, alpha)
+    sigma0 = random_density(3, 3, make_rng(seed, stream=15))
+    warm = minimized_conditioning(emb, ["A"], ["B"], family, alpha, sigma0=sigma0)
+    assert abs(warm.value - cold.value) <= 1e-12
+    assert warm.sigma.shape == (3, 3)
+
+
+@pytest.mark.parametrize("family,alpha", [("petz", 0.6), ("sandwiched", 2.0)])
+def test_warm_start_off_the_support_of_rho_b_is_dropped(family, alpha):
+    """A sigma0 with no weight on supp rho_B falls back to the default start."""
+    emb, off = _embedded_in_b3(0)
+    cold = minimized_conditioning(emb, ["A"], ["B"], family, alpha)
+    warm = minimized_conditioning(emb, ["A"], ["B"], family, alpha, sigma0=off)
+    assert warm.value == cold.value
+    assert warm.iters == cold.iters
 
 
 def _divergence_to_conditioning(rho, da, family, alpha, sigma):
