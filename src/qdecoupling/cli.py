@@ -156,6 +156,10 @@ CURVE_TASKS = {
 def cmd_exponent_curve(args) -> int:
     if args.r_steps < 1:
         return _usage("--r-steps must be at least 1")
+    for flag, value in (("--r-min", args.r_min), ("--r-max", args.r_max),
+                        ("--log-a", args.log_a)):
+        if value is not None and not math.isfinite(value):
+            return _usage(f"{flag} must be a finite number")
     if args.r_min > args.r_max:
         return _usage("--r-min must not exceed --r-max")
     option, at_rate = CURVE_TASKS[args.task]

@@ -159,6 +159,24 @@ class PetzUpEntropy:
             h = self._values[alpha] = (alpha / (1.0 - alpha)) * math.log2(t)
         return h
 
+    def value_and_gradient(self, alpha: float) -> tuple[float, np.ndarray]:
+        """H_up at ``alpha`` and the Hermitian G with dH = tr(G drho), not memoized.
+
+        With T = tr m^(1/alpha), G = V (L o V^+ (I_A x m^(1/alpha-1)) V) V^+ /
+        ((1 - alpha) T ln 2), L the divided differences of x^alpha at rho's
+        eigenvalues (Daleckii-Krein).  Its kernel-kernel block is 0: it holds for
+        a drho with no such block, as when rho_AB is a channel's output on a pure
+        input.  One eigh of m; rho's decomposition is reused.
+        """
+        mu = Spectrum.eigh(self.marginal(alpha))
+        lam, vecs = mu.values[mu.support], mu.vectors[:, mu.support]
+        t = float(np.sum(lam ** (1.0 / alpha)))
+        x = tensor(np.eye(self.dims[0]), (vecs * lam ** (1.0 / alpha - 1.0)) @ vecs.conj().T)
+        kernel = ~self.spec.support
+        w = np.where(kernel, _TINY, self.spec.values)
+        g = _pow_derivative(w, self.spec.vectors, alpha, x, kernel)
+        return (alpha / (1.0 - alpha)) * math.log2(t), g / ((1.0 - alpha) * t * math.log(2.0))
+
     def coherent(self, s: float) -> float:
         """-H_up at alpha = 1/(1+s): the Petz coherent information of the exponents."""
         return -self(1.0 / (1.0 + s))
@@ -174,18 +192,22 @@ class PetzUpEntropy:
 # with L the divided differences of x^c at w.
 
 
-def _pow_derivative(w: np.ndarray, v: np.ndarray, c: float, x: np.ndarray) -> np.ndarray:
+def _pow_derivative(w: np.ndarray, v: np.ndarray, c: float, x: np.ndarray,
+                    kernel: np.ndarray | None = None) -> np.ndarray:
     """The G with tr(G dsigma) = tr(x d(sigma^c)), for Hermitian x.
 
     L[i, j] = (w_i^c - w_j^c) / (w_i - w_j), c w_i^(c-1) where w_i = w_j, is
     written as (w_i w_j)^((c-1)/2) sinh(c u) / sinh(u) with u = log(w_i / w_j) / 2,
-    which loses no digits to cancellation when w_i and w_j are close.
+    which loses no digits to cancellation when w_i and w_j are close.  The
+    block of L on the mask ``kernel`` is set to 0, for a dsigma with no such block.
     """
     lw = np.log(w)
     u = 0.5 * (lw[:, None] - lw[None, :])
     same = u == 0.0
     ratio = np.where(same, c, np.sinh(c * u) / np.where(same, 1.0, np.sinh(u)))
     dd = np.exp(0.5 * (c - 1.0) * (lw[:, None] + lw[None, :])) * ratio
+    if kernel is not None:
+        dd[np.ix_(kernel, kernel)] = 0.0
     return v @ (dd * (v.conj().T @ x @ v)) @ v.conj().T
 
 
@@ -409,6 +431,37 @@ def tensor_power_entropy(
 # -- channel input optimization --------------------------------------------
 
 
+def _input_objective(channel: Channel, alpha: float):
+    """x -> (H_up_alpha(R|B) of the channel's output on psi, its gradient in x).
+
+    x holds the real and imaginary parts of an unnormalized input v on R x A,
+    |R| = |A| = din, and psi = v / |v|.  The gradient G in rho_RB comes from
+    :meth:`PetzUpEntropy.value_and_gradient` and is carried back through the
+    channel and the normalization; an evaluation costs 2 eigh (rho_RB and
+    tr_R rho^alpha).
+    """
+    din, dout = channel.din, channel.dout
+    w = channel.choi.reshape(din, dout, din, dout)
+    n = din * din
+
+    def f(x: np.ndarray) -> tuple[float, np.ndarray]:
+        v = x[:n] + 1j * x[n:]
+        nrm = np.linalg.norm(v)
+        if nrm < 1e-12:
+            return 0.0, np.zeros_like(x)
+        psi = (v / nrm).reshape(din, din)
+        out = din * np.einsum("icjd,ri,sj->rcsd", w, psi, psi.conj())
+        h, g = PetzUpEntropy(out.reshape(din * dout, din * dout), din).value_and_gradient(alpha)
+        # dh = 2 Re sum C dpsi, C[r, i] = din sum G[sd, rc] w[ic, jd] conj(psi[s, j])
+        c = din * np.einsum("sdrc,icjd,sj->ri", g.reshape(din, dout, din, dout), w, psi.conj())
+        grad = np.concatenate([2.0 * c.real.ravel(), -2.0 * c.imag.ravel()])
+        # through psi = v / |v|: drop the radial part and scale by 1 / |v|
+        p = np.concatenate([psi.real.ravel(), psi.imag.ravel()])
+        return h, (grad - (grad @ p) * p) / nrm
+
+    return f
+
+
 def channel_coherent_info(
     channel: Channel,
     alpha: float,
@@ -419,28 +472,21 @@ def channel_coherent_info(
 ) -> tuple[float, State]:
     """Best Petz-Renyi coherent information over pure channel inputs.
 
-    Multi-start ascent: the maximally entangled input is always tried, plus
-    ``restarts - 1`` random pure starts (and ``x0`` if given).  The channel
-    input maximization is non-convex; the best value found is returned with
-    its achieving input.  ``family`` must be ``"petz"``.
+    Multi-start L-BFGS-B descent of H_up_alpha(R|B) over the 2 din^2 real
+    parameters of an unnormalized input, with the value and its exact
+    gradient from one evaluation of :func:`_input_objective` (2 eigh).  The
+    maximally entangled input is always tried, plus ``restarts - 1`` random
+    pure starts (and ``x0`` if given).  The channel input maximization is
+    non-convex; the best value found is returned with its achieving input.
+    ``family`` must be ``"petz"``.
     """
     if family != "petz":
         raise ValueError(f"channel coherent information is Petz only, got {family!r}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    din, dout = channel.din, channel.dout
-    w = channel.choi.reshape(din, dout, din, dout)
+    din = channel.din
     n = din * din
-
-    def neg(x: np.ndarray) -> float:
-        v = x[:n] + 1j * x[n:]
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            return 0.0
-        psi = (v / nrm).reshape(din, din)
-        out = din * np.einsum("icjd,ri,sj->rcsd", w, psi, psi.conj())
-        return PetzUpEntropy(out.reshape(din * dout, din * dout), din)(alpha)
-
+    neg = _input_objective(channel, alpha)
     starts = []
     phi = np.eye(din).reshape(n) / np.sqrt(din)
     starts.append(np.concatenate([phi.real, phi.imag]))
@@ -453,7 +499,7 @@ def channel_coherent_info(
         starts.append(g / np.linalg.norm(g))
     best_val, best_x = math.inf, starts[0]
     for s0 in starts:
-        res = optimize.minimize(neg, s0, method="L-BFGS-B")
+        res = optimize.minimize(neg, s0, method="L-BFGS-B", jac=True)
         if res.fun < best_val:
             best_val, best_x = float(res.fun), res.x
     v = best_x[:n] + 1j * best_x[n:]

@@ -93,6 +93,12 @@ def test_divergence_usage_errors(tmp_path, capsys, rng):
 _ALPHA_ERROR = "precondition violated: alpha must be a positive finite number"
 
 
+def _curve_flags(flag, value):
+    """An exponent-curve command on the state {p}; argparse keeps the last ``flag``."""
+    return ["exponent-curve", "--task", "standard-decoupling", "--state", "{p}", "--r-min",
+            "0.1", "--r-max", "0.2", "--r-steps", "2", "--out", "{p}.csv", f"{flag}={value}"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, code, first_line", [
     (["divergence", "{p}", "{p}", "--kind", "petz", "--alpha", "nan"],
@@ -114,6 +120,14 @@ _ALPHA_ERROR = "precondition violated: alpha must be a positive finite number"
       "--seed", "-1"], EXIT_USAGE, "error: --seed must be non-negative"),
     (["verify", "--suite", "duality", "--trials", "2", "--seed", "-1"],
      EXIT_USAGE, "error: --seed must be non-negative"),
+    (_curve_flags("--r-min", "nan"), EXIT_USAGE, "error: --r-min must be a finite number"),
+    (_curve_flags("--r-min", "-inf"), EXIT_USAGE, "error: --r-min must be a finite number"),
+    (_curve_flags("--r-max", "inf"), EXIT_USAGE, "error: --r-max must be a finite number"),
+    (_curve_flags("--r-max", "nan"), EXIT_USAGE, "error: --r-max must be a finite number"),
+    (_curve_flags("--log-a", "inf"), EXIT_USAGE, "error: --log-a must be a finite number"),
+    (_curve_flags("--log-a", "-inf"), EXIT_USAGE, "error: --log-a must be a finite number"),
+    (_curve_flags("--log-a", "nan"), EXIT_USAGE, "error: --log-a must be a finite number"),
+    (_curve_flags("--log-a", "1e400"), EXIT_USAGE, "error: --log-a must be a finite number"),
 ])
 def test_bad_numeric_flags_exit_with_one_line(argv, code, first_line, tmp_path, capsys, rng):
     """A full-rank |A| = 2 state: each flag gets its exit code and one stderr line."""
@@ -439,11 +453,12 @@ _COMMANDS = [
     ["divergence", "{state}", "{state2}", "--kind", "sandwiched", "--alpha", "{alpha}"],
     ["divergence", "{state}", "{state2}", "--kind", "max"],
     ["exponent-curve", "--state", "{state}", "--task", "standard-decoupling",
-     "--out", "{out}"] + _RATES,
+     "--out", "{out}", "--log-a={log_a}"] + _RATES,
     ["exponent-curve", "--state", "{state}", "--task", "distill", "--out", "{out}"] + _RATES,
     ["exponent-curve", "--gram", "{gram}", "--task", "channel", "--out", "{out}"] + _RATES,
     ["decouple-mc", "--state", "{state}", "--da1", "{da1}", "--da2", "{da2}",
      "--samples", "2", "--seed", "{seed}"],
+    ["verify", "--suite", "{suite}", "--trials", "{trials}", "--seed", "{seed}"],
 ]
 
 
@@ -452,9 +467,12 @@ _COMMANDS = [
        gram=st.integers(1, 3).flatmap(_matrix_rows),
        r_min=st.sampled_from(_FLOATS), r_max=st.sampled_from(_FLOATS),
        r_steps=st.integers(-1, 2), alpha=st.sampled_from(_FLOATS + [1.0, 1e308]),
-       da1=st.integers(-1, 3), da2=st.integers(-1, 3), seed=st.integers(-2, 5))
+       da1=st.integers(-1, 3), da2=st.integers(-1, 3), seed=st.integers(-2, 5),
+       log_a=st.sampled_from(_FLOATS), suite=st.sampled_from(list(verify.SUITES) + ["all"]),
+       trials=st.integers(-1, 1))
 def test_fuzzed_inputs_exit_with_a_documented_code(command, state, state2, gram, r_min,
-                                                   r_max, r_steps, alpha, da1, da2, seed):
+                                                   r_max, r_steps, alpha, da1, da2, seed,
+                                                   log_a, suite, trials):
     """Malformed documents and flags map to documented exit codes, never a traceback."""
     with tempfile.TemporaryDirectory() as d:
         paths = {}
@@ -463,7 +481,8 @@ def test_fuzzed_inputs_exit_with_a_documented_code(command, state, state2, gram,
             with open(paths[name], "w") as fh:
                 json.dump(doc, fh)
         values = dict(paths, out=os.path.join(d, "curve.csv"), r_min=r_min, r_max=r_max,
-                      r_steps=r_steps, alpha=alpha, da1=da1, da2=da2, seed=seed)
+                      r_steps=r_steps, alpha=alpha, da1=da1, da2=da2, seed=seed,
+                      log_a=log_a, suite=suite, trials=trials)
         argv = [a.format(**values) for a in command]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -6,10 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdecoupling import condentropy
-from qdecoupling.channels import generalized_dephasing, identity_channel
+from qdecoupling.channels import (
+    apply_channel,
+    channel_from_kraus,
+    generalized_dephasing,
+    identity_channel,
+)
 from qdecoupling.condentropy import (
     EntropyKind,
     OptimizerDivergence,
+    PetzUpEntropy,
+    _input_objective,
     _petz_objective,
     _sandwiched_objective,
     channel_coherent_info,
@@ -156,6 +163,44 @@ def test_channel_coherent_info_full_dephasing():
     ch = generalized_dephasing(np.eye(2))
     val, _ = channel_coherent_info(ch, 0.5, restarts=4)
     assert val <= 1e-6
+
+
+def _kraus_rank_two_channel(din: int, dout: int, rng):
+    g = rng.standard_normal((2 * dout, din)) + 1j * rng.standard_normal((2 * dout, din))
+    iso = np.linalg.qr(g)[0]
+    return channel_from_kraus([iso[:dout], iso[dout:]])
+
+
+_GRADIENT_CHANNELS = {
+    "identity": lambda rng: identity_channel(2),
+    "2to2-rank2": lambda rng: _kraus_rank_two_channel(2, 2, rng),
+    "3to2-rank2": lambda rng: _kraus_rank_two_channel(3, 2, rng),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9])
+@pytest.mark.parametrize("name", list(_GRADIENT_CHANNELS))
+def test_input_gradient_matches_central_difference(name, alpha):
+    """The exact gradient of the channel-input objective against a central difference.
+
+    The channels have Kraus rank 1 or 2, so the output rho_RB of a pure
+    input has rank at most 2, a kernel, and the zeroed kernel-kernel block
+    of the divided differences is exercised.  x is not a unit vector, so the chain rule
+    through psi = v / |v| is too.  The value is the Petz closed form of the
+    output that apply_channel builds.
+    """
+    rng = make_rng(13)
+    ch = _GRADIENT_CHANNELS[name](rng)
+    n = ch.din * ch.din
+    f = _input_objective(ch, alpha)
+    x = 1.3 * rng.standard_normal(2 * n)
+    value, grad = f(x)
+    h = 1e-6
+    fd = np.array([(f(x + h * e)[0] - f(x - h * e)[0]) / (2.0 * h) for e in np.eye(2 * n)])
+    assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd), (name, alpha)
+    v = (x[:n] + 1j * x[n:]) / np.linalg.norm(x)
+    out = apply_channel(ch, State(np.outer(v, v.conj()), (("R", ch.din), ("A", ch.din))), "A")
+    assert abs(value - PetzUpEntropy.of(out, ["R"], ["A"])(alpha)) <= 1e-13
 
 
 def test_channel_coherent_info_is_petz_only():

@@ -10,10 +10,12 @@ the Monte Carlo estimator solves one stack of samples at a time.
 import numpy as np
 import pytest
 
-from qdecoupling.channels import apply_channel, random_channel
+from qdecoupling import condentropy
+from qdecoupling.channels import apply_channel, channel_from_kraus, random_channel
 from qdecoupling.condentropy import (
     EntropyKind,
     PetzUpEntropy,
+    channel_coherent_info,
     cond_entropy,
     minimized_conditioning,
     petz_up_closed_form,
@@ -185,6 +187,30 @@ def test_eigensolves_of_mirror_descent(solves):
         assert (count, res[0].iters) == (pinned, iters)
         per_iter[db] = sum(count) / res[0].iters
     assert per_iter[4] <= 1.5 * per_iter[2]
+
+
+def test_eigensolves_of_the_channel_input_search(solves, monkeypatch):
+    """One Petz channel coherent information on a fixed 3 -> 2 channel of Kraus rank 2.
+
+    Every evaluation of the input objective returns the value with its exact
+    gradient for 2 eigh (rho_RB and tr_R rho^alpha), so L-BFGS-B's 25
+    evaluations over its two starts cost 50.  A finite-difference gradient
+    would cost 2 * 3^2 + 1 evaluations per gradient.
+    """
+    evals = []
+    minimize = condentropy.optimize.minimize
+
+    def counted(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        evals.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(condentropy.optimize, "minimize", counted)
+    iso = haar_unitary(4, make_rng(3, stream=12))[:, :3]
+    channel = channel_from_kraus([iso[:2], iso[2:]])
+    rng = make_rng(3, stream=13)
+    assert solves(channel_coherent_info, channel, 0.7, "petz", 2, rng) == (50, 0)
+    assert sum(evals) == 25
 
 
 def test_derived_states_match_the_public_constructor(rng):
