@@ -20,6 +20,7 @@ from .linalg import Spectrum, as_hermitian, partial_trace, tensor
 from .states import State, memo_on, tensor_power
 
 _TINY = 1e-300
+_LN2 = math.log(2.0)
 
 # Relative size below which a decrease of the objective cannot show in a float.
 _RESOLUTION = 16.0 * float(np.finfo(float).eps)
@@ -90,23 +91,40 @@ class ConditionalEntropy:
     """Non-optimized H_alpha(A|B) = -D_alpha(rho_AB || I_A x rho_B) of one state.
 
     Construction splits the blocks, symmetrizes rho_AB and decomposes
-    I_A x rho_B once.  A call at the order ``alpha`` reuses them and is
-    memoized on the float ``alpha``; the exponents call it at alpha = 1 + s.
+    I_A x rho_B once; a call at the order ``alpha`` and :meth:`phi` reuse them.
     """
 
     def __init__(self, state: State, a_labels, b_labels, family: str = "sandwiched"):
         rho, da, db = _split_blocks(state, a_labels, b_labels)
         self.rho = as_hermitian(rho)
         self.sigma = Spectrum.of(tensor(np.eye(da), partial_trace(rho, [da, db], [1])))
+        self.ln_sigma = self.sigma.log2() * _LN2
         self.family = family
-        self._values: dict[float, float] = {}
+        self._phis: dict[float, tuple[float, float]] = {}
         self._min_entropy: float | None = None
 
     def __call__(self, alpha: float) -> float:
-        h = self._values.get(alpha)
-        if h is None:
-            h = self._values[alpha] = -divergence(self.rho, self.sigma, self.family, alpha)
-        return h
+        return -divergence(self.rho, self.sigma, self.family, alpha)
+
+    def phi(self, s: float) -> tuple[float, float]:
+        """phi(s) = s H~_{1+s}(A|B) = -log2 Q and its s-slope, sandwiched; memoized on ``s``.
+
+        Q = tr X^alpha, X = sigma^c rho sigma^c, c = (1 - alpha) / (2 alpha),
+        alpha = 1 + s: one eigh of X gives Q and dQ/dalpha = sum_i x_i^alpha
+        (ln x_i - <v_i| ln sigma |v_i> / alpha) over X's support.  phi is
+        concave (log Q is convex in alpha; Mosonyi and Ogawa, CMP 2015).
+        """
+        out = self._phis.get(s)
+        if out is None:
+            alpha = 1.0 + s
+            conj = self.sigma.pow((1.0 - alpha) / (2.0 * alpha))
+            x = Spectrum.of(conj @ self.rho @ conj)
+            lam, vecs = x.values[x.support], x.vectors[:, x.support]
+            q = float(np.sum(lam**alpha))
+            ln_sigma = np.einsum("ij,ik,kj->j", vecs.conj(), self.ln_sigma, vecs).real
+            dq = float(np.sum(lam**alpha * (np.log(lam) - ln_sigma / alpha)))
+            out = self._phis[s] = (-math.log2(q), -dq / (q * _LN2))
+        return out
 
     def min_entropy(self) -> float:
         """-D_max(rho_AB || I_A x rho_B), the sandwiched limit as alpha grows."""
@@ -132,14 +150,14 @@ class PetzUpEntropy:
 
     Closed form (Tomamichel, Berta and Hayashi, JMP 2014): (alpha/(1-alpha))
     log2 tr m^(1/alpha) with m = tr_A rho^alpha.  rho is decomposed once and
-    its kernel cut; a call sums mu^(1/alpha) over the support of m and is
-    memoized on the float ``alpha``, which must not be 1.
+    its kernel cut; a call sums mu^(1/alpha) over the support of m, at an
+    ``alpha`` that must not be 1.
     """
 
     def __init__(self, rho: np.ndarray, da: int):
         self.spec = Spectrum.of(rho)
         self.dims = [da, rho.shape[0] // da]
-        self._values: dict[float, float] = {}
+        self._phis: dict[float, tuple[float, float]] = {}
 
     @classmethod
     def of(cls, state: State, a_labels, b_labels) -> "PetzUpEntropy":
@@ -152,15 +170,12 @@ class PetzUpEntropy:
         return _herm_part(partial_trace(self.spec.pow(alpha), self.dims, [1]))
 
     def __call__(self, alpha: float) -> float:
-        h = self._values.get(alpha)
-        if h is None:
-            mu = Spectrum.eigvalsh(self.marginal(alpha))
-            t = float(np.sum(mu.values[mu.support] ** (1.0 / alpha)))
-            h = self._values[alpha] = (alpha / (1.0 - alpha)) * math.log2(t)
-        return h
+        mu = Spectrum.eigvalsh(self.marginal(alpha))
+        t = float(np.sum(mu.values[mu.support] ** (1.0 / alpha)))
+        return (alpha / (1.0 - alpha)) * math.log2(t)
 
     def value_and_gradient(self, alpha: float) -> tuple[float, np.ndarray]:
-        """H_up at ``alpha`` and the Hermitian G with dH = tr(G drho), not memoized.
+        """H_up at ``alpha`` and the Hermitian G with dH = tr(G drho).
 
         With T = tr m^(1/alpha), G = V (L o V^+ (I_A x m^(1/alpha-1)) V) V^+ /
         ((1 - alpha) T ln 2), L the divided differences of x^alpha at rho's
@@ -177,9 +192,28 @@ class PetzUpEntropy:
         g = _pow_derivative(w, self.spec.vectors, alpha, x, kernel)
         return (alpha / (1.0 - alpha)) * math.log2(t), g / ((1.0 - alpha) * t * math.log(2.0))
 
-    def coherent(self, s: float) -> float:
-        """-H_up at alpha = 1/(1+s): the Petz coherent information of the exponents."""
-        return -self(1.0 / (1.0 + s))
+    def phi(self, s: float) -> tuple[float, float]:
+        """phi(s) = -s H_up_{1/(1+s)} = -log2 T and its s-slope; memoized on ``s``.
+
+        T = tr m^(1+s), m = tr_A rho^alpha, alpha = 1/(1+s): one eigh of m,
+        with rho's eigenbasis and support, gives T and dT/ds = sum_j mu_j^(1+s)
+        ln mu_j + (1+s) tr(m^s dm/ds), dm/ds = -alpha^2 tr_A(rho^alpha ln rho).
+        phi is s times the Petz coherent information, concave in s.
+        """
+        out = self._phis.get(s)
+        if out is None:
+            alpha = 1.0 / (1.0 + s)
+            sup = self.spec.support
+            lam, vecs = self.spec.values[sup], self.spec.vectors[:, sup]
+            dm = partial_trace((vecs * (lam**alpha * np.log(lam))) @ vecs.conj().T, self.dims, [1])
+            mu = Spectrum.eigh(self.marginal(alpha))
+            w, u = mu.values[mu.support], mu.vectors[:, mu.support]
+            t = float(np.sum(w ** (1.0 + s)))
+            # (1 + s) alpha^2 = alpha
+            dm_u = alpha * np.einsum("ij,ik,kj->j", u.conj(), dm, u).real
+            dt = float(np.sum(w**s * (w * np.log(w) - dm_u)))
+            out = self._phis[s] = (-math.log2(t), -dt / (t * _LN2))
+        return out
 
 
 # -- objectives for the sigma minimization --------------------------------

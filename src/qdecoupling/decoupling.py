@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel, apply_channel, choi_contract, partial_trace_channel
-from .condentropy import EntropyKind, choi_cond_entropy, cond_entropy, sandwiched_cond_entropy
+from .condentropy import EntropyKind, cond_entropy
 from .divergences import sandwiched_renyi, support_contained, umegaki
-from .exponents import S_MIN, sup_on_interval
+from .exponents import S_MIN, concave_sup, decoupling_phi
 from .linalg import (
     Spectrum,
     as_hermitian,
@@ -164,30 +164,29 @@ def mc_decoupling_error(
     )
 
 
-def _entropy_sum(inst: DecouplingInstance, s: float) -> float:
-    """H_{1+s}(A|E)_rho + H_{1+s}(A'|C)_omega, sandwiched, non-optimized.
-
-    Both entropies are kept on the state and the channel, so a search over s
-    splits and decomposes each of them once.
-    """
-    h_ae = sandwiched_cond_entropy(inst.rho_ae, ["A"], ["E"])
-    return h_ae(1.0 + s) + choi_cond_entropy(inst.channel)(1.0 + s)
-
-
 def decoupling_error_upper_bound(inst: DecouplingInstance, s: float) -> float:
     """One-shot upper bound (c_s/s) * 2^(-s * (H(A|E) + H(A'|C))) at fixed s."""
     if not 0 < s <= 1:
         raise ValueError("s must lie in (0, 1]")
-    return (prefactor(s) / s) * 2.0 ** (-s * _entropy_sum(inst, s))
+    return (prefactor(s) / s) * 2.0 ** -decoupling_phi(inst.rho_ae, inst.channel)(s)[0]
 
 
 def decoupling_error_upper_bound_optimized(inst: DecouplingInstance) -> tuple[float, float]:
-    """Minimum of the one-shot upper bound over s in (0, 1]; returns (bound, s*).
+    """Minimum of the one-shot upper bound over s in (0, 1); returns (bound, s*).
 
-    The search is :func:`exponents.sup_on_interval` on the negated bound.
+    The log of the bound, ln(c_s / s) - ln 2 phi(s) with phi the concave
+    :func:`exponents.decoupling_phi`, is convex in s.  Its minimizer is the root
+    of its slope ln s - ln(1 - s) - 1/s - ln 2 phi'(s), which tends to +inf at 1,
+    found by :func:`exponents.concave_sup` on the negated log.
     """
-    curve = sup_on_interval(lambda s: -decoupling_error_upper_bound(inst, s), S_MIN, 1.0, 48)
-    return -curve.sup_value, curve.argmax_s
+    phi = decoupling_phi(inst.rho_ae, inst.channel)
+
+    def neg_log(s: float) -> tuple[float, float]:
+        v, d = phi(s)
+        return LN2 * v - math.log(prefactor(s) / s), 1.0 / s + LN2 * d - math.log(s / (1.0 - s))
+
+    s = concave_sup(neg_log, 0.0, S_MIN, 1.0 - 1e-9).argmax_s
+    return decoupling_error_upper_bound(inst, s), s
 
 
 def decoupling_error_lower_bound(rho_ae: State, d_a1: int, d_a2: int) -> float:

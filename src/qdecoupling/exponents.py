@@ -1,21 +1,22 @@
 """Error-exponent formulas: one-dimensional suprema over s and critical rates.
 
 Achievable exponents are suprema over s in (0, 1); converse exponents are
-suprema over s > 0, evaluated by bracket doubling.  A converse supremum can
-genuinely diverge (the bound is then vacuous); this is detected through the
-asymptotic slope and reported as ``math.inf`` with a flag rather than as a
-number at an arbitrary cutoff.  All rates and exponents are in bits.
+suprema over s > 0.  A converse supremum can genuinely diverge (the bound is
+then vacuous); this is detected through the asymptotic slope and reported as
+``math.inf`` with a flag rather than as a number at an arbitrary cutoff.
+All rates and exponents are in bits.
 
-The rate enters every objective linearly, so the expensive part, the
-entropy at each s, depends on the input alone.  Each exponent function
-keeps that part on its input ``State`` or ``Channel`` (see
-``states.memo_on``): a ``ConditionalEntropy`` for the sandwiched order 1 + s
-or a ``PetzUpEntropy`` for the Petz order 1/(1 + s), each memoized on its
-order.  A rate curve on one input object therefore evaluates each (input, s)
-pair once, critical rates included.  Inputs are immutable; changing a
-state's density in place would leave stale values.  The one exception is
-``channel_coding_exponent`` without ``dephasing``, whose randomized input
-search depends on call order and is not memoized.
+Every objective is c(r) s + phi(s): the rate enters only c, and phi(s) =
+s H~_{1+s} (sandwiched) or s I_{1/(1+s)} (Petz) is concave, so
+:func:`concave_sup` finds the supremum as the one root of c + phi'(s), from
+the exact slope that ``ConditionalEntropy.phi`` and ``PetzUpEntropy.phi``
+return with the value.  Each exponent function keeps that object, memoized
+on s, on its input ``State`` or ``Channel`` (see ``states.memo_on``), so a
+rate curve on one input evaluates each (input, s) pair once.  Inputs are
+immutable; changing a state's density in place would leave stale values.
+The one exception is ``channel_coding_exponent`` without ``dephasing``,
+whose randomized input search is not concave, depends on call order and is
+not memoized.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .channels import Channel
+from .channels import Channel, apply_channel
 from .condentropy import (
     ConditionalEntropy,
     PetzUpEntropy,
@@ -74,7 +75,9 @@ def sup_on_interval(f, lo: float, hi: float, n_grid: int = 64) -> ExponentCurve:
     """Supremum of a scalar function on (lo, hi] by grid plus local refinement.
 
     The grid is geometric (dense near lo); the best cell is polished with a
-    bounded scalar minimizer.  Exact for the concave objectives used here.
+    bounded scalar minimizer.  It assumes no concavity: it serves the
+    randomized input search of ``channel_coding_exponent``, and
+    :func:`concave_sup` serves every concave objective.
     """
     grid_s = np.geomspace(lo, hi, n_grid)
     vals = []
@@ -99,50 +102,70 @@ def sup_on_interval(f, lo: float, hi: float, n_grid: int = 64) -> ExponentCurve:
     return ExponentCurve(best_s, best_v)
 
 
-def _fd_derivative(g, x: float, h: float = 1e-4) -> float:
-    """Central difference with one Richardson extrapolation step."""
-    d1 = (g(x + h) - g(x - h)) / (2.0 * h)
-    d2 = (g(x + h / 2.0) - g(x - h / 2.0)) / h
-    return (4.0 * d2 - d1) / 3.0
+def _slope(s: float, phi, c: float) -> float:
+    return c + phi(s)[1]
 
 
-def _converse_sup(f, asym_slope: float | None):
-    """Supremum over s > 0: bracket doubling with divergence detection.
+def concave_sup(phi, c: float, lo: float, hi: float) -> ExponentCurve:
+    """Supremum of c s + phi(s) on [lo, hi] for a concave phi.
 
-    Returns (value, capped, diverges).  ``asym_slope`` is the known
-    limit of f(s)/s as s grows; a positive limit means the supremum is +inf.
+    ``phi(s)`` returns (phi, phi').  The maximizer is ``lo`` if the slope
+    c + phi' is <= 0 there, ``hi`` if it is >= 0 there, and otherwise the
+    one root of the slope, found by Brent's method to 1e-12.  ``phi`` goes in
+    brentq's ``args``: its wrapper of the callable is a reference cycle, which
+    would keep the entropy object alive until a cyclic garbage collection.
+    """
+    if _slope(lo, phi, c) <= 0.0:
+        s = lo
+    elif _slope(hi, phi, c) >= 0.0:
+        s = hi
+    else:
+        s = optimize.brentq(_slope, lo, hi, args=(phi, c), xtol=1e-12, rtol=1e-12)
+    return ExponentCurve(s, c * s + phi(s)[0])
+
+
+def _half(phi):
+    """s -> half of ``phi(s)``: the (s/2)-weighted objectives of merging and coding."""
+    return lambda s: tuple(0.5 * x for x in phi(s))
+
+
+def _converse_sup(phi, c: float, asym_slope: float | None):
+    """Supremum of c s + phi(s) over s > 0: (value, capped, diverges).
+
+    A positive ``asym_slope``, the limit of the objective over s, means the
+    supremum is +inf.  Otherwise s_hi doubles from 1 while the slope
+    c + phi'(s_hi) is > 0, up to S_CAP, and :func:`concave_sup` searches
+    [S_MIN, s_hi].  ``capped`` means the slope is still > 0 at S_CAP.
     """
     if asym_slope is not None and asym_slope > 1e-9:
         return math.inf, False, True
     s_hi = 1.0
-    while s_hi < S_CAP:
-        ds = s_hi * 1e-5
-        if (f(s_hi) - f(s_hi - ds)) / ds < 0:
-            break
+    while s_hi < S_CAP and c + phi(s_hi)[1] > 0.0:
         s_hi *= 2.0
-    s_hi = min(s_hi, S_CAP)
-    capped = s_hi >= S_CAP
-    curve = sup_on_interval(f, S_MIN, s_hi)
-    # f(0+) = 0 for every objective here, so the true supremum is >= 0
+    capped = c + phi(s_hi)[1] > 0.0
+    curve = concave_sup(phi, c, S_MIN, s_hi)
+    # the objective is 0 at s = 0, so the true supremum is >= 0
     return max(0.0, curve.sup_value), capped, False
 
 
 # -- decoupling ------------------------------------------------------------
 
 
+def decoupling_phi(rho_ae: State, channel: Channel):
+    """s -> phi and phi' of s(H(A|E) + H(A'|C)), sandwiched, kept on the state and channel."""
+    h_ae, h_ac = sandwiched_cond_entropy(rho_ae, ["A"], ["E"]), choi_cond_entropy(channel)
+    return lambda s: tuple(x + y for x, y in zip(h_ae.phi(s), h_ac.phi(s)))
+
+
 def decoupling_achievable_exponent(rho_ae: State, channel: Channel) -> float:
     """sup over s in (0,1) of s(H(A|E) + H(A'|C)), clamped at zero."""
-    h_ae = sandwiched_cond_entropy(rho_ae, ["A"], ["E"])
-    h_ac = choi_cond_entropy(channel)
-    curve = sup_on_interval(lambda s: s * (h_ae(1.0 + s) + h_ac(1.0 + s)), S_MIN, 1.0)
-    return max(0.0, curve.sup_value)
+    return max(0.0, concave_sup(decoupling_phi(rho_ae, channel), 0.0, S_MIN, 1.0).sup_value)
 
 
 def critical_rate(rho_ae: State) -> float:
     """Derivative of -(s/2) H_{1+s}(A|E) at s = 1, in bits; computed once per state."""
     h = sandwiched_cond_entropy(rho_ae, ["A"], ["E"])
-    return memo_on(rho_ae, ("critical_rate",),
-                   lambda: _fd_derivative(lambda s: -0.5 * s * h(1.0 + s), 1.0))
+    return memo_on(rho_ae, ("critical_rate",), lambda: -0.5 * h.phi(1.0)[1])
 
 
 def standard_decoupling_exponents(rho_ae: State, log_a: float, r: float) -> ExponentResult:
@@ -155,12 +178,9 @@ def standard_decoupling_exponents(rho_ae: State, log_a: float, r: float) -> Expo
     if r <= 0:
         raise ValueError("rate r must be positive")
     h = sandwiched_cond_entropy(rho_ae, ["A"], ["E"])
-
-    def f(s: float) -> float:
-        return s * (2.0 * r - log_a + h(1.0 + s))
-
-    ach_curve = sup_on_interval(f, S_MIN, 1.0)
-    conv, capped, diverges = _converse_sup(f, 2.0 * r - log_a + h.min_entropy())
+    c = 2.0 * r - log_a
+    ach_curve = concave_sup(h.phi, c, S_MIN, 1.0)
+    conv, capped, diverges = _converse_sup(h.phi, c, c + h.min_entropy())
     rc = critical_rate(rho_ae)
     exact = r <= rc + 1e-12
     return ExponentResult.of(ach_curve, conv, rc, exact, capped, diverges)
@@ -195,20 +215,14 @@ def comparator_exponent(
 
 
 def _merging_terms(state: State, a_labels, b_labels, r_labels):
-    """The rate-independent parts of the merging exponents of one pure state.
-
-    Returns H(A|R), the sandwiched H_alpha(A|R), s -> -Hup_{1/(1+s)}(A|B)
-    (Petz, memoized on the order) and the slope of s * H_{1+s}(A|R) at s = 1.
-    """
+    """H(A|R), the sandwiched H(A|R) and the Petz Hup(A|B) of one pure state, for merging."""
     purity = float(np.real(np.trace(state.density @ state.density)))
     if purity < 1.0 - 1e-8:
         raise ValueError(f"state is not pure (tr rho^2 = {purity:.6f})")
     ar = state.marginal(*(list(a_labels) + list(r_labels)))
     ab = state.marginal(*(list(a_labels) + list(b_labels)))
-    h = ConditionalEntropy(ar, a_labels, r_labels)
-    h_dual = PetzUpEntropy.of(ab, a_labels, b_labels).coherent
-    rc = _fd_derivative(lambda s: s * h(1.0 + s), 1.0)
-    return cond_vn_entropy(ar, a_labels, r_labels), h, h_dual, rc
+    return (cond_vn_entropy(ar, a_labels, r_labels), ConditionalEntropy(ar, a_labels, r_labels),
+            PetzUpEntropy.of(ab, a_labels, b_labels))
 
 
 def merging_exponents(state: State, a_labels, b_labels, r_labels, r: float, mode: str) -> ExponentResult:
@@ -222,23 +236,19 @@ def merging_exponents(state: State, a_labels, b_labels, r_labels, r: float, mode
     if mode not in ("distill", "cost"):
         raise ValueError("mode must be 'distill' or 'cost'")
     labels = tuple(a_labels), tuple(b_labels), tuple(r_labels)
-    h_vn, h, h_dual, rc = memo_on(state, ("merging",) + labels,
-                                  lambda: _merging_terms(state, *labels))
+    h_vn, h, h_dual = memo_on(state, ("merging",) + labels,
+                              lambda: _merging_terms(state, *labels))
     sign = -1.0 if mode == "distill" else 1.0
     if mode == "distill" and not (h_vn > 0 and 0 < r < h_vn):
         raise ValueError(f"distill mode needs 0 < r < H(A|R) = {h_vn:.6f}")
     if mode == "cost" and not (h_vn < 0 and r > -h_vn):
         raise ValueError(f"cost mode needs r > -H(A|R) = {-h_vn:.6f}")
 
-    def f(s: float) -> float:
-        return 0.5 * s * (h(1.0 + s) + sign * r)
-
-    def f_dual(s: float) -> float:
-        return 0.5 * s * (h_dual(s) + sign * r)
-
-    ach = sup_on_interval(f, S_MIN, 1.0 - 1e-9)
-    ach_dual = sup_on_interval(f_dual, S_MIN, 1.0 - 1e-9)
-    conv, capped, diverges = _converse_sup(f, 0.5 * (h.min_entropy() + sign * r))
+    c, phi = 0.5 * sign * r, _half(h.phi)
+    ach = concave_sup(phi, c, S_MIN, 1.0 - 1e-9)
+    ach_dual = concave_sup(_half(h_dual.phi), c, S_MIN, 1.0 - 1e-9)
+    conv, capped, diverges = _converse_sup(phi, c, 0.5 * (h.min_entropy() + sign * r))
+    rc = h.phi(1.0)[1]
     exact = (r >= rc - 1e-12) if mode == "distill" else (r <= -rc + 1e-12)
     return ExponentResult.of(
         ach, conv, rc if mode == "distill" else -rc, exact, capped, diverges,
@@ -260,6 +270,21 @@ def is_maximally_correlated(state: State) -> bool:
     return float(np.max(np.abs(state.density[mask]))) <= 1e-10
 
 
+def _petz_exponents(coh: PetzUpEntropy, r: float, converse: bool) -> ExponentResult:
+    """(s/2)(I_{1/(1+s)} - r) of one Petz entropy, with its converse if ``converse``.
+
+    The critical rate is the slope of s I_{1/(1+s)} at s = 1; without the
+    converse it is reported as vacuous (+inf) and the result as not exact.
+    """
+    phi = _half(coh.phi)
+    ach = concave_sup(phi, -0.5 * r, S_MIN, 1.0 - 1e-9)
+    rc = coh.phi(1.0)[1]
+    if not converse:
+        return ExponentResult.of(ach, math.inf, rc, False)
+    conv, capped, diverges = _converse_sup(phi, -0.5 * r, None)
+    return ExponentResult.of(ach, conv, rc, r >= rc - 1e-12, capped, diverges)
+
+
 def distillation_exponent(rho_cd: State, c_labels, d_labels, r: float) -> ExponentResult:
     """Single-copy distillation exponent (s/2)(I_{1/(1+s)}(C>D) - r).
 
@@ -272,20 +297,11 @@ def distillation_exponent(rho_cd: State, c_labels, d_labels, r: float) -> Expone
         raise ValueError("rate r must be nonnegative")
     c_labels, d_labels = tuple(c_labels), tuple(d_labels)
     coh = memo_on(rho_cd, ("distill", c_labels, d_labels),
-                  lambda: PetzUpEntropy.of(rho_cd, c_labels, d_labels)).coherent
-    rc = _fd_derivative(lambda s: s * coh(s), 1.0)
-
-    def f(s: float) -> float:
-        return 0.5 * s * (coh(s) - r)
-
-    ach = sup_on_interval(f, S_MIN, 1.0 - 1e-9)
+                  lambda: PetzUpEntropy.of(rho_cd, c_labels, d_labels))
     max_corr = len(c_labels) == 1 and len(d_labels) == 1 and is_maximally_correlated(
         rho_cd.permuted(c_labels[0], d_labels[0])
     )
-    if not max_corr:
-        return ExponentResult.of(ach, math.inf, rc, False)
-    conv, capped, diverges = _converse_sup(f, None)
-    return ExponentResult.of(ach, conv, rc, r >= rc - 1e-12, capped, diverges)
+    return _petz_exponents(coh, r, max_corr)
 
 
 def channel_coding_exponent(
@@ -299,36 +315,26 @@ def channel_coding_exponent(
     With ``dephasing=True`` the channel input is pinned to the maximally
     entangled state (sufficient for basis-preserving channels built from a
     Gram matrix) and the matching converse with exactness at high rates
-    applies; otherwise the input is optimized per s by multi-start ascent
-    and only the achievable direction is reported.
+    applies; otherwise the input is optimized per s by multi-start ascent,
+    only the achievable direction is reported, and the critical rate is the
+    slope at s = 1 at the best input found there (Danskin's theorem).
     """
     if r < 0:
         raise ValueError("rate r must be nonnegative")
     if dephasing:
-        coh = memo_on(channel, ("dephasing",),
-                      lambda: PetzUpEntropy(channel.choi, channel.din)).coherent
-    else:
-        rng = make_rng(0)
-        warm: dict[str, np.ndarray | None] = {"x0": None}
+        coh = memo_on(channel, ("dephasing",), lambda: PetzUpEntropy(channel.choi, channel.din))
+        return _petz_exponents(coh, r, True)
+    rng = make_rng(0)
+    warm: dict[str, np.ndarray | None] = {"x0": None}
 
-        def coh(s: float) -> float:
-            val, inp = channel_coherent_info(
-                channel,
-                1.0 / (1.0 + s),
-                restarts=restarts,
-                rng=rng,
-                x0=warm["x0"],
-            )
-            vec = Spectrum.eigh(inp.density).vectors[:, -1]
-            warm["x0"] = np.concatenate([vec.real, vec.imag])
-            return val
+    def best_input(s: float) -> tuple[float, State]:
+        val, inp = channel_coherent_info(channel, 1.0 / (1.0 + s), restarts=restarts, rng=rng,
+                                         x0=warm["x0"])
+        vec = Spectrum.eigh(inp.density).vectors[:, -1]
+        warm["x0"] = np.concatenate([vec.real, vec.imag])
+        return val, inp
 
-    def f(s: float) -> float:
-        return 0.5 * s * (coh(s) - r)
-
-    ach = sup_on_interval(f, S_MIN, 1.0 - 1e-9, n_grid=24)
-    rc = _fd_derivative(lambda s: s * coh(s), 1.0)
-    if not dephasing:
-        return ExponentResult.of(ach, math.inf, rc, False)
-    conv, capped, diverges = _converse_sup(f, None)
-    return ExponentResult.of(ach, conv, rc, r >= rc - 1e-12, capped, diverges)
+    ach = sup_on_interval(lambda s: 0.5 * s * (best_input(s)[0] - r), S_MIN, 1.0 - 1e-9, n_grid=24)
+    out = apply_channel(channel, best_input(1.0)[1], "A")
+    rc = PetzUpEntropy.of(out, ["R"], ["A"]).phi(1.0)[1]
+    return ExponentResult.of(ach, math.inf, rc, False)

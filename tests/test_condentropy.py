@@ -13,6 +13,7 @@ from qdecoupling.channels import (
     identity_channel,
 )
 from qdecoupling.condentropy import (
+    ConditionalEntropy,
     EntropyKind,
     OptimizerDivergence,
     PetzUpEntropy,
@@ -201,6 +202,50 @@ def test_input_gradient_matches_central_difference(name, alpha):
     v = (x[:n] + 1j * x[n:]) / np.linalg.norm(x)
     out = apply_channel(ch, State(np.outer(v, v.conj()), (("R", ch.din), ("A", ch.din))), "A")
     assert abs(value - PetzUpEntropy.of(out, ["R"], ["A"])(alpha)) <= 1e-13
+
+
+def _dephasing_choi(rng):
+    g = rng.standard_normal((3, 6)).view(complex)
+    m = g @ g.conj().T
+    d = np.sqrt(np.real(np.diag(m)))
+    return generalized_dephasing(m / np.outer(d, d)).choi_state(("A", "B"))
+
+
+_SLOPE_STATES = {
+    "full-rank": lambda rng: random_state((("A", 2), ("B", 3)), 6, rng),
+    "rank-1": lambda rng: random_pure((("A", 2), ("B", 3)), rng),
+    "rank-3": lambda rng: random_state((("A", 2), ("B", 3)), 3, rng),
+    "dephasing-choi": _dephasing_choi,
+}
+_PHIS = {
+    # (phi object, s H_{1+s} or s times the coherent information by the value routes)
+    "sandwiched": lambda st: (ConditionalEntropy(st, ["A"], ["B"]),
+                              lambda e, s: s * e(1.0 + s)),
+    "petz": lambda st: (PetzUpEntropy.of(st, ["A"], ["B"]),
+                        lambda e, s: -s * e(1.0 / (1.0 + s))),
+}
+
+
+@pytest.mark.parametrize("family", list(_PHIS))
+@pytest.mark.parametrize("name", list(_SLOPE_STATES))
+def test_phi_slope_matches_central_difference_and_falls(family, name):
+    """The exact s-slope of phi against a central difference, and its concavity.
+
+    The exponents find each supremum as the one root of c + phi'(s), so the
+    slope must be exact and non-increasing in s.  The states include a kernel
+    (rank 1 and 3 of 6) and the rank-deficient Choi state of a dephasing
+    channel, whose kernel must be cut at small Petz orders.
+    """
+    state = _SLOPE_STATES[name](make_rng(31))
+    ent, value = _PHIS[family](state)
+    for s in (1e-3, 0.05, 0.5, 1.0, 4.0, 16.0, 60.0):
+        v, slope = ent.phi(s)
+        assert abs(v - value(ent, s)) <= 1e-12 * max(1.0, abs(v)), (s, v)
+        h = 1e-4 * s
+        fd = (ent.phi(s + h)[0] - ent.phi(s - h)[0]) / (2.0 * h)
+        assert abs(slope - fd) <= 1e-6 * max(abs(fd), 1e-3), (s, slope, fd)
+    slopes = [ent.phi(float(s))[1] for s in np.geomspace(1e-4, 64.0, 200)]
+    assert max(np.diff(slopes)) <= 1e-12
 
 
 def test_channel_coherent_info_is_petz_only():

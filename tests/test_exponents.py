@@ -11,10 +11,11 @@ import pytest
 
 from qdecoupling.channels import Channel, generalized_dephasing, identity_channel
 from qdecoupling.cli import CURVE_TASKS
-from qdecoupling.condentropy import cond_vn_entropy
+from qdecoupling.condentropy import cond_vn_entropy, sandwiched_cond_entropy
 from qdecoupling.exponents import (
     channel_coding_exponent,
     comparator_exponent,
+    concave_sup,
     critical_rate,
     decoupling_achievable_exponent,
     distillation_exponent,
@@ -53,6 +54,39 @@ def test_sup_on_interval_examples():
 def test_sup_on_interval_rejects_nonfinite():
     with pytest.raises(ValueError):
         sup_on_interval(lambda s: math.inf, 1e-4, 1.0)
+
+
+def test_concave_sup_endpoints_and_interior_root():
+    """c s - s^2: the slope c - 2s is <= 0 at lo, >= 0 at hi, or has the root s* = c/2."""
+    phi = lambda s: (-s * s, -2.0 * s)
+    lo_case = concave_sup(phi, -1.0, 1e-4, 1.0)
+    assert lo_case.argmax_s == 1e-4
+    assert lo_case.sup_value == pytest.approx(-1e-4 - 1e-8, rel=1e-15)
+    hi_case = concave_sup(phi, 5.0, 1e-4, 1.0)
+    assert (hi_case.argmax_s, hi_case.sup_value) == (1.0, 4.0)
+    for c in (0.3, 1.0, 1.7):
+        mid = concave_sup(phi, c, 1e-4, 1.0)
+        assert mid.argmax_s == pytest.approx(c / 2.0, abs=1e-12)
+        assert mid.sup_value == pytest.approx(c * c / 4.0, abs=1e-15)
+
+
+def test_converse_flags_around_the_divergence_rate():
+    """The converse of standard decoupling below, at and past r* = (log|A| - H_min) / 2.
+
+    Past r* the objective's asymptotic slope 2r - log|A| + H_min is positive and the
+    supremum is +inf.  At r* the slope of the objective stays positive up to the
+    cap S_CAP, so the value is finite and flagged as capped.  Below r* the slope
+    has a root, and the value is the finite supremum.
+    """
+    state = random_state((("A", 4), ("E", 2)), 3, make_rng(7))
+    r_star = (2.0 - sandwiched_cond_entropy(state, ["A"], ["E"]).min_entropy()) / 2.0
+    below = standard_decoupling_exponents(state, 2.0, r_star - 0.05)
+    assert math.isfinite(below.converse)
+    assert not below.converse_capped and not below.converse_diverges
+    at = standard_decoupling_exponents(state, 2.0, r_star)
+    assert math.isfinite(at.converse) and at.converse_capped and not at.converse_diverges
+    past = standard_decoupling_exponents(state, 2.0, r_star + 1e-6)
+    assert past.converse == math.inf and past.converse_diverges and not past.converse_capped
 
 
 def product_rho_ae(rng, da=4, de=2):
@@ -191,6 +225,8 @@ def test_channel_coding_identity():
         res = channel_coding_exponent(identity_channel(2), r, restarts=3)
         assert res.achievable == pytest.approx(0.5 * (1.0 - r), abs=1e-4)
         assert res.converse == math.inf
+        # s I_{1/(1+s)} = s at every input-optimal order, so the slope at s = 1 is 1
+        assert res.critical_rate == pytest.approx(1.0, abs=1e-6)
 
 
 def test_channel_coding_dephasing_matches_classical_oracle():

@@ -22,6 +22,7 @@ from qdecoupling.condentropy import (
 )
 from qdecoupling.decoupling import (
     decoupling_error_sample,
+    decoupling_error_upper_bound_optimized,
     mc_decoupling_error,
     standard_instance,
 )
@@ -130,7 +131,10 @@ def test_eigensolves_of_a_rate_curve(solves):
     """A 20-rate standard decoupling sweep on one 8 x 8 state of rank 3.
 
     I_A x rho_E is decomposed once and rho_AE's d_max kernel once; every
-    other eigh is one distinct order 1 + s of the sandwiched entropy.
+    other eigh is one distinct s of the sandwiched phi, which returns the
+    value with its exact slope.  The root searches of the slope ask for 32
+    distinct s over the 20 rates; a 64-point grid with a bounded polish per
+    search and finite-difference slopes made 298 eigh for this sweep.
     """
     state = random_state((("A", 4), ("E", 2)), 3, make_rng(1))
 
@@ -138,7 +142,7 @@ def test_eigensolves_of_a_rate_curve(solves):
         for r in np.linspace(0.1, 2.0, 20):
             standard_decoupling_exponents(state, 2.0, float(r))
 
-    assert solves(sweep) == (298, 1)
+    assert solves(sweep) == (33, 1)
     # the second sweep on the same state finds every value in its memo
     assert solves(sweep) == (0, 0)
 
@@ -146,26 +150,40 @@ def test_eigensolves_of_a_rate_curve(solves):
 def test_eigensolves_of_a_distillation_curve(solves, monkeypatch):
     """A 20-rate distillation sweep on one 3 x 3 maximally correlated state.
 
-    rho_CD is decomposed once; each distinct Petz order asked for costs one
-    eigvalsh of tr_C rho^alpha (631 here).  Decomposing rho_CD and the
-    marginal at every order made 1304 eigh for this sweep.
+    rho_CD is decomposed once; each distinct s asked of the Petz phi costs
+    one eigh of tr_C rho^alpha, which gives the value and its exact slope
+    (125 here).  A grid with a bounded polish per search and
+    finite-difference slopes made 631 eigvalsh for this sweep.
     """
     state = maximally_correlated(random_density(3, 3, make_rng(3)), ("C", "D"))
     orders = set()
-    call = PetzUpEntropy.__call__
+    phi = PetzUpEntropy.phi
 
-    def recorded(self, alpha):
-        orders.add(alpha)
-        return call(self, alpha)
+    def recorded(self, s):
+        orders.add(s)
+        return phi(self, s)
 
-    monkeypatch.setattr(PetzUpEntropy, "__call__", recorded)
+    monkeypatch.setattr(PetzUpEntropy, "phi", recorded)
 
     def sweep():
         for r in np.linspace(0.05, 1.2, 20):
             distillation_exponent(state, ["C"], ["D"], float(r))
 
-    assert solves(sweep) == (1, len(orders))
+    assert solves(sweep) == (126, 0)
+    assert len(orders) == 125
     assert solves(sweep) == (0, 0)
+
+
+def test_eigensolves_of_the_bound_search(solves):
+    """One minimization of the one-shot decoupling bound over s, |A| = 4, |E| = 3.
+
+    I x rho_E and I x omega_C are decomposed once each; every other eigh is
+    one of the two sandwiched phi at one distinct s of the root search of
+    the log-bound's slope.  A 48-point grid with a bounded polish made 116.
+    """
+    state = random_state((("A", 4), ("E", 3)), 2, make_rng(2))
+    inst = standard_instance(state, 2, 2)
+    assert solves(decoupling_error_upper_bound_optimized, inst) == (26, 0)
 
 
 def test_eigensolves_of_mirror_descent(solves):
