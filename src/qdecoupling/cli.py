@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -230,7 +231,10 @@ def cmd_verify(args) -> int:
 # -- entry point -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``set_defaults`` binds the ``cmd_*`` functions
+    at the first build (``CURVE_TASKS`` still looks up library functions per call)."""
     p = argparse.ArgumentParser(
         prog="qdecoupling",
         description="Decoupling bounds, Renyi entropies and error exponents "

@@ -87,18 +87,28 @@ def cond_vn_entropy(state: State, a_labels, b_labels) -> float:
     return von_neumann_entropy(rho) - von_neumann_entropy(rho_b)
 
 
+def _psd(spec: Spectrum) -> Spectrum:
+    """``spec`` after the check of :meth:`Spectrum.pow`, made once for many powers."""
+    if float(spec.values[0]) < -spec.cutoff:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {spec.values[0]:.3e}")
+    return spec
+
+
 class ConditionalEntropy:
     """Non-optimized H_alpha(A|B) = -D_alpha(rho_AB || I_A x rho_B) of one state.
 
-    Construction splits the blocks, symmetrizes rho_AB and decomposes
-    I_A x rho_B once; a call at the order ``alpha`` and :meth:`phi` reuse them.
+    Construction splits the blocks, symmetrizes rho_AB, decomposes
+    sigma = I_A x rho_B = V diag(w) V^+ once and keeps V^+ rho V and ln w (0
+    on the kernel); a call at the order ``alpha`` and :meth:`phi` reuse them.
     """
 
     def __init__(self, state: State, a_labels, b_labels, family: str = "sandwiched"):
         rho, da, db = _split_blocks(state, a_labels, b_labels)
         self.rho = as_hermitian(rho)
-        self.sigma = Spectrum.of(tensor(np.eye(da), partial_trace(rho, [da, db], [1])))
-        self.ln_sigma = self.sigma.log2() * _LN2
+        self.sigma = _psd(Spectrum.of(tensor(np.eye(da), partial_trace(rho, [da, db], [1]))))
+        self._sup = self.sigma.support
+        self._ln_w = np.log(np.where(self._sup, self.sigma.values, 1.0))
+        self._rho_t = self.sigma.vectors.conj().T @ self.rho @ self.sigma.vectors
         self.family = family
         self._phis: dict[float, tuple[float, float]] = {}
         self._min_entropy: float | None = None
@@ -111,17 +121,18 @@ class ConditionalEntropy:
 
         Q = tr X^alpha, X = sigma^c rho sigma^c, c = (1 - alpha) / (2 alpha),
         alpha = 1 + s: one eigh of X gives Q and dQ/dalpha = sum_i x_i^alpha
-        (ln x_i - <v_i| ln sigma |v_i> / alpha) over X's support.  phi is
-        concave (log Q is convex in alpha; Mosonyi and Ogawa, CMP 2015).
+        (ln x_i - <v_i| ln sigma |v_i> / alpha) over X's support, with X in
+        sigma's eigenbasis, where ln sigma is diagonal.  phi is concave (log Q
+        is convex in alpha; Mosonyi and Ogawa, CMP 2015).
         """
         out = self._phis.get(s)
         if out is None:
             alpha = 1.0 + s
-            conj = self.sigma.pow((1.0 - alpha) / (2.0 * alpha))
-            x = Spectrum.of(conj @ self.rho @ conj)
+            g = np.exp(self._ln_w * ((1.0 - alpha) / (2.0 * alpha))) * self._sup
+            x = Spectrum.of(g[:, None] * self._rho_t * g)
             lam, vecs = x.values[x.support], x.vectors[:, x.support]
             q = float(np.sum(lam**alpha))
-            ln_sigma = np.einsum("ij,ik,kj->j", vecs.conj(), self.ln_sigma, vecs).real
+            ln_sigma = self._ln_w @ np.abs(vecs) ** 2
             dq = float(np.sum(lam**alpha * (np.log(lam) - ln_sigma / alpha)))
             out = self._phis[s] = (-math.log2(q), -dq / (q * _LN2))
         return out
@@ -158,6 +169,7 @@ class PetzUpEntropy:
         self.spec = Spectrum.of(rho)
         self.dims = [da, rho.shape[0] // da]
         self._phis: dict[float, tuple[float, float]] = {}
+        self._factor: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def of(cls, state: State, a_labels, b_labels) -> "PetzUpEntropy":
@@ -198,19 +210,25 @@ class PetzUpEntropy:
         T = tr m^(1+s), m = tr_A rho^alpha, alpha = 1/(1+s): one eigh of m,
         with rho's eigenbasis and support, gives T and dT/ds = sum_j mu_j^(1+s)
         ln mu_j + (1+s) tr(m^s dm/ds), dm/ds = -alpha^2 tr_A(rho^alpha ln rho).
-        phi is s times the Petz coherent information, concave in s.
+        With W rho's support eigenvectors as a |B| x (|A| r) matrix, built at
+        the first call, m = W lambda^alpha W^+ (lambda tiled).  phi is s times
+        the Petz coherent information, concave in s.
         """
         out = self._phis.get(s)
         if out is None:
             alpha = 1.0 / (1.0 + s)
-            sup = self.spec.support
-            lam, vecs = self.spec.values[sup], self.spec.vectors[:, sup]
-            dm = partial_trace((vecs * (lam**alpha * np.log(lam))) @ vecs.conj().T, self.dims, [1])
-            mu = Spectrum.eigh(self.marginal(alpha))
+            if self._factor is None:
+                sup, (da, db) = _psd(self.spec).support, self.dims
+                lam = np.tile(self.spec.values[sup], da)
+                vecs = self.spec.vectors[:, sup].reshape(da, db, -1).transpose(1, 0, 2)
+                self._factor = vecs.reshape(db, -1), lam, np.log(lam)
+            vecs, lam, ln_lam = self._factor
+            lam_a = lam**alpha
+            mu = Spectrum.eigh((vecs * lam_a) @ vecs.conj().T)
             w, u = mu.values[mu.support], mu.vectors[:, mu.support]
             t = float(np.sum(w ** (1.0 + s)))
             # (1 + s) alpha^2 = alpha
-            dm_u = alpha * np.einsum("ij,ik,kj->j", u.conj(), dm, u).real
+            dm_u = alpha * (np.abs(u.conj().T @ vecs) ** 2 @ (lam_a * ln_lam))
             dt = float(np.sum(w**s * (w * np.log(w) - dm_u)))
             out = self._phis[s] = (-math.log2(t), -dt / (t * _LN2))
         return out
@@ -298,8 +316,8 @@ def _density_of_log(h: np.ndarray):
     return np.maximum(e / total, _TINY), spec.vectors, log_sigma
 
 
-def _mirror_descent(obj, sigma0: np.ndarray):
-    """Minimize ``obj`` over density matrices by mirror descent.
+def _mirror_descent(obj, sigma0: np.ndarray | Spectrum):
+    """Minimize ``obj`` over density matrices by mirror descent from ``sigma0`` or its Spectrum.
 
     The iterate is held as log sigma, and a step is normalize(exp(log sigma
     - eta * grad)), with a backtracking search on eta.  A trial point costs
@@ -315,8 +333,10 @@ def _mirror_descent(obj, sigma0: np.ndarray):
     * ``"max_iters"``: none of these; :class:`OptimizerDivergence` is raised
       instead if the gradient norm is above 1e-4.
     """
-    spec = Spectrum.eigh(_herm_part(sigma0 / np.real(np.trace(sigma0))))
-    w, v = np.maximum(spec.values, _TINY), spec.vectors
+    if not isinstance(sigma0, Spectrum):
+        sigma0 = np.asarray(sigma0, dtype=complex)
+        sigma0 = Spectrum.eigh(_herm_part(sigma0 / np.real(np.trace(sigma0))))
+    w, v = np.maximum(sigma0.values, _TINY), sigma0.vectors
     sigma = (v * w) @ v.conj().T
     log_sigma = (v * np.log(w)) @ v.conj().T
     fval, grad = obj(w, v)
@@ -378,8 +398,7 @@ def minimized_conditioning(
     # renormalizing the in-support block only decreases it.  Restricting to
     # that subspace keeps the iterates full rank, which the multiplicative
     # update needs to make progress.
-    rho_b_full = partial_trace(rho, [da, db], [1])
-    spec_b = Spectrum.of(rho_b_full)
+    spec_b = Spectrum.of(partial_trace(rho, [da, db], [1]))
     sup = spec_b.support
     basis = None
     if int(np.sum(sup)) < db:
@@ -392,10 +411,11 @@ def minimized_conditioning(
             tr0 = float(np.real(np.trace(s0)))
             sigma0 = s0 / tr0 if tr0 > 1e-12 else None
     obj = (_petz_objective if family == "petz" else _sandwiched_objective)(rho, da, alpha)
-    if sigma0 is None:
-        rho_b = partial_trace(rho, [da, db], [1])
-        sigma0 = (1.0 - 1e-9) * rho_b + 1e-9 * np.eye(db) / db
-    res = _mirror_descent(obj, np.asarray(sigma0, dtype=complex))
+    if sigma0 is None:  # in rho_B's eigenbasis, which is the identity after the restriction
+        lam = spec_b.values[sup]
+        sigma0 = Spectrum((1.0 - 1e-9) * lam / np.sum(lam) + 1e-9 / db,
+                          spec_b.vectors if basis is None else np.eye(db, dtype=complex))
+    res = _mirror_descent(obj, sigma0)
     if basis is not None:
         res = replace(res, sigma=basis @ res.sigma @ basis.conj().T)
     return res

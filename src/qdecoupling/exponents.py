@@ -10,13 +10,15 @@ Every objective is c(r) s + phi(s): the rate enters only c, and phi(s) =
 s H~_{1+s} (sandwiched) or s I_{1/(1+s)} (Petz) is concave, so
 :func:`concave_sup` finds the supremum as the one root of c + phi'(s), from
 the exact slope that ``ConditionalEntropy.phi`` and ``PetzUpEntropy.phi``
-return with the value.  Each exponent function keeps that object, memoized
-on s, on its input ``State`` or ``Channel`` (see ``states.memo_on``), so a
-rate curve on one input evaluates each (input, s) pair once.  Inputs are
-immutable; changing a state's density in place would leave stale values.
-The one exception is ``channel_coding_exponent`` without ``dephasing``,
-whose randomized input search is not concave, depends on call order and is
-not memoized.
+return with the value.  One root s* per rate serves both directions: the
+achievable supremum is at min(s*, 1) (:func:`_achievable`), and merging's
+dual route is checked at it.  Each exponent function keeps that object,
+memoized on s, on its input ``State`` or ``Channel`` (see
+``states.memo_on``), so a rate curve on one input evaluates each (input, s)
+pair once.  Inputs are immutable; changing a state's density in place would
+leave stale values.  The one exception is ``channel_coding_exponent``
+without ``dephasing``, whose randomized input search is not concave, depends
+on call order and is not memoized.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ class ExponentCurve:
 
 @dataclass(frozen=True)
 class ExponentResult:
+    """Exponents at one rate.  ``duality_gap`` (merging only) is the pure-state
+    duality H~_{1+s}(A|R) = -Hup_{1/(1+s)}(A|B) checked at s = ``argmax_s``."""
+
     achievable: float
     converse: float
     critical_rate: float
@@ -130,22 +135,30 @@ def _half(phi):
 
 
 def _converse_sup(phi, c: float, asym_slope: float | None):
-    """Supremum of c s + phi(s) over s > 0: (value, capped, diverges).
+    """Supremum of c s + phi(s) over s > 0: (value, capped, diverges, curve).
 
     A positive ``asym_slope``, the limit of the objective over s, means the
-    supremum is +inf.  Otherwise s_hi doubles from 1 while the slope
-    c + phi'(s_hi) is > 0, up to S_CAP, and :func:`concave_sup` searches
-    [S_MIN, s_hi].  ``capped`` means the slope is still > 0 at S_CAP.
+    supremum is +inf (``curve`` None).  Otherwise s_hi doubles from 1 while
+    the slope c + phi'(s_hi) is > 0, up to S_CAP, and ``curve`` is
+    :func:`concave_sup` on [S_MIN, s_hi].  ``capped``: the slope is > 0 at S_CAP.
     """
     if asym_slope is not None and asym_slope > 1e-9:
-        return math.inf, False, True
+        return math.inf, False, True, None
     s_hi = 1.0
     while s_hi < S_CAP and c + phi(s_hi)[1] > 0.0:
         s_hi *= 2.0
     capped = c + phi(s_hi)[1] > 0.0
     curve = concave_sup(phi, c, S_MIN, s_hi)
     # the objective is 0 at s = 0, so the true supremum is >= 0
-    return max(0.0, curve.sup_value), capped, False
+    return max(0.0, curve.sup_value), capped, False, curve
+
+
+def _achievable(phi, c: float, hi: float, conv: ExponentCurve | None) -> ExponentCurve:
+    """Supremum of c s + phi(s) on [S_MIN, hi]: at the converse maximizer s* if s* <= hi,
+    else at hi, as the concave objective does not fall before s*; searched if ``conv`` is None."""
+    if conv is None:
+        return concave_sup(phi, c, S_MIN, hi)
+    return conv if conv.argmax_s <= hi else ExponentCurve(hi, c * hi + phi(hi)[0])
 
 
 # -- decoupling ------------------------------------------------------------
@@ -179,11 +192,10 @@ def standard_decoupling_exponents(rho_ae: State, log_a: float, r: float) -> Expo
         raise ValueError("rate r must be positive")
     h = sandwiched_cond_entropy(rho_ae, ["A"], ["E"])
     c = 2.0 * r - log_a
-    ach_curve = concave_sup(h.phi, c, S_MIN, 1.0)
-    conv, capped, diverges = _converse_sup(h.phi, c, c + h.min_entropy())
+    conv, capped, diverges, curve = _converse_sup(h.phi, c, c + h.min_entropy())
     rc = critical_rate(rho_ae)
     exact = r <= rc + 1e-12
-    return ExponentResult.of(ach_curve, conv, rc, exact, capped, diverges)
+    return ExponentResult.of(_achievable(h.phi, c, 1.0, curve), conv, rc, exact, capped, diverges)
 
 
 def comparator_exponent(
@@ -230,8 +242,8 @@ def merging_exponents(state: State, a_labels, b_labels, r_labels, r: float, mode
 
     distill: needs H(A|R) > 0 and 0 < r < H(A|R); objective
     f(s) = (s/2)(H_{1+s}(A|R) - r).  cost: needs H(A|R) < 0 and
-    r > -H(A|R); the rate enters with the opposite sign.  The achievable
-    value is cross-checked against the dual route through -Hup(A|B).
+    r > -H(A|R); the rate enters with the opposite sign.  The dual route
+    through -Hup(A|B) is evaluated once, at the maximizer (``duality_gap``).
     """
     if mode not in ("distill", "cost"):
         raise ValueError("mode must be 'distill' or 'cost'")
@@ -245,14 +257,14 @@ def merging_exponents(state: State, a_labels, b_labels, r_labels, r: float, mode
         raise ValueError(f"cost mode needs r > -H(A|R) = {-h_vn:.6f}")
 
     c, phi = 0.5 * sign * r, _half(h.phi)
-    ach = concave_sup(phi, c, S_MIN, 1.0 - 1e-9)
-    ach_dual = concave_sup(_half(h_dual.phi), c, S_MIN, 1.0 - 1e-9)
-    conv, capped, diverges = _converse_sup(phi, c, 0.5 * (h.min_entropy() + sign * r))
+    conv, capped, diverges, curve = _converse_sup(phi, c, 0.5 * (h.min_entropy() + sign * r))
+    ach = _achievable(phi, c, 1.0 - 1e-9, curve)
+    dual = c * ach.argmax_s + 0.5 * h_dual.phi(ach.argmax_s)[0]
     rc = h.phi(1.0)[1]
     exact = (r >= rc - 1e-12) if mode == "distill" else (r <= -rc + 1e-12)
     return ExponentResult.of(
         ach, conv, rc if mode == "distill" else -rc, exact, capped, diverges,
-        duality_gap=abs(ach.sup_value - ach_dual.sup_value),
+        duality_gap=abs(ach.sup_value - dual),
     )
 
 
@@ -276,13 +288,12 @@ def _petz_exponents(coh: PetzUpEntropy, r: float, converse: bool) -> ExponentRes
     The critical rate is the slope of s I_{1/(1+s)} at s = 1; without the
     converse it is reported as vacuous (+inf) and the result as not exact.
     """
-    phi = _half(coh.phi)
-    ach = concave_sup(phi, -0.5 * r, S_MIN, 1.0 - 1e-9)
+    phi, c = _half(coh.phi), -0.5 * r
     rc = coh.phi(1.0)[1]
-    if not converse:
-        return ExponentResult.of(ach, math.inf, rc, False)
-    conv, capped, diverges = _converse_sup(phi, -0.5 * r, None)
-    return ExponentResult.of(ach, conv, rc, r >= rc - 1e-12, capped, diverges)
+    conv, capped, diverges, curve = (_converse_sup(phi, c, None) if converse
+                                     else (math.inf, False, False, None))
+    ach = _achievable(phi, c, 1.0 - 1e-9, curve)
+    return ExponentResult.of(ach, conv, rc, converse and r >= rc - 1e-12, capped, diverges)
 
 
 def distillation_exponent(rho_cd: State, c_labels, d_labels, r: float) -> ExponentResult:

@@ -216,6 +216,8 @@ _SLOPE_STATES = {
     "rank-1": lambda rng: random_pure((("A", 2), ("B", 3)), rng),
     "rank-3": lambda rng: random_state((("A", 2), ("B", 3)), 3, rng),
     "dephasing-choi": _dephasing_choi,
+    # rank 3, with a kernel in rho_B: sigma^c is 0 there at every order
+    "rho-b-kernel": lambda rng: _embedded_in_b3(int(rng.integers(1000)))[0],
 }
 _PHIS = {
     # (phi object, s H_{1+s} or s times the coherent information by the value routes)
@@ -233,8 +235,10 @@ def test_phi_slope_matches_central_difference_and_falls(family, name):
 
     The exponents find each supremum as the one root of c + phi'(s), so the
     slope must be exact and non-increasing in s.  The states include a kernel
-    (rank 1 and 3 of 6) and the rank-deficient Choi state of a dephasing
-    channel, whose kernel must be cut at small Petz orders.
+    (rank 1 and 3 of 6), the rank-deficient Choi state of a dephasing
+    channel, whose kernel must be cut at small Petz orders, and a state whose
+    rho_B has a kernel, which the sandwiched phi maps to 0 in sigma's
+    eigenbasis.
     """
     state = _SLOPE_STATES[name](make_rng(31))
     ent, value = _PHIS[family](state)

@@ -9,10 +9,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qdecoupling import exponents
 from qdecoupling.channels import Channel, generalized_dephasing, identity_channel
 from qdecoupling.cli import CURVE_TASKS
-from qdecoupling.condentropy import cond_vn_entropy, sandwiched_cond_entropy
+from qdecoupling.condentropy import (
+    ConditionalEntropy,
+    PetzUpEntropy,
+    cond_vn_entropy,
+    sandwiched_cond_entropy,
+)
 from qdecoupling.exponents import (
+    S_MIN,
     channel_coding_exponent,
     comparator_exponent,
     concave_sup,
@@ -345,3 +352,91 @@ def test_reused_input_matches_a_fresh_copy(task):
         for inp in (first, second):
             reused = astuple(at_rate(inp, r, args))
             assert _same_result(reused, fresh[id(inp)][k]), (task, r, reused, fresh[id(inp)][k])
+
+
+# -- one root per rate -----------------------------------------------------
+
+
+def _half(phi):
+    return lambda s: tuple(0.5 * x for x in phi(s))
+
+
+def _one_root_cases():
+    """Per curve task with a converse: (exponents at r, phi, c of r, the achievable hi, rates)."""
+    rng = make_rng(707)
+    std = random_state((("A", 4), ("E", 2)), 3, rng)
+    (dst, hd), (cst, hc) = (_pure_with_h_ar((("A", 2), ("B", 4), ("R", 2)), +1, rng),
+                            _pure_with_h_ar((("A", 2), ("B", 2), ("R", 4)), -1, rng))
+    mc = maximally_correlated(random_density(3, 3, rng), ("C", "D"))
+    g = rng.standard_normal((3, 6)).view(complex)
+    m = g @ g.conj().T
+    d = np.sqrt(np.real(np.diag(m)))
+    gram = m / np.outer(d, d)
+    np.fill_diagonal(gram, 1.0)
+    ch = generalized_dephasing(gram)
+    merging = lambda st: _half(ConditionalEntropy(st.marginal("A", "R"), ["A"], ["R"]).phi)
+    hi = 1.0 - 1e-9
+    grid = np.linspace(0.02, 1.0, 20)
+    return {
+        "standard": (lambda r: standard_decoupling_exponents(std, 2.0, r),
+                     sandwiched_cond_entropy(State(std.density, std.dims), ["A"], ["E"]).phi,
+                     lambda r: 2.0 * r - 2.0, 1.0, 2.0 * grid),
+        "merging-d": (lambda r: merging_exponents(dst, ["A"], ["B"], ["R"], r, "distill"),
+                      merging(dst), lambda r: -0.5 * r, hi, 0.98 * hd * grid),
+        "merging-c": (lambda r: merging_exponents(cst, ["A"], ["B"], ["R"], r, "cost"),
+                      merging(cst), lambda r: 0.5 * r, hi, -hc + 2.0 * grid),
+        "distill": (lambda r: distillation_exponent(mc, ["C"], ["D"], r),
+                    _half(PetzUpEntropy.of(mc, ["C"], ["D"]).phi), lambda r: -0.5 * r, hi,
+                    1.6 * grid),
+        "channel": (lambda r: channel_coding_exponent(ch, r, dephasing=True),
+                    _half(PetzUpEntropy(ch.choi, ch.din).phi), lambda r: -0.5 * r, hi,
+                    1.6 * grid),
+    }
+
+
+@pytest.mark.parametrize("task", ["standard", "merging-d", "merging-c", "distill", "channel"])
+def test_one_root_per_rate_matches_a_direct_achievable_search(task, monkeypatch):
+    """The achievable exponent read off the converse's root, against its own search.
+
+    The objective is concave, so its supremum on [S_MIN, hi] is at the
+    converse maximizer s* when s* <= hi and at hi otherwise.  A direct
+    ``concave_sup`` on [S_MIN, hi] on a fresh entropy object must give the
+    same value and maximizer, and each rate must make one search in all.
+    """
+    at_rate, phi, c_of, hi, rates = _one_root_cases()[task]
+    search = exponents.concave_sup
+    calls = []
+    monkeypatch.setattr(exponents, "concave_sup", lambda *a: calls.append(a) or search(*a))
+    ends = set()
+    for r in map(float, rates):
+        calls.clear()
+        res = at_rate(r)
+        assert len(calls) == 1, (task, r)
+        direct = search(phi, c_of(r), S_MIN, hi)
+        assert abs(res.achievable - max(0.0, direct.sup_value)) <= 1e-12, (task, r)
+        assert abs(res.argmax_s - direct.argmax_s) <= 1e-12, (task, r)
+        ends.add(res.argmax_s == hi)
+    assert ends == {True, False}
+
+
+@pytest.mark.parametrize("mode", ["distill", "cost"])
+def test_merging_duality_gap_is_pointwise(mode, monkeypatch):
+    """duality_gap checks H~_{1+s}(A|R) = -Hup_{1/(1+s)}(A|B) at the one maximizer.
+
+    The dual route makes one phi evaluation per rate, and on random pure
+    states the two routes agree to roundoff at every rate.
+    """
+    dual = []
+    phi = PetzUpEntropy.phi
+    monkeypatch.setattr(PetzUpEntropy, "phi", lambda self, s: dual.append(s) or phi(self, s))
+    rng = make_rng(808 if mode == "distill" else 809)
+    dims, sign = (((("A", 2), ("B", 4), ("R", 2)), +1) if mode == "distill"
+                  else ((("A", 2), ("B", 2), ("R", 4)), -1))
+    for _ in range(3):
+        psi, h = _pure_with_h_ar(dims, sign, rng)
+        grid = np.linspace(0.02, 1.0, 20)
+        for r in (0.98 * h * grid if mode == "distill" else -h + 2.0 * grid):
+            dual.clear()
+            res = merging_exponents(psi, ["A"], ["B"], ["R"], float(r), mode)
+            assert dual == [res.argmax_s]
+            assert res.duality_gap <= 1e-10, (mode, r, res.duality_gap)

@@ -132,9 +132,10 @@ def test_eigensolves_of_a_rate_curve(solves):
 
     I_A x rho_E is decomposed once and rho_AE's d_max kernel once; every
     other eigh is one distinct s of the sandwiched phi, which returns the
-    value with its exact slope.  The root searches of the slope ask for 32
-    distinct s over the 20 rates; a 64-point grid with a bounded polish per
-    search and finite-difference slopes made 298 eigh for this sweep.
+    value with its exact slope.  One root search per rate serves both
+    directions and asks for 31 distinct s over the 20 rates; separate
+    achievable and converse searches asked for 32, and a 64-point grid with
+    a bounded polish per search and finite-difference slopes made 298 eigh.
     """
     state = random_state((("A", 4), ("E", 2)), 3, make_rng(1))
 
@@ -142,7 +143,7 @@ def test_eigensolves_of_a_rate_curve(solves):
         for r in np.linspace(0.1, 2.0, 20):
             standard_decoupling_exponents(state, 2.0, float(r))
 
-    assert solves(sweep) == (33, 1)
+    assert solves(sweep) == (32, 1)
     # the second sweep on the same state finds every value in its memo
     assert solves(sweep) == (0, 0)
 
@@ -152,8 +153,10 @@ def test_eigensolves_of_a_distillation_curve(solves, monkeypatch):
 
     rho_CD is decomposed once; each distinct s asked of the Petz phi costs
     one eigh of tr_C rho^alpha, which gives the value and its exact slope
-    (125 here).  A grid with a bounded polish per search and
-    finite-difference slopes made 631 eigvalsh for this sweep.
+    (85 here).  The converse's one root search per rate also gives the
+    achievable value; a second search per rate for it made 125 distinct s,
+    and a grid with a bounded polish per search and finite-difference
+    slopes made 631 eigvalsh for this sweep.
     """
     state = maximally_correlated(random_density(3, 3, make_rng(3)), ("C", "D"))
     orders = set()
@@ -169,8 +172,8 @@ def test_eigensolves_of_a_distillation_curve(solves, monkeypatch):
         for r in np.linspace(0.05, 1.2, 20):
             distillation_exponent(state, ["C"], ["D"], float(r))
 
-    assert solves(sweep) == (126, 0)
-    assert len(orders) == 125
+    assert solves(sweep) == (86, 0)
+    assert len(orders) == 85
     assert solves(sweep) == (0, 0)
 
 
@@ -189,15 +192,16 @@ def test_eigensolves_of_the_bound_search(solves):
 def test_eigensolves_of_mirror_descent(solves):
     """One sandwiched minimization at |B| = 2 and at |B| = 4, alpha = 1.5.
 
-    Three eigh set up (rho_B, the start and its objective); each trial
-    point of the line search costs one eigh for the iterate and one for
-    I x sigma^c rho I x sigma^c, whatever |B|.  A finite-difference
-    gradient made 4 |B|^2 more per iteration.  The descent stops once a
-    step's first-order decrease is below the objective's float resolution,
-    so no line search runs through halvings that cannot succeed.
+    Two eigh set up (rho_B, whose eigenbasis the start shares, and the
+    start's objective); each trial point of the line search costs one eigh
+    for the iterate and one for I x sigma^c rho I x sigma^c, whatever |B|.
+    A finite-difference gradient made 4 |B|^2 more per iteration.  The
+    descent stops once a step's first-order decrease is below the
+    objective's float resolution, so no line search runs through halvings
+    that cannot succeed.
     """
     per_iter = {}
-    for db, pinned, iters in ((2, (33, 0), 10), (4, (39, 0), 13)):
+    for db, pinned, iters in ((2, (32, 0), 10), (4, (38, 0), 13)):
         state = random_state((("A", 2), ("B", db)), 2 * db, make_rng(db, stream=11))
         res = []
         count = solves(lambda: res.append(
