@@ -36,10 +36,10 @@ from .decoupling import (
 )
 from .divergences import divergence
 from .exponents import (
-    channel_coding_exponent,
-    distillation_exponent,
-    merging_exponents,
-    standard_decoupling_exponents,
+    dephasing_channel_curve,
+    distillation_curve,
+    merging_curve,
+    standard_decoupling_curve,
 )
 from .states import State, make_rng
 
@@ -133,24 +133,24 @@ def _load_gram_channel(path: str):
         return generalized_dephasing(_read_matrix(json.load(fh)))
 
 
-def _distill_at_rate(st: State, r: float, args):
+def _distill_curve(st: State, rates, args):
     if len(st.labels) != 2:
         raise ValueError("the distill task needs a state of two subsystems")
-    return distillation_exponent(st, [st.labels[0]], [st.labels[1]], r)
+    return distillation_curve(st, [st.labels[0]], [st.labels[1]], rates)
 
 
-# exponent-curve tasks: the input option and the exponents at one rate on
-# the loaded input.  Functions are looked up by name when called, so
+# exponent-curve tasks: the input option and the exponents per rate of a
+# grid on the loaded input.  Functions are looked up by name when called, so
 # rebinding one in this module (a tracer, a test double) takes effect.
 CURVE_TASKS = {
-    "standard-decoupling": ("state", lambda st, r, args: standard_decoupling_exponents(
-        st, math.log2(st.dim_of("A")) if args.log_a is None else args.log_a, r)),
-    "merging-d": ("state", lambda st, r, args: merging_exponents(
-        st, ["A"], ["B"], ["R"], r, "distill")),
-    "merging-c": ("state", lambda st, r, args: merging_exponents(
-        st, ["A"], ["B"], ["R"], r, "cost")),
-    "distill": ("state", _distill_at_rate),
-    "channel": ("gram", lambda ch, r, args: channel_coding_exponent(ch, r, dephasing=True)),
+    "standard-decoupling": ("state", lambda st, rates, args: standard_decoupling_curve(
+        st, math.log2(st.dim_of("A")) if args.log_a is None else args.log_a, rates)),
+    "merging-d": ("state", lambda st, rates, args: merging_curve(
+        st, ["A"], ["B"], ["R"], rates, "distill")),
+    "merging-c": ("state", lambda st, rates, args: merging_curve(
+        st, ["A"], ["B"], ["R"], rates, "cost")),
+    "distill": ("state", _distill_curve),
+    "channel": ("gram", lambda ch, rates, args: dephasing_channel_curve(ch, rates)),
 }
 
 
@@ -163,16 +163,14 @@ def cmd_exponent_curve(args) -> int:
             return _usage(f"{flag} must be a finite number")
     if args.r_min > args.r_max:
         return _usage("--r-min must not exceed --r-max")
-    option, at_rate = CURVE_TASKS[args.task]
+    option, curve = CURVE_TASKS[args.task]
     path = getattr(args, option)
     if path is None:
         return _usage(f"--{option} is required for the {args.task} task")
     inp = load_state(path) if option == "state" else _load_gram_channel(path)
-    rows = []
-    for r in np.linspace(args.r_min, args.r_max, args.r_steps):
-        res = at_rate(inp, float(r), args)
-        rows.append([_fmt(float(r)), _fmt(res.achievable), _fmt(res.converse),
-                     str(int(res.exact))])
+    rates = np.linspace(args.r_min, args.r_max, args.r_steps)
+    rows = [[_fmt(float(r)), _fmt(res.achievable), _fmt(res.converse), str(int(res.exact))]
+            for r, res in zip(rates, curve(inp, rates, args))]
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["r", "achievable", "converse", "exact"])

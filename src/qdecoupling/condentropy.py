@@ -98,8 +98,8 @@ class ConditionalEntropy:
     """Non-optimized H_alpha(A|B) = -D_alpha(rho_AB || I_A x rho_B) of one state.
 
     Construction splits the blocks, symmetrizes rho_AB, decomposes
-    sigma = I_A x rho_B = V diag(w) V^+ once and keeps V^+ rho V and ln w (0
-    on the kernel); a call at the order ``alpha`` and :meth:`phi` reuse them.
+    sigma = I_A x rho_B = V diag(w) V^+ once and keeps V^+ rho V, symmetrized, and
+    ln w (0 on the kernel); a call at the order ``alpha`` and :meth:`phi` reuse them.
     """
 
     def __init__(self, state: State, a_labels, b_labels, family: str = "sandwiched"):
@@ -108,7 +108,7 @@ class ConditionalEntropy:
         self.sigma = _psd(Spectrum.of(tensor(np.eye(da), partial_trace(rho, [da, db], [1]))))
         self._sup = self.sigma.support
         self._ln_w = np.log(np.where(self._sup, self.sigma.values, 1.0))
-        self._rho_t = self.sigma.vectors.conj().T @ self.rho @ self.sigma.vectors
+        self._rho_t = as_hermitian(self.sigma.vectors.conj().T @ self.rho @ self.sigma.vectors)
         self.family = family
         self._phis: dict[float, tuple[float, float]] = {}
         self._min_entropy: float | None = None
@@ -116,26 +116,28 @@ class ConditionalEntropy:
     def __call__(self, alpha: float) -> float:
         return -divergence(self.rho, self.sigma, self.family, alpha)
 
-    def phi(self, s: float) -> tuple[float, float]:
-        """phi(s) = s H~_{1+s}(A|B) = -log2 Q and its s-slope, sandwiched; memoized on ``s``.
+    def phi(self, s):
+        """phi(s) = s H~_{1+s}(A|B) = -log2 Q and its s-slope, sandwiched, at a float or 1-D array.
 
         Q = tr X^alpha, X = sigma^c rho sigma^c, c = (1 - alpha) / (2 alpha),
         alpha = 1 + s: one eigh of X gives Q and dQ/dalpha = sum_i x_i^alpha
         (ln x_i - <v_i| ln sigma |v_i> / alpha) over X's support, with X in
         sigma's eigenbasis, where ln sigma is diagonal.  phi is concave (log Q
-        is convex in alpha; Mosonyi and Ogawa, CMP 2015).
+        is convex in alpha; Mosonyi and Ogawa, CMP 2015).  Memoized (:func:`_phi_at`).
         """
-        out = self._phis.get(s)
-        if out is None:
-            alpha = 1.0 + s
-            g = np.exp(self._ln_w * ((1.0 - alpha) / (2.0 * alpha))) * self._sup
-            x = Spectrum.of(g[:, None] * self._rho_t * g)
-            lam, vecs = x.values[x.support], x.vectors[:, x.support]
-            q = float(np.sum(lam**alpha))
-            ln_sigma = self._ln_w @ np.abs(vecs) ** 2
-            dq = float(np.sum(lam**alpha * (np.log(lam) - ln_sigma / alpha)))
-            out = self._phis[s] = (-math.log2(q), -dq / (q * _LN2))
-        return out
+        return _phi_at(s, self._phis, self._phi_stack)
+
+    def _phi_stack(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        alpha = (1.0 + s)[:, None]
+        g = np.exp(self._ln_w * ((1.0 - alpha) / (2.0 * alpha))) * self._sup
+        x = Spectrum.eigh(g[:, :, None] * self._rho_t * g[:, None, :])
+        sup = x.support
+        lam = np.where(sup, x.values, 1.0)
+        lam_a = np.where(sup, _pow(lam, alpha), 0.0)
+        q = np.sum(lam_a, axis=-1)
+        ln_sigma = self._ln_w @ np.abs(x.vectors) ** 2
+        dq = np.sum(lam_a * (np.log(lam) - ln_sigma / alpha), axis=-1)
+        return -np.log2(q), -dq / (q * _LN2)
 
     def min_entropy(self) -> float:
         """-D_max(rho_AB || I_A x rho_B), the sandwiched limit as alpha grows."""
@@ -204,34 +206,61 @@ class PetzUpEntropy:
         g = _pow_derivative(w, self.spec.vectors, alpha, x, kernel)
         return (alpha / (1.0 - alpha)) * math.log2(t), g / ((1.0 - alpha) * t * math.log(2.0))
 
-    def phi(self, s: float) -> tuple[float, float]:
-        """phi(s) = -s H_up_{1/(1+s)} = -log2 T and its s-slope; memoized on ``s``.
+    def phi(self, s):
+        """phi(s) = -s H_up_{1/(1+s)} = -log2 T and its s-slope, at a float or 1-D array.
 
         T = tr m^(1+s), m = tr_A rho^alpha, alpha = 1/(1+s): one eigh of m,
         with rho's eigenbasis and support, gives T and dT/ds = sum_j mu_j^(1+s)
         ln mu_j + (1+s) tr(m^s dm/ds), dm/ds = -alpha^2 tr_A(rho^alpha ln rho).
         With W rho's support eigenvectors as a |B| x (|A| r) matrix, built at
         the first call, m = W lambda^alpha W^+ (lambda tiled).  phi is s times
-        the Petz coherent information, concave in s.
+        the Petz coherent information, concave in s.  Memoized (:func:`_phi_at`).
         """
-        out = self._phis.get(s)
-        if out is None:
-            alpha = 1.0 / (1.0 + s)
-            if self._factor is None:
-                sup, (da, db) = _psd(self.spec).support, self.dims
-                lam = np.tile(self.spec.values[sup], da)
-                vecs = self.spec.vectors[:, sup].reshape(da, db, -1).transpose(1, 0, 2)
-                self._factor = vecs.reshape(db, -1), lam, np.log(lam)
-            vecs, lam, ln_lam = self._factor
-            lam_a = lam**alpha
-            mu = Spectrum.eigh((vecs * lam_a) @ vecs.conj().T)
-            w, u = mu.values[mu.support], mu.vectors[:, mu.support]
-            t = float(np.sum(w ** (1.0 + s)))
-            # (1 + s) alpha^2 = alpha
-            dm_u = alpha * (np.abs(u.conj().T @ vecs) ** 2 @ (lam_a * ln_lam))
-            dt = float(np.sum(w**s * (w * np.log(w) - dm_u)))
-            out = self._phis[s] = (-math.log2(t), -dt / (t * _LN2))
-        return out
+        return _phi_at(s, self._phis, self._phi_stack)
+
+    def _phi_stack(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self._factor is None:
+            sup, (da, db) = _psd(self.spec).support, self.dims
+            lam = np.tile(self.spec.values[sup], da)
+            vecs = self.spec.vectors[:, sup].reshape(da, db, -1).transpose(1, 0, 2)
+            self._factor = vecs.reshape(db, -1), lam, np.log(lam)
+        vecs, lam, ln_lam = self._factor
+        s = s[:, None]
+        alpha = 1.0 / (1.0 + s)
+        lam_a = _pow(np.broadcast_to(lam, (len(s), len(lam))), alpha)
+        mu = Spectrum.eigh((vecs * lam_a[:, None, :]) @ vecs.conj().T)
+        sup = mu.support
+        w = np.where(sup, mu.values, 1.0)
+        t = np.sum(np.where(sup, _pow(w, 1.0 + s), 0.0), axis=-1)
+        # (1 + s) alpha^2 = alpha
+        uw = np.abs(mu.vectors.conj().swapaxes(-1, -2) @ vecs) ** 2
+        dm_u = alpha * (uw @ (lam_a * ln_lam)[:, :, None])[..., 0]
+        dt = np.sum(np.where(sup, _pow(w, s) * (w * np.log(w) - dm_u), 0.0), axis=-1)
+        return -np.log2(t), -dt / (t * _LN2)
+
+
+def _pow(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """x ** t for a stack x of shape (n, d) and orders t of shape (n, 1), t spread
+    over d first: numpy's power with an exponent broadcast over a stack of n > 1
+    takes another loop, whose last bits differ from those of one order alone."""
+    return x ** np.repeat(t, x.shape[-1], axis=-1)
+
+
+def _phi_at(s, memo: dict, stack):
+    """phi and its slope at the float ``s`` (floats) or the 1-D array ``s`` (arrays).
+
+    ``memo`` holds every order seen; ``stack`` computes the missing ones in one
+    stacked eigh, a float being a stack of one.  Kernels enter through masks,
+    so an order gives the same bits in any stack.
+    """
+    orders = np.ravel(s).tolist()
+    new = [x for x in dict.fromkeys(orders) if x not in memo]
+    if new:
+        vals, slopes = stack(np.array(new))
+        memo.update(zip(new, zip(vals.tolist(), slopes.tolist())))
+    if np.ndim(s) == 0:
+        return memo[orders[0]]
+    return tuple(np.array([memo[x] for x in orders]).reshape(-1, 2).T)
 
 
 # -- objectives for the sigma minimization --------------------------------

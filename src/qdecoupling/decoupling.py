@@ -181,11 +181,12 @@ def decoupling_error_upper_bound_optimized(inst: DecouplingInstance) -> tuple[fl
     """
     phi = decoupling_phi(inst.rho_ae, inst.channel)
 
-    def neg_log(s: float) -> tuple[float, float]:
+    def neg_log(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v, d = phi(s)
-        return LN2 * v - math.log(prefactor(s) / s), 1.0 / s + LN2 * d - math.log(s / (1.0 - s))
+        logit = np.log(s / (1.0 - s))
+        return LN2 * v + (1.0 - s) * logit, 1.0 / s + LN2 * d - logit  # ln(c_s/s) = -(1-s) logit
 
-    s = concave_sup(neg_log, 0.0, S_MIN, 1.0 - 1e-9).argmax_s
+    s = float(concave_sup(neg_log, 0.0, S_MIN, 1.0 - 1e-9).argmax_s[0])
     return decoupling_error_upper_bound(inst, s), s
 
 

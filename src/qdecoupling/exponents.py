@@ -11,14 +11,17 @@ s H~_{1+s} (sandwiched) or s I_{1/(1+s)} (Petz) is concave, so
 :func:`concave_sup` finds the supremum as the one root of c + phi'(s), from
 the exact slope that ``ConditionalEntropy.phi`` and ``PetzUpEntropy.phi``
 return with the value.  One root s* per rate serves both directions: the
-achievable supremum is at min(s*, 1) (:func:`_achievable`), and merging's
-dual route is checked at it.  Each exponent function keeps that object,
-memoized on s, on its input ``State`` or ``Channel`` (see
-``states.memo_on``), so a rate curve on one input evaluates each (input, s)
-pair once.  Inputs are immutable; changing a state's density in place would
-leave stale values.  The one exception is ``channel_coding_exponent``
-without ``dephasing``, whose randomized input search is not concave, depends
-on call order and is not memoized.
+achievable supremum is at min(s*, 1) (:func:`_suprema`), and merging's
+dual route is checked at it.  A ``*_curve`` function takes a whole grid of
+rates: the roots advance in lockstep, each step of Brent's method
+(:func:`_brent`) asking phi at one stack of s, one per rate still open, and
+phi decomposes the orders it lacks in one stacked eigh.  Each exponent
+function keeps its phi object, memoized on s, on its input ``State`` or
+``Channel`` (see ``states.memo_on``), so curves on one input evaluate each
+(input, s) pair once.  Inputs are immutable; changing a state's density in
+place would leave stale values.  The one exception is
+``channel_coding_exponent`` without ``dephasing``, whose randomized input
+search is not concave, depends on call order and is not memoized.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ S_CAP = 64.0
 
 @dataclass(frozen=True)
 class ExponentCurve:
-    """The refined supremum of an objective s -> f(s) and where it is attained."""
+    """The refined supremum of an objective s -> f(s) and where it is attained, per rate."""
 
-    argmax_s: float
-    sup_value: float
+    argmax_s: float | np.ndarray
+    sup_value: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,11 +72,14 @@ class ExponentResult:
     duality_gap: float = field(default=math.nan)
 
     @classmethod
-    def of(cls, ach: ExponentCurve, converse: float, critical_rate: float, exact: bool,
-           capped: bool = False, diverges: bool = False, **extra) -> "ExponentResult":
-        """Result whose achievable exponent is the supremum of ``ach``, clamped at 0."""
-        return cls(max(0.0, ach.sup_value), converse, critical_rate, exact, ach.argmax_s,
-                   capped, diverges, **extra)
+    def of(cls, ach: ExponentCurve, converse, critical_rate, exact, capped=False,
+           diverges=False, duality_gap=math.nan) -> list["ExponentResult"]:
+        """One result per rate, each argument a scalar or an array over the rates; the
+        achievable exponent is the supremum of ``ach``, clamped at 0."""
+        v = np.asarray(ach.sup_value)
+        cols = np.broadcast_arrays(np.where(v > 0.0, v, 0.0), converse, critical_rate, exact,
+                                   ach.argmax_s, capped, diverges, duality_gap)
+        return [cls(*row) for row in zip(*(np.atleast_1d(a).tolist() for a in cols))]
 
 
 def sup_on_interval(f, lo: float, hi: float, n_grid: int = 64) -> ExponentCurve:
@@ -107,25 +113,74 @@ def sup_on_interval(f, lo: float, hi: float, n_grid: int = 64) -> ExponentCurve:
     return ExponentCurve(best_s, best_v)
 
 
-def _slope(s: float, phi, c: float) -> float:
-    return c + phi(s)[1]
+def _brent(a: float, b: float, fa: float, fb: float):
+    """Root of a slope with fa = f(a) and fb = f(b) of opposite signs, by Brent's method.
 
-
-def concave_sup(phi, c: float, lo: float, hi: float) -> ExponentCurve:
-    """Supremum of c s + phi(s) on [lo, hi] for a concave phi.
-
-    ``phi(s)`` returns (phi, phi').  The maximizer is ``lo`` if the slope
-    c + phi' is <= 0 there, ``hi`` if it is >= 0 there, and otherwise the
-    one root of the slope, found by Brent's method to 1e-12.  ``phi`` goes in
-    brentq's ``args``: its wrapper of the callable is a reference cycle, which
-    would keep the entropy object alive until a cyclic garbage collection.
+    A generator: it yields each point to evaluate, is sent f there, and
+    returns the root.  These are the steps of scipy's brentq (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973) with xtol = rtol
+    = 1e-12 and at most 100 iterations; a NaN slope raises ValueError, as there.
     """
-    if _slope(lo, phi, c) <= 0.0:
-        s = lo
-    elif _slope(hi, phi, c) >= 0.0:
-        s = hi
-    else:
-        s = optimize.brentq(_slope, lo, hi, args=(phi, c), xtol=1e-12, rtol=1e-12)
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        for x, f in ((xpre, fpre), (xcur, fcur)):
+            if math.isnan(f):
+                raise ValueError(f"the slope is NaN at s = {x:.6g}; the root search cannot go on")
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-12 + 1e-12 * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None  # an interpolation step, taken only when it stays well inside the bracket
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        good = stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if good else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = yield xcur
+    raise RuntimeError("root search failed to converge after 100 iterations")
+
+
+def concave_sup(phi, c, lo: float, hi) -> ExponentCurve:
+    """Suprema of c s + phi(s) on [lo, hi] for a concave phi, as arrays over c and hi.
+
+    ``phi`` maps a 1-D array of s to the arrays (phi, phi').  Each maximizer
+    is ``lo`` if the slope c + phi' is <= 0 there, ``hi`` if it is >= 0
+    there, and otherwise the root of the slope by :func:`_brent`.  The
+    endpoint slopes take one ``phi`` call, and then each lockstep step of all
+    open searches takes one.
+    """
+    c, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(np.atleast_1d(c), hi))
+    d = phi(np.append(lo, hi))[1]
+    d_lo, d_hi = c + d[0], c + d[1:]
+    s = np.where(d_lo <= 0.0, lo, hi)
+    idx = np.flatnonzero(~(d_lo <= 0.0) & ~(d_hi >= 0.0))
+    searches = {i: _brent(lo, b, fa, fb) for i, b, fa, fb in
+                zip(idx.tolist(), hi[idx].tolist(), d_lo[idx].tolist(), d_hi[idx].tolist())}
+    sent = dict.fromkeys(searches)
+    while sent:
+        points = {}
+        for i, f in sent.items():
+            try:
+                points[i] = searches[i].send(f)
+            except StopIteration as root:
+                s[i] = root.value
+        if not points:
+            break
+        slope = c[list(points)] + phi(np.array(list(points.values())))[1]
+        sent = dict(zip(points, slope.tolist()))
     return ExponentCurve(s, c * s + phi(s)[0])
 
 
@@ -134,31 +189,38 @@ def _half(phi):
     return lambda s: tuple(0.5 * x for x in phi(s))
 
 
-def _converse_sup(phi, c: float, asym_slope: float | None):
-    """Supremum of c s + phi(s) over s > 0: (value, capped, diverges, curve).
+def _suprema(phi, c: np.ndarray, hi: float, asym_slope, converse: bool = True):
+    """Both suprema of c s + phi(s), per entry of c: (ach, converse, capped, diverges).
 
-    A positive ``asym_slope``, the limit of the objective over s, means the
-    supremum is +inf (``curve`` None).  Otherwise s_hi doubles from 1 while
-    the slope c + phi'(s_hi) is > 0, up to S_CAP, and ``curve`` is
-    :func:`concave_sup` on [S_MIN, s_hi].  ``capped``: the slope is > 0 at S_CAP.
+    ``ach`` is the ExponentCurve of the supremum on [S_MIN, hi].  The
+    converse supremum, over s > 0, is +inf without ``converse`` and where
+    ``asym_slope``, the limit of the objective over s, is positive
+    (``diverges``).  Elsewhere s_hi doubles from 1 while the slope
+    c + phi'(s_hi) is > 0, up to S_CAP, all rates on one ladder of s, and
+    :func:`concave_sup` on [S_MIN, s_hi] finds the maximizer s*; ``capped``:
+    the slope is > 0 at S_CAP.  The achievable supremum is at s* if s* <= hi,
+    else at hi, as the concave objective does not fall before s*; it is
+    searched where there is no s*.
     """
-    if asym_slope is not None and asym_slope > 1e-9:
-        return math.inf, False, True, None
-    s_hi = 1.0
-    while s_hi < S_CAP and c + phi(s_hi)[1] > 0.0:
-        s_hi *= 2.0
-    capped = c + phi(s_hi)[1] > 0.0
-    curve = concave_sup(phi, c, S_MIN, s_hi)
+    diverges = np.full(len(c), converse) & (asym_slope > 1e-9)
+    fin = converse & ~diverges
+    s_hi, up, capped = np.ones(len(c)), fin.copy(), np.zeros(len(c), dtype=bool)
+    while (up := up & (s_hi < S_CAP)).any():
+        up[up] = c[up] + phi(s_hi[up])[1] > 0.0
+        s_hi[up] *= 2.0
+    capped[fin] = c[fin] + phi(s_hi[fin])[1] > 0.0
+    s, v = np.full((2, len(c)), math.nan)
+    if fin.any():
+        sub = concave_sup(phi, c[fin], S_MIN, s_hi[fin])
+        s[fin], v[fin] = sub.argmax_s, sub.sup_value
     # the objective is 0 at s = 0, so the true supremum is >= 0
-    return max(0.0, curve.sup_value), capped, False, curve
-
-
-def _achievable(phi, c: float, hi: float, conv: ExponentCurve | None) -> ExponentCurve:
-    """Supremum of c s + phi(s) on [S_MIN, hi]: at the converse maximizer s* if s* <= hi,
-    else at hi, as the concave objective does not fall before s*; searched if ``conv`` is None."""
-    if conv is None:
-        return concave_sup(phi, c, S_MIN, hi)
-    return conv if conv.argmax_s <= hi else ExponentCurve(hi, c * hi + phi(hi)[0])
+    conv = np.where(fin, np.where(v > 0.0, v, 0.0), math.inf)
+    if (beyond := s > hi).any():
+        s[beyond], v[beyond] = hi, c[beyond] * hi + phi(hi)[0]
+    if (search := np.isnan(s)).any():
+        sub = concave_sup(phi, c[search], S_MIN, hi)
+        s[search], v[search] = sub.argmax_s, sub.sup_value
+    return ExponentCurve(s, v), conv, capped, diverges
 
 
 # -- decoupling ------------------------------------------------------------
@@ -172,30 +234,35 @@ def decoupling_phi(rho_ae: State, channel: Channel):
 
 def decoupling_achievable_exponent(rho_ae: State, channel: Channel) -> float:
     """sup over s in (0,1) of s(H(A|E) + H(A'|C)), clamped at zero."""
-    return max(0.0, concave_sup(decoupling_phi(rho_ae, channel), 0.0, S_MIN, 1.0).sup_value)
+    return max(0.0, float(concave_sup(decoupling_phi(rho_ae, channel), 0.0, S_MIN,
+                                      1.0).sup_value[0]))
 
 
 def critical_rate(rho_ae: State) -> float:
-    """Derivative of -(s/2) H_{1+s}(A|E) at s = 1, in bits; computed once per state."""
-    h = sandwiched_cond_entropy(rho_ae, ["A"], ["E"])
-    return memo_on(rho_ae, ("critical_rate",), lambda: -0.5 * h.phi(1.0)[1])
+    """Derivative of -(s/2) H_{1+s}(A|E) at s = 1, in bits, from the state's memoized phi."""
+    return -0.5 * sandwiched_cond_entropy(rho_ae, ["A"], ["E"]).phi(1.0)[1]
 
 
-def standard_decoupling_exponents(rho_ae: State, log_a: float, r: float) -> ExponentResult:
-    """Achievable and converse exponents for decoupling by a partial trace.
+def standard_decoupling_curve(rho_ae: State, log_a: float, rates) -> list[ExponentResult]:
+    """Achievable and converse exponents for decoupling by a partial trace, per rate.
 
     Objective f(s) = s(2r - log|A| + H_{1+s}(A|E)); achievable over (0, 1],
     converse over s > 0.  Exact characterization holds for r at or below the
     critical rate.
     """
-    if r <= 0:
+    r = np.asarray(rates, dtype=float)
+    if (r <= 0).any():
         raise ValueError("rate r must be positive")
     h = sandwiched_cond_entropy(rho_ae, ["A"], ["E"])
     c = 2.0 * r - log_a
-    conv, capped, diverges, curve = _converse_sup(h.phi, c, c + h.min_entropy())
+    ach, conv, capped, diverges = _suprema(h.phi, c, 1.0, c + h.min_entropy())
     rc = critical_rate(rho_ae)
-    exact = r <= rc + 1e-12
-    return ExponentResult.of(_achievable(h.phi, c, 1.0, curve), conv, rc, exact, capped, diverges)
+    return ExponentResult.of(ach, conv, rc, r <= rc + 1e-12, capped, diverges)
+
+
+def standard_decoupling_exponents(rho_ae: State, log_a: float, r: float) -> ExponentResult:
+    """:func:`standard_decoupling_curve` at the one rate ``r``."""
+    return standard_decoupling_curve(rho_ae, log_a, [r])[0]
 
 
 def comparator_exponent(
@@ -237,8 +304,9 @@ def _merging_terms(state: State, a_labels, b_labels, r_labels):
             PetzUpEntropy.of(ab, a_labels, b_labels))
 
 
-def merging_exponents(state: State, a_labels, b_labels, r_labels, r: float, mode: str) -> ExponentResult:
-    """Merging exponents for a pure tripartite state, distill or cost mode.
+def merging_curve(state: State, a_labels, b_labels, r_labels, rates,
+                  mode: str) -> list[ExponentResult]:
+    """Merging exponents for a pure tripartite state, distill or cost mode, per rate.
 
     distill: needs H(A|R) > 0 and 0 < r < H(A|R); objective
     f(s) = (s/2)(H_{1+s}(A|R) - r).  cost: needs H(A|R) < 0 and
@@ -251,14 +319,14 @@ def merging_exponents(state: State, a_labels, b_labels, r_labels, r: float, mode
     h_vn, h, h_dual = memo_on(state, ("merging",) + labels,
                               lambda: _merging_terms(state, *labels))
     sign = -1.0 if mode == "distill" else 1.0
-    if mode == "distill" and not (h_vn > 0 and 0 < r < h_vn):
+    r = np.asarray(rates, dtype=float)
+    if mode == "distill" and not (h_vn > 0 and ((0 < r) & (r < h_vn)).all()):
         raise ValueError(f"distill mode needs 0 < r < H(A|R) = {h_vn:.6f}")
-    if mode == "cost" and not (h_vn < 0 and r > -h_vn):
+    if mode == "cost" and not (h_vn < 0 and (r > -h_vn).all()):
         raise ValueError(f"cost mode needs r > -H(A|R) = {-h_vn:.6f}")
 
     c, phi = 0.5 * sign * r, _half(h.phi)
-    conv, capped, diverges, curve = _converse_sup(phi, c, 0.5 * (h.min_entropy() + sign * r))
-    ach = _achievable(phi, c, 1.0 - 1e-9, curve)
+    ach, conv, capped, diverges = _suprema(phi, c, 1.0 - 1e-9, 0.5 * (h.min_entropy() + sign * r))
     dual = c * ach.argmax_s + 0.5 * h_dual.phi(ach.argmax_s)[0]
     rc = h.phi(1.0)[1]
     exact = (r >= rc - 1e-12) if mode == "distill" else (r <= -rc + 1e-12)
@@ -266,6 +334,11 @@ def merging_exponents(state: State, a_labels, b_labels, r_labels, r: float, mode
         ach, conv, rc if mode == "distill" else -rc, exact, capped, diverges,
         duality_gap=abs(ach.sup_value - dual),
     )
+
+
+def merging_exponents(state: State, a_labels, b_labels, r_labels, r: float, mode: str) -> ExponentResult:
+    """:func:`merging_curve` at the one rate ``r``."""
+    return merging_curve(state, a_labels, b_labels, r_labels, [r], mode)[0]
 
 
 # -- entanglement distillation and channel coding --------------------------
@@ -282,29 +355,28 @@ def is_maximally_correlated(state: State) -> bool:
     return float(np.max(np.abs(state.density[mask]))) <= 1e-10
 
 
-def _petz_exponents(coh: PetzUpEntropy, r: float, converse: bool) -> ExponentResult:
-    """(s/2)(I_{1/(1+s)} - r) of one Petz entropy, with its converse if ``converse``.
+def _petz_curve(coh: PetzUpEntropy, r: np.ndarray, converse: bool) -> list[ExponentResult]:
+    """(s/2)(I_{1/(1+s)} - r) of one Petz entropy per rate, with its converse if ``converse``.
 
     The critical rate is the slope of s I_{1/(1+s)} at s = 1; without the
     converse it is reported as vacuous (+inf) and the result as not exact.
     """
     phi, c = _half(coh.phi), -0.5 * r
     rc = coh.phi(1.0)[1]
-    conv, capped, diverges, curve = (_converse_sup(phi, c, None) if converse
-                                     else (math.inf, False, False, None))
-    ach = _achievable(phi, c, 1.0 - 1e-9, curve)
-    return ExponentResult.of(ach, conv, rc, converse and r >= rc - 1e-12, capped, diverges)
+    ach, conv, capped, diverges = _suprema(phi, c, 1.0 - 1e-9, -math.inf, converse)
+    return ExponentResult.of(ach, conv, rc, converse & (r >= rc - 1e-12), capped, diverges)
 
 
-def distillation_exponent(rho_cd: State, c_labels, d_labels, r: float) -> ExponentResult:
-    """Single-copy distillation exponent (s/2)(I_{1/(1+s)}(C>D) - r).
+def distillation_curve(rho_cd: State, c_labels, d_labels, rates) -> list[ExponentResult]:
+    """Single-copy distillation exponent (s/2)(I_{1/(1+s)}(C>D) - r), per rate.
 
     Uses the Petz coherent information.  For maximally correlated states the
     matching converse applies and the result is exact at rates at or above
     the derivative threshold at s = 1; otherwise the converse is reported
     as vacuous (+inf).
     """
-    if r < 0:
+    r = np.asarray(rates, dtype=float)
+    if (r < 0).any():
         raise ValueError("rate r must be nonnegative")
     c_labels, d_labels = tuple(c_labels), tuple(d_labels)
     coh = memo_on(rho_cd, ("distill", c_labels, d_labels),
@@ -312,7 +384,22 @@ def distillation_exponent(rho_cd: State, c_labels, d_labels, r: float) -> Expone
     max_corr = len(c_labels) == 1 and len(d_labels) == 1 and is_maximally_correlated(
         rho_cd.permuted(c_labels[0], d_labels[0])
     )
-    return _petz_exponents(coh, r, max_corr)
+    return _petz_curve(coh, r, max_corr)
+
+
+def distillation_exponent(rho_cd: State, c_labels, d_labels, r: float) -> ExponentResult:
+    """:func:`distillation_curve` at the one rate ``r``."""
+    return distillation_curve(rho_cd, c_labels, d_labels, [r])[0]
+
+
+def dephasing_channel_curve(channel: Channel, rates) -> list[ExponentResult]:
+    """Coding exponents of a basis-preserving channel, per rate: ``channel_coding_exponent``
+    with ``dephasing=True``, its input pinned to the maximally entangled state."""
+    r = np.asarray(rates, dtype=float)
+    if (r < 0).any():
+        raise ValueError("rate r must be nonnegative")
+    coh = memo_on(channel, ("dephasing",), lambda: PetzUpEntropy(channel.choi, channel.din))
+    return _petz_curve(coh, r, True)
 
 
 def channel_coding_exponent(
@@ -326,15 +413,15 @@ def channel_coding_exponent(
     With ``dephasing=True`` the channel input is pinned to the maximally
     entangled state (sufficient for basis-preserving channels built from a
     Gram matrix) and the matching converse with exactness at high rates
-    applies; otherwise the input is optimized per s by multi-start ascent,
-    only the achievable direction is reported, and the critical rate is the
-    slope at s = 1 at the best input found there (Danskin's theorem).
+    applies (:func:`dephasing_channel_curve`); otherwise the input is
+    optimized per s by multi-start ascent, only the achievable direction is
+    reported, and the critical rate is the slope at s = 1 at the best input
+    found there (Danskin's theorem).
     """
+    if dephasing:
+        return dephasing_channel_curve(channel, [r])[0]
     if r < 0:
         raise ValueError("rate r must be nonnegative")
-    if dephasing:
-        coh = memo_on(channel, ("dephasing",), lambda: PetzUpEntropy(channel.choi, channel.din))
-        return _petz_exponents(coh, r, True)
     rng = make_rng(0)
     warm: dict[str, np.ndarray | None] = {"x0": None}
 
@@ -348,4 +435,4 @@ def channel_coding_exponent(
     ach = sup_on_interval(lambda s: 0.5 * s * (best_input(s)[0] - r), S_MIN, 1.0 - 1e-9, n_grid=24)
     out = apply_channel(channel, best_input(1.0)[1], "A")
     rc = PetzUpEntropy.of(out, ["R"], ["A"]).phi(1.0)[1]
-    return ExponentResult.of(ach, math.inf, rc, False)
+    return ExponentResult.of(ach, math.inf, rc, False)[0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import fractional_matrix_power
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from qdecoupling.states import make_rng
 
@@ -73,3 +73,41 @@ def classical_dephasing_converse_oracle(gram, r):
     res = minimize_scalar(lambda s: -f(s), bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
     return max(0.0, vals[i], float(-res.fun))
+
+
+def brentq_concave_sup(phi, c, lo, hi):
+    """(argmax, sup) of c s + phi(s) on [lo, hi] for one c, phi at floats: the endpoint
+    whose slope says so, else scipy's brentq on the slope, xtol = rtol = 1e-12."""
+    if c + phi(lo)[1] <= 0.0:
+        s = lo
+    elif c + phi(hi)[1] >= 0.0:
+        s = hi
+    else:
+        s = brentq(lambda x: c + phi(x)[1], lo, hi, xtol=1e-12, rtol=1e-12)
+    return s, c * s + phi(s)[0]
+
+
+def brentq_exponents(phi, c, asym_slope, hi, converse, s_min=1e-4, s_cap=64.0):
+    """Exponents of c s + phi(s) at one rate by :func:`brentq_concave_sup`, rate by rate.
+
+    Returns (achievable, converse, argmax_s, capped, diverges).  The converse
+    (if ``converse``) is +inf past a positive ``asym_slope``, else the supremum
+    on [s_min, s_hi], s_hi doubled from 1 while the slope is > 0, up to s_cap;
+    the achievable supremum on [s_min, hi] is read off the converse maximizer
+    where it lies below hi and searched on its own where there is none.
+    """
+    conv, capped, diverges, curve = math.inf, False, False, None
+    if converse and asym_slope is not None and asym_slope > 1e-9:
+        diverges = True
+    elif converse:
+        s_hi = 1.0
+        while s_hi < s_cap and c + phi(s_hi)[1] > 0.0:
+            s_hi *= 2.0
+        capped = c + phi(s_hi)[1] > 0.0
+        curve = brentq_concave_sup(phi, c, s_min, s_hi)
+        conv = max(0.0, curve[1])
+    if curve is None:
+        curve = brentq_concave_sup(phi, c, s_min, hi)
+    elif curve[0] > hi:
+        curve = hi, c * hi + phi(hi)[0]
+    return max(0.0, curve[1]), conv, curve[0], capped, diverges

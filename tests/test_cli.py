@@ -24,6 +24,7 @@ from qdecoupling.cli import (
     save_state,
     state_to_doc,
 )
+from qdecoupling.condentropy import cond_vn_entropy
 from qdecoupling.divergences import classical_divergence_oracle
 from qdecoupling.linalg import tensor
 from qdecoupling.states import (
@@ -253,6 +254,35 @@ def test_exponent_curve_precondition_exit(tmp_path, rng):
     assert code == EXIT_PRECONDITION
 
 
+def _bad_grid(task, tmp_path, rng):
+    """(state file, --r-min, --r-max, the stderr line) of a rate grid the task rejects."""
+    if task == "standard-decoupling":
+        st = random_state((("A", 2), ("E", 2)), 3, rng)
+        return write_state(st, tmp_path / "ae.json"), 0.0, 0.5, "rate r must be positive"
+    if task == "merging-d":
+        while True:
+            psi = random_pure((("A", 2), ("B", 4), ("R", 2)), rng)
+            h = cond_vn_entropy(psi.marginal("A", "R"), ["A"], ["R"])
+            if h > 0.3:
+                break
+        return (write_state(psi, tmp_path / "abr.json"), 0.5 * h, h,
+                f"distill mode needs 0 < r < H(A|R) = {h:.6f}")
+    st = random_state((("C", 2), ("D", 2)), 2, rng)
+    return write_state(st, tmp_path / "cd.json"), -0.1, 0.5, "rate r must be nonnegative"
+
+
+@pytest.mark.parametrize("task", ["standard-decoupling", "merging-d", "distill"])
+def test_a_grid_with_an_invalid_rate_exits_3(task, tmp_path, capsys, rng):
+    """One invalid rate rejects the whole grid: exit 3, one line, no CSV."""
+    path, r_min, r_max, message = _bad_grid(task, tmp_path, rng)
+    out = tmp_path / "x.csv"
+    code = main(["exponent-curve", "--state", path, "--task", task, "--r-min", repr(r_min),
+                 "--r-max", repr(r_max), "--r-steps", "5", "--out", str(out)])
+    assert code == EXIT_PRECONDITION
+    assert capsys.readouterr().err.splitlines() == [f"precondition violated: {message}"]
+    assert not out.exists()
+
+
 def test_exponent_curve_missing_inputs(tmp_path, capsys):
     assert main(["exponent-curve", "--task", "standard-decoupling", "--r-min", "0.1",
                  "--r-max", "0.2", "--r-steps", "2",
@@ -363,7 +393,7 @@ def test_numerical_failure_exit(tmp_path, capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise OptimizerDivergence("simplex minimizer hit 500 iterations")
 
-    monkeypatch.setattr(cli, "standard_decoupling_exponents", diverge)
+    monkeypatch.setattr(cli, "standard_decoupling_curve", diverge)
     p = write_state(max_entangled(2, ("A", "E")), tmp_path / "phi.json")
     code = main(["exponent-curve", "--state", p, "--task", "standard-decoupling",
                  "--r-min", "0.1", "--r-max", "0.2", "--r-steps", "2",

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -25,9 +26,13 @@ from qdecoupling.exponents import (
     concave_sup,
     critical_rate,
     decoupling_achievable_exponent,
+    dephasing_channel_curve,
+    distillation_curve,
     distillation_exponent,
     is_maximally_correlated,
+    merging_curve,
     merging_exponents,
+    standard_decoupling_curve,
     standard_decoupling_exponents,
     sup_on_interval,
 )
@@ -42,7 +47,11 @@ from qdecoupling.states import (
     random_state,
 )
 
-from conftest import classical_dephasing_converse_oracle, classical_dephasing_oracle
+from conftest import (
+    brentq_exponents,
+    classical_dephasing_converse_oracle,
+    classical_dephasing_oracle,
+)
 
 
 def test_sup_on_interval_examples():
@@ -75,6 +84,16 @@ def test_concave_sup_endpoints_and_interior_root():
         mid = concave_sup(phi, c, 1e-4, 1.0)
         assert mid.argmax_s == pytest.approx(c / 2.0, abs=1e-12)
         assert mid.sup_value == pytest.approx(c * c / 4.0, abs=1e-15)
+    # all three cases in one lockstep call, each with its own hi
+    both = concave_sup(phi, np.array([-1.0, 5.0, 1.0, 1.0]), 1e-4, np.array([1.0, 1.0, 1.0, 4.0]))
+    assert both.argmax_s.tolist() == [1e-4, 1.0, pytest.approx(0.5, abs=1e-12),
+                                      pytest.approx(0.5, abs=1e-12)]
+    # a NaN slope inside the bracket ends the search, as scipy's brentq does
+    with pytest.raises(ValueError, match="NaN"):
+        concave_sup(lambda s: (-s * s, np.where(s > 0.4, np.nan, 1.0 - 2.0 * s)), 0.0, 1e-4, 1.0)
+    # a slope with a triple root exhausts brentq's 100 iterations
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        concave_sup(lambda s: (0.0 * s, np.arctan(1.3 - s) ** 3), 0.0, 1e-4, 4.0)
 
 
 def test_converse_flags_around_the_divergence_rate():
@@ -305,14 +324,14 @@ from qdecoupling.cli import CURVE_TASKS
 from qdecoupling.states import State
 doc = json.load(sys.stdin)
 m = np.array(doc["re"]) + 1j * np.array(doc["im"])
-at_rate = CURVE_TASKS[doc["task"]][1]
+curve = CURVE_TASKS[doc["task"]][1]
 out = []
 for r in doc["rates"]:
     if doc["dims"] is None:
         inp = Channel(doc["din"], doc["dout"], m.copy())
     else:
         inp = State(m.copy(), tuple(map(tuple, doc["dims"])))
-    out.append(astuple(at_rate(inp, r, SimpleNamespace(log_a=None))))
+    out.append(astuple(curve(inp, [r], SimpleNamespace(log_a=None))[0]))
 print(json.dumps(out))
 """
 
@@ -341,82 +360,164 @@ def _same_result(a, b) -> bool:
 def test_reused_input_matches_a_fresh_copy(task):
     """A rate curve on one input object gives what fresh inputs give, rate by rate.
 
-    The two inputs alternate on the same rates, so a memo that leaked from
-    one input to the other would change a result.
+    The fresh inputs take one rate each.  The two reused inputs alternate,
+    first on the last rate alone and then on the whole grid, so a memo that
+    leaked from one input to the other, or a result that depended on the
+    other rates of its grid, would change a result.
     """
     first, second, rates = _memo_cases()[task]
     fresh = {id(inp): _fresh_copy_results(task, inp, rates) for inp in (first, second)}
-    at_rate = CURVE_TASKS[task][1]
+    curve = CURVE_TASKS[task][1]
     args = SimpleNamespace(log_a=None)
-    for k, r in enumerate(rates):
+    for part in (slice(-1, None), slice(None)):
         for inp in (first, second):
-            reused = astuple(at_rate(inp, r, args))
-            assert _same_result(reused, fresh[id(inp)][k]), (task, r, reused, fresh[id(inp)][k])
+            for r, res, want in zip(rates[part], curve(inp, rates[part], args),
+                                    fresh[id(inp)][part]):
+                assert _same_result(astuple(res), want), (task, r, astuple(res), want)
 
 
-# -- one root per rate -----------------------------------------------------
+# -- one root per rate, all rates in lockstep -------------------------------
 
 
 def _half(phi):
     return lambda s: tuple(0.5 * x for x in phi(s))
 
 
-def _one_root_cases():
-    """Per curve task with a converse: (exponents at r, phi, c of r, the achievable hi, rates)."""
+def _grid_cases():
+    """Per curve task: (the grid function on its input, phi of a fresh entropy object,
+    c of r, the asymptotic slope of r or None, the achievable hi, whether a converse is
+    computed, the exact flag of r, 20 rates)."""
     rng = make_rng(707)
     std = random_state((("A", 4), ("E", 2)), 3, rng)
     (dst, hd), (cst, hc) = (_pure_with_h_ar((("A", 2), ("B", 4), ("R", 2)), +1, rng),
                             _pure_with_h_ar((("A", 2), ("B", 2), ("R", 4)), -1, rng))
     mc = maximally_correlated(random_density(3, 3, rng), ("C", "D"))
+    cd = random_state((("C", 2), ("D", 2)), 3, rng)
     g = rng.standard_normal((3, 6)).view(complex)
     m = g @ g.conj().T
     d = np.sqrt(np.real(np.diag(m)))
     gram = m / np.outer(d, d)
     np.fill_diagonal(gram, 1.0)
     ch = generalized_dephasing(gram)
-    merging = lambda st: _half(ConditionalEntropy(st.marginal("A", "R"), ["A"], ["R"]).phi)
+    h_std = sandwiched_cond_entropy(State(std.density, std.dims), ["A"], ["E"])
+    h_d, h_c = (ConditionalEntropy(st.marginal("A", "R"), ["A"], ["R"]) for st in (dst, cst))
+    p_mc, p_cd = PetzUpEntropy.of(mc, ["C"], ["D"]), PetzUpEntropy.of(cd, ["C"], ["D"])
+    p_ch = PetzUpEntropy(ch.choi, ch.din)
     hi = 1.0 - 1e-9
     grid = np.linspace(0.02, 1.0, 20)
+    petz = lambda e, conv: (_half(e.phi), lambda r: -0.5 * r, lambda r: None, hi, conv,
+                            lambda r: conv and r >= e.phi(1.0)[1] - 1e-12)
     return {
-        "standard": (lambda r: standard_decoupling_exponents(std, 2.0, r),
-                     sandwiched_cond_entropy(State(std.density, std.dims), ["A"], ["E"]).phi,
-                     lambda r: 2.0 * r - 2.0, 1.0, 2.0 * grid),
-        "merging-d": (lambda r: merging_exponents(dst, ["A"], ["B"], ["R"], r, "distill"),
-                      merging(dst), lambda r: -0.5 * r, hi, 0.98 * hd * grid),
-        "merging-c": (lambda r: merging_exponents(cst, ["A"], ["B"], ["R"], r, "cost"),
-                      merging(cst), lambda r: 0.5 * r, hi, -hc + 2.0 * grid),
-        "distill": (lambda r: distillation_exponent(mc, ["C"], ["D"], r),
-                    _half(PetzUpEntropy.of(mc, ["C"], ["D"]).phi), lambda r: -0.5 * r, hi,
-                    1.6 * grid),
-        "channel": (lambda r: channel_coding_exponent(ch, r, dephasing=True),
-                    _half(PetzUpEntropy(ch.choi, ch.din).phi), lambda r: -0.5 * r, hi,
+        "standard": (lambda rates: standard_decoupling_curve(std, 2.0, rates),
+                     h_std.phi, lambda r: 2.0 * r - 2.0,
+                     lambda r: 2.0 * r - 2.0 + h_std.min_entropy(), 1.0, True,
+                     lambda r: r <= -0.5 * h_std.phi(1.0)[1] + 1e-12, 2.0 * grid),
+        "merging-d": (lambda rates: merging_curve(dst, ["A"], ["B"], ["R"], rates, "distill"),
+                      _half(h_d.phi), lambda r: -0.5 * r, lambda r: 0.5 * (h_d.min_entropy() - r),
+                      hi, True, lambda r: r >= h_d.phi(1.0)[1] - 1e-12, 0.98 * hd * grid),
+        "merging-c": (lambda rates: merging_curve(cst, ["A"], ["B"], ["R"], rates, "cost"),
+                      _half(h_c.phi), lambda r: 0.5 * r, lambda r: 0.5 * (h_c.min_entropy() + r),
+                      hi, True, lambda r: r <= -h_c.phi(1.0)[1] + 1e-12, -hc + 2.0 * grid),
+        "distill": (lambda rates: distillation_curve(mc, ["C"], ["D"], rates),
+                    *petz(p_mc, True), 1.6 * grid),
+        "distill-not-max-corr": (lambda rates: distillation_curve(cd, ["C"], ["D"], rates),
+                                 *petz(p_cd, False), 1.6 * grid),
+        "channel": (lambda rates: dephasing_channel_curve(ch, rates), *petz(p_ch, True),
                     1.6 * grid),
     }
 
 
+@pytest.mark.parametrize("task", list(_grid_cases()))
+def test_curves_match_a_brentq_search_per_rate(task):
+    """Every grid function against scipy's brentq, one rate at a time.
+
+    The lockstep search takes brentq's steps for each rate, so the
+    exponents, the maximizer and every flag must agree with the old search
+    per rate on a fresh entropy object.
+    """
+    curve, phi, c_of, asym_of, hi, converse, exact_of, rates = _grid_cases()[task]
+    flags = set()
+    for r, res in zip(rates, curve(rates)):
+        r = float(r)
+        ach, conv, s, capped, diverges = brentq_exponents(phi, c_of(r), asym_of(r), hi, converse)
+        assert abs(res.achievable - ach) <= 1e-12, (task, r)
+        assert res.converse == conv or abs(res.converse - conv) <= 1e-12, (task, r)
+        assert abs(res.argmax_s - s) <= 1e-12, (task, r)
+        assert (res.exact, res.converse_capped, res.converse_diverges) == (
+            exact_of(r), capped, diverges), (task, r)
+        flags.add((res.exact, res.converse_diverges))
+    # each grid with a converse crosses a critical or a divergence rate
+    assert len(flags) >= (1 if task == "distill-not-max-corr" else 2)
+
+
 @pytest.mark.parametrize("task", ["standard", "merging-d", "merging-c", "distill", "channel"])
 def test_one_root_per_rate_matches_a_direct_achievable_search(task, monkeypatch):
-    """The achievable exponent read off the converse's root, against its own search.
+    """The achievable exponents read off the converse's roots, against their own search.
 
     The objective is concave, so its supremum on [S_MIN, hi] is at the
     converse maximizer s* when s* <= hi and at hi otherwise.  A direct
     ``concave_sup`` on [S_MIN, hi] on a fresh entropy object must give the
-    same value and maximizer, and each rate must make one search in all.
+    same values and maximizers.  A curve makes one search per rate in all,
+    in at most two lockstep calls: the converse's, and the achievable one
+    of the rates whose converse diverges.
     """
-    at_rate, phi, c_of, hi, rates = _one_root_cases()[task]
+    curve, phi, c_of, _, hi, _, _, rates = _grid_cases()[task]
     search = exponents.concave_sup
     calls = []
     monkeypatch.setattr(exponents, "concave_sup", lambda *a: calls.append(a) or search(*a))
-    ends = set()
-    for r in map(float, rates):
-        calls.clear()
-        res = at_rate(r)
-        assert len(calls) == 1, (task, r)
-        direct = search(phi, c_of(r), S_MIN, hi)
-        assert abs(res.achievable - max(0.0, direct.sup_value)) <= 1e-12, (task, r)
-        assert abs(res.argmax_s - direct.argmax_s) <= 1e-12, (task, r)
-        ends.add(res.argmax_s == hi)
-    assert ends == {True, False}
+    results = curve(rates)
+    assert len(calls) <= 2 and sum(len(np.atleast_1d(a[1])) for a in calls) == len(rates)
+    direct = search(phi, np.array([c_of(float(r)) for r in rates]), S_MIN, hi)
+    for res, s, v in zip(results, direct.argmax_s, direct.sup_value):
+        assert abs(res.achievable - max(0.0, v)) <= 1e-12, task
+        assert abs(res.argmax_s - s) <= 1e-12, task
+    assert {res.argmax_s == hi for res in results} == {True, False}
+
+
+def test_a_curve_leaves_no_reference_cycles():
+    """A rate curve frees all it makes by reference counting.
+
+    scipy's brentq wrapped its callable in a closure that refers to itself,
+    so each root search left a cycle that kept the objects it reached alive
+    until a cyclic garbage collection.
+    """
+    rates = np.linspace(0.1, 2.0, 20)
+    dims = (("A", 4), ("E", 2))
+    standard_decoupling_curve(random_state(dims, 3, make_rng(5)), 2.0, rates)
+    gc.collect()
+    gc.disable()
+    try:
+        results = standard_decoupling_curve(random_state(dims, 3, make_rng(6)), 2.0, rates)
+        del results
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_phi_on_a_stack_matches_phi_at_each_float():
+    """phi of a 1-D array gives, bit for bit, phi at each of its floats.
+
+    Each order is computed on a fresh object, once in a stack (with a
+    repeat) and once alone; the inputs include a rho_B with a kernel and a
+    rank-deficient Petz rho.
+    """
+    rng = make_rng(909)
+    kernel_b = np.zeros((6, 6), dtype=complex)
+    kernel_b[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = random_density(4, 4, rng)
+    dims = (("A", 2), ("B", 3))
+    states = [random_state(dims, 6, rng), random_state(dims, 2, rng), State(kernel_b, dims),
+              random_state((("A", 2), ("B", 4)), 5, rng)]
+    # integer orders 1 + s and 1 / (1 + s) included: numpy's power can round them
+    # differently in a stack than alone
+    ss = [1e-4, 0.3, 1.0 - 1e-9, 0.3, 0.5, 1.0, 2.0, 3.0, 7.0, 64.0]
+    for st in states:
+        for make in (lambda: ConditionalEntropy(st, ["A"], ["B"]),
+                     lambda: PetzUpEntropy.of(st, ["A"], ["B"])):
+            vals, slopes = make().phi(np.array(ss))
+            singles = [make().phi(s) for s in ss]
+            assert all(isinstance(x, float) for pair in singles for x in pair)
+            assert vals.tolist() == [v for v, _ in singles]
+            assert slopes.tolist() == [d for _, d in singles]
 
 
 @pytest.mark.parametrize("mode", ["distill", "cost"])
@@ -428,7 +529,8 @@ def test_merging_duality_gap_is_pointwise(mode, monkeypatch):
     """
     dual = []
     phi = PetzUpEntropy.phi
-    monkeypatch.setattr(PetzUpEntropy, "phi", lambda self, s: dual.append(s) or phi(self, s))
+    monkeypatch.setattr(PetzUpEntropy, "phi",
+                        lambda self, s: dual.extend(np.ravel(s).tolist()) or phi(self, s))
     rng = make_rng(808 if mode == "distill" else 809)
     dims, sign = (((("A", 2), ("B", 4), ("R", 2)), +1) if mode == "distill"
                   else ((("A", 2), ("B", 2), ("R", 4)), -1))

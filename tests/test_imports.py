@@ -95,3 +95,27 @@ def test_eigensolver_check_sees_direct_calls():
            "w = np.linalg.eigvalsh(m)\nv = Spectrum.eigh(m)\n")
     assert _eigensolver_uses(ast.parse(src)) == ["import of eigvals (line 2)",
                                                  "linalg.eigvalsh (line 3)"]
+
+
+def _brentq_uses(tree: ast.Module) -> list[int]:
+    """Lines that name ``brentq``: an attribute, a bare name or an import of it."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, ast.Attribute) and node.attr == "brentq")
+                   or (isinstance(node, ast.Name) and node.id == "brentq")
+                   or (isinstance(node, ast.alias) and node.name == "brentq")})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.parent.name == "qdecoupling"],
+                         ids=lambda p: p.name)
+def test_no_brentq_in_src(path):
+    """Root searches go through ``exponents._brent``: scipy's ``brentq`` wraps its
+    callable in a closure that refers to itself, so each call left a reference
+    cycle that kept the objects it reached alive until a cyclic collection."""
+    lines = _brentq_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} uses brentq on lines {lines}"
+
+
+def test_brentq_check_sees_every_form():
+    src = ("from scipy.optimize import brentq\nimport scipy.optimize as so\n"
+           "so.brentq(f, 0, 1)\nbrentq(f, 0, 1)\nbrent(f)\n")
+    assert _brentq_uses(ast.parse(src)) == [1, 3, 4]

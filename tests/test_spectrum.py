@@ -27,7 +27,7 @@ from qdecoupling.decoupling import (
     standard_instance,
 )
 from qdecoupling.divergences import d_max, petz_renyi, sandwiched_renyi, umegaki
-from qdecoupling.exponents import distillation_exponent, standard_decoupling_exponents
+from qdecoupling.exponents import distillation_curve, standard_decoupling_curve
 from qdecoupling.linalg import Spectrum
 from qdecoupling.states import (
     State,
@@ -77,18 +77,26 @@ def test_spectrum_pow_rejects_negative():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """count(fn, *args) -> (eigh calls, eigvalsh calls) made by fn(*args)."""
+    """count(fn, *args) -> (eigh calls, eigvalsh calls) made by fn(*args).
+
+    ``count.matrices`` is then (eigh matrices, eigvalsh matrices): a call on
+    a stack of k matrices counts once above and k times here.
+    """
     counts = {"eigh": 0, "eigvalsh": 0}
+    mats = dict(counts)
     for name in counts:
-        def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
+        def counted(h, *args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
             counts[_name] += 1
-            return _orig(*args, **kwargs)
+            mats[_name] += int(np.prod(np.shape(h)[:-2]))
+            return _orig(h, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
 
     def count(fn, *args):
         counts.update(eigh=0, eigvalsh=0)
+        mats.update(counts)
         fn(*args)
+        count.matrices = mats["eigh"], mats["eigvalsh"]
         return counts["eigh"], counts["eigvalsh"]
 
     return count
@@ -128,65 +136,65 @@ def test_eigensolves_of_mc(solves):
 
 
 def test_eigensolves_of_a_rate_curve(solves):
-    """A 20-rate standard decoupling sweep on one 8 x 8 state of rank 3.
+    """A 20-rate standard decoupling curve on one 8 x 8 state of rank 3.
 
     I_A x rho_E is decomposed once and rho_AE's d_max kernel once; every
-    other eigh is one distinct s of the sandwiched phi, which returns the
+    other matrix is one distinct s of the sandwiched phi, which returns the
     value with its exact slope.  One root search per rate serves both
-    directions and asks for 31 distinct s over the 20 rates; separate
-    achievable and converse searches asked for 32, and a 64-point grid with
+    directions and asks for 31 distinct s over the 20 rates.  The searches
+    advance in lockstep, so those 31 matrices take 12 stacked eigh calls: a
+    search per rate made one call per matrix (32, 1), separate achievable
+    and converse searches asked for 32 distinct s, and a 64-point grid with
     a bounded polish per search and finite-difference slopes made 298 eigh.
     """
     state = random_state((("A", 4), ("E", 2)), 3, make_rng(1))
+    rates = np.linspace(0.1, 2.0, 20)
 
-    def sweep():
-        for r in np.linspace(0.1, 2.0, 20):
-            standard_decoupling_exponents(state, 2.0, float(r))
-
-    assert solves(sweep) == (32, 1)
-    # the second sweep on the same state finds every value in its memo
-    assert solves(sweep) == (0, 0)
+    assert solves(standard_decoupling_curve, state, 2.0, rates) == (13, 1)
+    assert solves.matrices == (32, 1)
+    # the second curve on the same state finds every value in its memo
+    assert solves(standard_decoupling_curve, state, 2.0, rates) == (0, 0)
 
 
 def test_eigensolves_of_a_distillation_curve(solves, monkeypatch):
-    """A 20-rate distillation sweep on one 3 x 3 maximally correlated state.
+    """A 20-rate distillation curve on one 3 x 3 maximally correlated state.
 
     rho_CD is decomposed once; each distinct s asked of the Petz phi costs
-    one eigh of tr_C rho^alpha, which gives the value and its exact slope
-    (85 here).  The converse's one root search per rate also gives the
-    achievable value; a second search per rate for it made 125 distinct s,
-    and a grid with a bounded polish per search and finite-difference
-    slopes made 631 eigvalsh for this sweep.
+    one matrix, tr_C rho^alpha, whose eigh gives the value and its exact
+    slope (85 here).  The lockstep root searches stack them into 16 calls;
+    a search per rate made one call per matrix (86, 0).  A second search
+    per rate made 125 distinct s, and a grid with a bounded polish per
+    search and finite-difference slopes made 631 eigvalsh for this curve.
     """
     state = maximally_correlated(random_density(3, 3, make_rng(3)), ("C", "D"))
     orders = set()
     phi = PetzUpEntropy.phi
 
     def recorded(self, s):
-        orders.add(s)
+        orders.update(np.ravel(s).tolist())
         return phi(self, s)
 
     monkeypatch.setattr(PetzUpEntropy, "phi", recorded)
+    rates = np.linspace(0.05, 1.2, 20)
 
-    def sweep():
-        for r in np.linspace(0.05, 1.2, 20):
-            distillation_exponent(state, ["C"], ["D"], float(r))
-
-    assert solves(sweep) == (86, 0)
+    assert solves(distillation_curve, state, ["C"], ["D"], rates) == (16, 0)
+    assert solves.matrices == (86, 0)
     assert len(orders) == 85
-    assert solves(sweep) == (0, 0)
+    assert solves(distillation_curve, state, ["C"], ["D"], rates) == (0, 0)
 
 
 def test_eigensolves_of_the_bound_search(solves):
     """One minimization of the one-shot decoupling bound over s, |A| = 4, |E| = 3.
 
-    I x rho_E and I x omega_C are decomposed once each; every other eigh is
-    one of the two sandwiched phi at one distinct s of the root search of
-    the log-bound's slope.  A 48-point grid with a bounded polish made 116.
+    I x rho_E and I x omega_C are decomposed once each; every other matrix
+    is one of the two sandwiched phi at one distinct s of the root search of
+    the log-bound's slope.  The two endpoints share one call per phi, so the
+    26 matrices take 24 calls.  A 48-point grid with a bounded polish made 116.
     """
     state = random_state((("A", 4), ("E", 3)), 2, make_rng(2))
     inst = standard_instance(state, 2, 2)
-    assert solves(decoupling_error_upper_bound_optimized, inst) == (26, 0)
+    assert solves(decoupling_error_upper_bound_optimized, inst) == (24, 0)
+    assert solves.matrices == (26, 0)
 
 
 def test_eigensolves_of_mirror_descent(solves):
