@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Spectrum, as_hermitian, eigenvalue_clusters, partial_trace
-from .states import State
+from .states import State, memo_on
 
 
 @dataclass(frozen=True)
@@ -50,24 +50,33 @@ class Channel:
         return partial_trace(self.choi, [self.din, self.dout], [1])
 
 
-def channel_from_kraus(kraus: list[np.ndarray]) -> Channel:
-    kraus = [np.asarray(k, dtype=complex) for k in kraus]
-    dout, din = kraus[0].shape
+def channel_from_kraus(kraus) -> Channel:
+    """Channel of Kraus operators (a list or a (k, dout, din) array), kept on it."""
+    kraus = np.array(kraus, dtype=complex)
+    kraus.flags.writeable = False
+    _, dout, din = kraus.shape
     choi = np.zeros((din * dout, din * dout), dtype=complex)
     for k in kraus:
         # vectorized |i><j| -> K|i><j|K* contribution, index order (i, c)
         m = k.T.reshape(din * dout)  # m[i*dout + c] = K[c, i]
         choi += np.outer(m, m.conj())
-    return Channel(din, dout, choi / din)
+    channel = Channel(din, dout, choi / din)
+    memo_on(channel, ("kraus",), lambda: kraus)
+    return channel
 
 
-def kraus_operators(channel: Channel) -> list[np.ndarray]:
-    """Kraus decomposition from the eigenvectors of the unnormalized Choi."""
-    spec = Spectrum.of(channel.choi * channel.din)
-    return [
-        np.sqrt(spec.values[i]) * spec.vectors[:, i].reshape(channel.din, channel.dout).T
-        for i in np.flatnonzero(spec.support)
-    ]
+def kraus_operators(channel: Channel) -> np.ndarray:
+    """Kraus operators as one read-only (k, dout, din) array: those the channel
+    was built from, else the eigenvectors of the unnormalized Choi matrix."""
+
+    def from_choi():
+        spec = Spectrum.of(channel.choi * channel.din)
+        vecs = spec.vectors[:, spec.support] * np.sqrt(spec.values[spec.support])
+        kraus = vecs.T.reshape(-1, channel.din, channel.dout).transpose(0, 2, 1)
+        kraus.flags.writeable = False
+        return kraus
+
+    return memo_on(channel, ("kraus",), from_choi)
 
 
 def identity_channel(d: int) -> Channel:
@@ -127,19 +136,13 @@ def choi_contract(channel: Channel, rho: np.ndarray) -> np.ndarray:
     """``(T x id)(rho)`` by the Choi contraction identity.
 
     ``rho`` is an operator on (channel input, rest) with the input factor
-    first, or a stack of them, shape ``(..., din * d_rest, din * d_rest)``;
-    the result has the channel's output factor first.
+    first; the result has the channel's output factor first.
     """
     din, dout = channel.din, channel.dout
-    lead, d_rest = rho.shape[:-2], rho.shape[-1] // din
-    stack = range(len(lead))
-    # the stack axes go last, so that the einsum's inner loop runs over them
-    r = np.moveaxis(rho.reshape(lead + (din, d_rest, din, d_rest)), stack, range(-len(lead), 0))
+    d_rest = rho.shape[-1] // din
     w = channel.choi.reshape(din, dout, din, dout)
-    out = din * np.einsum("icjd,iejf...->cedf...", w, np.ascontiguousarray(r))
-    return np.moveaxis(out, range(4, 4 + len(lead)), stack).reshape(
-        lead + (dout * d_rest, dout * d_rest)
-    )
+    out = din * np.einsum("icjd,iejf->cedf", w, rho.reshape(din, d_rest, din, d_rest))
+    return out.reshape(dout * d_rest, dout * d_rest)
 
 
 def apply_channel(channel: Channel, state: State, on: str) -> State:
@@ -158,15 +161,3 @@ def apply_channel(channel: Channel, state: State, on: str) -> State:
     new_dims = ((on, channel.dout),) + tuple((l, state.dim_of(l)) for l in rest)
     return State._trusted(out, new_dims).permuted(*state.labels)
 
-
-def apply_kraus(channel: Channel, state: State, on: str) -> State:
-    """Independent route: apply the channel through its Kraus operators."""
-    rest = [l for l in state.labels if l != on]
-    perm = state.permuted(on, *rest)
-    d_rest = perm.total_dim // channel.din
-    out = np.zeros((channel.dout * d_rest,) * 2, dtype=complex)
-    for k in kraus_operators(channel):
-        big = np.kron(k, np.eye(d_rest))
-        out += big @ perm.density @ big.conj().T
-    new_dims = ((on, channel.dout),) + tuple((l, state.dim_of(l)) for l in rest)
-    return State._trusted(out, new_dims).permuted(*state.labels)

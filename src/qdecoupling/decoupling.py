@@ -4,12 +4,12 @@ The decoupling error of a channel T acting on the A part of rho_AE is the
 Haar average over unitaries U on A of D(T(U rho U*) || omega_C x rho_E),
 with omega_C = T(I_A/|A|).  Everything is in bits.
 
-:func:`mc_decoupling_error` estimates it on stacks of Haar samples: each
-stack is drawn, rotated and passed through T as arrays, and one stacked
-``umegaki`` call scores it against the one decomposition of
-omega_C x rho_E.  :func:`decoupling_error_sample` computes a single sample
-through ``State``, ``apply_channel`` and ``umegaki``; it is the exact
-reference that the estimator is tested against.
+:func:`mc_decoupling_error` estimates it on stacks of Haar samples: T's
+Kraus operators K_k take each U as B_k = K_k U, two batched products give
+the outputs sum_k (B_k x I) rho_AE (B_k x I)*, and one stacked ``umegaki``
+scores them against omega_C x rho_E.  :func:`decoupling_error_sample`
+computes a single sample through ``State``, ``apply_channel`` and
+``umegaki``; it is the exact reference that the estimator is tested against.
 """
 
 from __future__ import annotations
@@ -19,17 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, apply_channel, choi_contract, partial_trace_channel
+from .channels import Channel, apply_channel, kraus_operators, partial_trace_channel
 from .condentropy import EntropyKind, cond_entropy
 from .divergences import sandwiched_renyi, support_contained, umegaki
 from .exponents import S_MIN, concave_sup, decoupling_phi
-from .linalg import (
-    Spectrum,
-    as_hermitian,
-    distinct_eigenvalue_count,
-    positive_part_trace,
-    tensor,
-)
+from .linalg import Spectrum, distinct_eigenvalue_count, positive_part_trace, tensor
 from .states import State, haar_unitaries, make_rng
 
 LN2 = math.log(2.0)
@@ -122,11 +116,12 @@ def mc_decoupling_error(
 ) -> MCEstimate:
     """Monte Carlo estimate of the Haar-averaged decoupling error.
 
-    The samples are drawn and scored in stacks of :data:`MC_CHUNK`: each
-    stack of unitaries is applied to rho_AE and passed through the channel
-    as one array, and one stacked :func:`umegaki` call scores it against
-    the one decomposition of the fixed target omega_C x rho_E.  Per sample
-    this is :func:`decoupling_error_sample` up to roundoff.
+    The samples are drawn and scored in stacks of :data:`MC_CHUNK`: the
+    channel's Kraus operators K_k take each U as B_k = K_k U, two batched
+    products give the outputs sum_k (B_k x I) rho_AE (B_k x I)*, and one
+    stacked :func:`umegaki` call scores them against the one decomposition
+    of omega_C x rho_E.  Per sample this is :func:`decoupling_error_sample`
+    up to roundoff.
 
     Infinite samples (support violations of single draws) are counted and
     surfaced through ``n_infinite`` rather than dropped; the mean and
@@ -136,14 +131,21 @@ def mc_decoupling_error(
         raise ValueError("need at least 2 samples")
     rng = make_rng(seed)
     da, de = inst.dim_a, inst.rho_ae.dim_of("E")
-    rho = inst.rho_ae.density.reshape(da, de, da, de)
+    dout = inst.channel.dout
+    kraus = kraus_operators(inst.channel).reshape(-1, da)  # rows (k, c)
+    rho = inst.rho_ae.density.reshape(da, de * da * de)
     target = Spectrum.of(tensor(inst.omega_c, inst.rho_e))
     chunks = []
     for start in range(0, n_samples, MC_CHUNK):
-        u = haar_unitaries(da, min(MC_CHUNK, n_samples - start), rng)
-        rotated = np.einsum("nab,bedf,ncd->naecf", u, rho, u.conj(), optimize=True)
-        rotated = as_hermitian(rotated.reshape(len(u), da * de, da * de))
-        chunks.append(umegaki(choi_contract(inst.channel, rotated), target))
+        n = min(MC_CHUNK, n_samples - start)
+        b = kraus @ haar_unitaries(da, n, rng)  # B_k = K_k U
+        # (B_k x I) rho, regrouped to rows (c, e, e') and columns (k, a'): one
+        # product with the stacked B_k* contracts a' and sums over k
+        x = (b.reshape(-1, da) @ rho).reshape(n, -1, dout * de, da, de)
+        x = x.transpose(0, 2, 4, 1, 3).reshape(n, dout * de * de, -1)
+        b_adj = b.conj().reshape(n, -1, dout, da).transpose(0, 1, 3, 2).reshape(n, -1, dout)
+        out = (x @ b_adj).reshape(n, dout, de, de, dout).swapaxes(-1, -2)
+        chunks.append(umegaki(out.reshape(n, dout * de, dout * de), target))
     vals = np.concatenate(chunks)
     infinite = np.isinf(vals)
     n_inf = int(np.count_nonzero(infinite))

@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import fractional_matrix_power
 from scipy.optimize import brentq, minimize_scalar
 
-from qdecoupling.states import make_rng
+from qdecoupling.channels import kraus_operators
+from qdecoupling.states import State, make_rng
 
 
 @pytest.fixture
@@ -28,6 +29,19 @@ def commuting_pair(d, rng):
     rho = (u * p) @ u.conj().T
     sig = (u * q) @ u.conj().T
     return rho, sig, p, q
+
+
+def apply_kraus(channel, state, on):
+    """Independent route: apply the channel to subsystem ``on`` through its Kraus operators."""
+    rest = [l for l in state.labels if l != on]
+    perm = state.permuted(on, *rest)
+    d_rest = perm.total_dim // channel.din
+    out = np.zeros((channel.dout * d_rest,) * 2, dtype=complex)
+    for k in kraus_operators(channel):
+        big = np.kron(k, np.eye(d_rest))
+        out += big @ perm.density @ big.conj().T
+    new_dims = ((on, channel.dout),) + tuple((l, state.dim_of(l)) for l in rest)
+    return State._trusted(out, new_dims).permuted(*state.labels)
 
 
 def classical_coherent_info(gram):

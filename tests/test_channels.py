@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qdecoupling.channels import (
     Channel,
     apply_channel,
-    apply_kraus,
     channel_from_kraus,
     full_trace_channel,
     generalized_dephasing,
@@ -18,6 +17,8 @@ from qdecoupling.channels import (
 )
 from qdecoupling.linalg import distinct_eigenvalue_count, partial_trace, tensor
 from qdecoupling.states import State, make_rng, random_density, random_state
+
+from conftest import apply_kraus
 
 
 def test_identity_channel(rng):
@@ -105,6 +106,26 @@ def test_kraus_roundtrip(rng):
     assert np.allclose(rebuilt.choi, ch.choi, atol=1e-10)
     total = sum(k.conj().T @ k for k in kraus_operators(ch))
     assert np.allclose(total, np.eye(2), atol=1e-10)
+
+
+def test_kraus_built_channel_returns_its_own_operators(rng):
+    iso = np.linalg.qr(rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))[0]
+    given = [iso[:3], iso[3:]]
+    expected = np.array(given)
+    ch = channel_from_kraus(given)
+    kraus = kraus_operators(ch)
+    assert kraus.shape == (2, 3, 2) and np.array_equal(kraus, expected)
+    assert kraus_operators(ch) is kraus and not kraus.flags.writeable
+    given[0][:] = 0.0  # the channel keeps a copy, not the caller's arrays
+    assert np.array_equal(kraus_operators(ch), expected)
+
+
+def test_random_channel_roundtrips_through_kraus_array(rng):
+    ch = random_channel(3, 2, rng)
+    kraus = kraus_operators(ch)
+    assert kraus.shape == (6, 2, 3)  # a full-rank Choi matrix
+    assert np.allclose(np.einsum("kci,kcj->ij", kraus.conj(), kraus), np.eye(3), atol=1e-10)
+    assert np.allclose(channel_from_kraus(kraus).choi, ch.choi, atol=1e-10)
 
 
 def test_channel_validation():

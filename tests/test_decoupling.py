@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdecoupling.decoupling as decoupling
-from qdecoupling.channels import channel_from_kraus, full_trace_channel, identity_channel
+from qdecoupling.channels import (
+    channel_from_kraus,
+    full_trace_channel,
+    identity_channel,
+    random_channel,
+)
 from qdecoupling.decoupling import (
     DecouplingInstance,
     decoupling_error_lower_bound,
@@ -110,6 +116,12 @@ def _equivalence_instances():
     iso = haar_unitary(6, rng)[:, :4]
     kraus = channel_from_kraus([iso[:3], iso[3:]])
     out.append(("kraus", DecouplingInstance(random_state((("A", 4), ("E", 3)), 2, rng), kraus)))
+    # Kraus rank 1, and a full-rank Choi matrix whose 8 Kraus operators come
+    # from its eigendecomposition (the instances above have rank 2 or 4)
+    out.append(("identity", DecouplingInstance(random_state((("A", 4), ("E", 2)), 3, rng),
+                                               identity_channel(4))))
+    out.append(("random", DecouplingInstance(random_state((("A", 4), ("E", 3)), 2, rng),
+                                             random_channel(4, 2, rng))))
     return out
 
 
@@ -131,6 +143,24 @@ def test_mc_matches_the_per_sample_loop(name, inst):
         assert np.max(np.abs(np.array(est.per_sample) - ref[:n])) <= 1e-13
         assert est.mean == pytest.approx(np.mean(ref[:n]), abs=1e-13)
         assert est.stderr == pytest.approx(np.std(ref[:n], ddof=1) / math.sqrt(n), abs=1e-13)
+
+
+def test_mc_peak_memory():
+    """The traced peak of a 500-sample run at |A| = 4, |E| = 3 stays under 512 KB.
+
+    With stacks of MC_CHUNK = 64 the Kraus route peaks near 365 KB; building
+    each stack's rotated rho_AE, or raising the chunk size, pushes it past
+    the bound (about 730 KB for the rotated stack).
+    """
+    inst = standard_instance(random_state((("A", 4), ("E", 3)), 2, make_rng(2)), 2, 2)
+    mc_decoupling_error(inst, 20)  # the Kraus memo and numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        mc_decoupling_error(inst, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024
 
 
 class _LeakyTarget(DecouplingInstance):
