@@ -52,7 +52,7 @@ class MinimizeResult:
     value: float
     sigma: np.ndarray
     iters: int
-    grad_norm: float
+    grad_norm: float  # ||P||_sigma of the last projected gradient; see _mirror_descent
     exit: str  # why the minimizer stopped; see _mirror_descent
 
 
@@ -220,10 +220,8 @@ class PetzUpEntropy:
 
     def _phi_stack(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._factor is None:
-            sup, (da, db) = _psd(self.spec).support, self.dims
-            lam = np.tile(self.spec.values[sup], da)
-            vecs = self.spec.vectors[:, sup].reshape(da, db, -1).transpose(1, 0, 2)
-            self._factor = vecs.reshape(db, -1), lam, np.log(lam)
+            vecs, lam = _support_factor(self.spec, self.dims)
+            self._factor = vecs, lam, np.log(lam)
         vecs, lam, ln_lam = self._factor
         s = s[:, None]
         alpha = 1.0 / (1.0 + s)
@@ -246,6 +244,14 @@ def _pow(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return x ** np.repeat(t, x.shape[-1], axis=-1)
 
 
+def _support_factor(spec: Spectrum, dims) -> tuple[np.ndarray, np.ndarray]:
+    """rho's support eigenvectors x_k as one |B| x (|A| r) matrix W, column (a, k)
+    holding <a|x_k>, and their eigenvalues tiled |A| times: tr_A f(rho) = W f(lambda) W^+."""
+    sup, (da, db) = _psd(spec).support, dims
+    vecs = spec.vectors[:, sup].reshape(da, db, -1).transpose(1, 0, 2)
+    return vecs.reshape(db, -1), np.tile(spec.values[sup], da)
+
+
 def _phi_at(s, memo: dict, stack):
     """phi and its slope at the float ``s`` (floats) or the 1-D array ``s`` (arrays).
 
@@ -265,140 +271,144 @@ def _phi_at(s, memo: dict, stack):
 
 # -- objectives for the sigma minimization --------------------------------
 #
-# Both take sigma by its eigenvalues w (clamped below at _TINY) and
-# eigenvectors v, and return D_family(rho_AB || I_A x sigma) together with
-# its exact gradient G, the Hermitian matrix with dD = tr(G dsigma).  All
-# that does not depend on sigma is precomputed.  The derivative of sigma^c
-# comes from the Daleckii-Krein formula d(sigma^c) = V (L o V^+ dsigma V) V^+,
-# with L the divided differences of x^c at w.
+# Both take sigma = V diag(w) V^+ by its eigenvalues w (clamped below at _TINY)
+# and eigenvectors V, precompute all that does not depend on sigma, and return
+# D_family(rho_AB || I_A x sigma) with a closure for its exact gradient G~ = V^+ G V
+# in sigma's eigenbasis, dD = tr(G dsigma).  By Daleckii-Krein, V^+ d(sigma^c) V =
+# L o V^+ dsigma V, with L the divided differences of x^c at w.
 
 
-def _pow_derivative(w: np.ndarray, v: np.ndarray, c: float, x: np.ndarray,
-                    kernel: np.ndarray | None = None) -> np.ndarray:
-    """The G with tr(G dsigma) = tr(x d(sigma^c)), for Hermitian x.
-
-    L[i, j] = (w_i^c - w_j^c) / (w_i - w_j), c w_i^(c-1) where w_i = w_j, is
-    written as (w_i w_j)^((c-1)/2) sinh(c u) / sinh(u) with u = log(w_i / w_j) / 2,
-    which loses no digits to cancellation when w_i and w_j are close.  The
-    block of L on the mask ``kernel`` is set to 0, for a dsigma with no such block.
-    """
+def _divided_differences(w: np.ndarray, c: float) -> np.ndarray:
+    """L[i, j] = (w_i^c - w_j^c) / (w_i - w_j), c w_i^(c-1) where w_i = w_j, written as
+    (w_i w_j)^((c-1)/2) sinh(c u) / sinh(u) with u = log(w_i / w_j) / 2, which loses
+    no digits to cancellation when w_i and w_j are close."""
     lw = np.log(w)
     u = 0.5 * (lw[:, None] - lw[None, :])
     same = u == 0.0
     ratio = np.where(same, c, np.sinh(c * u) / np.where(same, 1.0, np.sinh(u)))
-    dd = np.exp(0.5 * (c - 1.0) * (lw[:, None] + lw[None, :])) * ratio
-    if kernel is not None:
-        dd[np.ix_(kernel, kernel)] = 0.0
+    return np.exp(0.5 * (c - 1.0) * (lw[:, None] + lw[None, :])) * ratio
+
+
+def _pow_derivative(w: np.ndarray, v: np.ndarray, c: float, x: np.ndarray,
+                    kernel: np.ndarray) -> np.ndarray:
+    """The G with tr(G dsigma) = tr(x d(sigma^c)) for Hermitian x, sigma = v diag(w) v^+
+    and a dsigma with no block on the mask ``kernel``, where L is set to 0."""
+    dd = _divided_differences(w, c)
+    dd[np.ix_(kernel, kernel)] = 0.0
     return v @ (dd * (v.conj().T @ x @ v)) @ v.conj().T
 
 
 def _petz_objective(rho: np.ndarray, da: int, alpha: float):
+    """q = tr(m sigma^c) = sum_j w_j^c m~_jj, m = tr_A rho^alpha, m~ = V^+ m V, c = 1 - alpha,
+    and G~ = L o m~ / ((alpha - 1) q ln 2)."""
     m = PetzUpEntropy(rho, da).marginal(alpha)
     c = 1.0 - alpha
 
     def f(w: np.ndarray, v: np.ndarray):
-        # q = tr(m sigma^c), read in sigma's eigenbasis
-        q = float(np.real(np.einsum("ij,ij,j->", v.conj(), m @ v, w**c)))
+        mt = v.conj().T @ m @ v
+        q = float(np.real(np.diagonal(mt)) @ w**c)
         if q <= 0:
             return math.inf, None
-        scale = 1.0 / (q * math.log(2.0) * (alpha - 1.0))
-        return math.log2(q) / (alpha - 1.0), scale * _pow_derivative(w, v, c, m)
+        scale = 1.0 / (q * _LN2 * (alpha - 1.0))
+        return math.log2(q) / (alpha - 1.0), lambda: scale * _divided_differences(w, c) * mt
 
     return f
 
 
 def _sandwiched_objective(rho: np.ndarray, da: int, alpha: float):
-    db = rho.shape[0] // da
+    """Q = tr M^alpha, M = Gamma rho Gamma, Gamma = I_A x sigma^c, c = (1 - alpha) / (2 alpha).
+
+    rho = R R^+ is decomposed once, R = W lambda^(1/2) of :func:`_support_factor`.  A
+    call forms S = V^+ R and T_a = w^c S_a; K = sum_a T_a^+ T_a, r x r, has the spectrum
+    of M.  As dQ = alpha tr(Z d(sigma^(2c))), G~ = alpha L o Z~ / ((alpha - 1) Q ln 2),
+    with L at the order 2c and Z~ = sum_a S_a K^(alpha-1) S_a^+ on K's support.
+    """
     c = (1.0 - alpha) / (2.0 * alpha)
-    # rho's db x db blocks: blocks[a, a'] = <a| rho |a'> on B
-    blocks = np.ascontiguousarray(rho.reshape(da, db, da, db).transpose(0, 2, 1, 3))
+    vecs, lam = _support_factor(Spectrum.of(rho), [da, rho.shape[0] // da])
+    factor, r = vecs * np.sqrt(lam), len(lam) // da
 
     def f(w: np.ndarray, v: np.ndarray):
-        conj = (v * w**c) @ v.conj().T
-        # blocks of rho Gamma and of M = Gamma rho Gamma, Gamma = I_A x sigma^c
-        rg = blocks @ conj
-        big = (conj @ rg).transpose(0, 2, 1, 3).reshape(da * db, da * db)
-        spec = Spectrum.eigh(_herm_part(big))
+        s = v.conj().T @ factor
+        t = ((w**c)[:, None] * s).reshape(-1, r)  # the rows of every T_a
+        spec = Spectrum.eigh(t.conj().T @ t)
         sup = spec.support
-        lam, vecs = spec.values[sup], spec.vectors[:, sup]
-        q = float(np.sum(lam**alpha))
+        kap, u = spec.values[sup], spec.vectors[:, sup]
+        q = float(np.sum(kap**alpha))
         if q <= 0:
             return math.inf, None
-        # Z_B = tr_A(rho Gamma M^(alpha-1)) + h.c., M^(alpha-1) on the support
-        mpow = ((vecs * lam ** (alpha - 1.0)) @ vecs.conj().T).reshape(da, db, da, db)
-        z = np.sum(rg @ mpow.transpose(2, 0, 1, 3), axis=(0, 1))
-        z = z + z.conj().T
-        scale = alpha / (q * math.log(2.0) * (alpha - 1.0))
-        return math.log2(q) / (alpha - 1.0), scale * _pow_derivative(w, v, c, z)
+        scale = alpha / (q * _LN2 * (alpha - 1.0))
+
+        def grad():
+            su = s.reshape(-1, r) @ u
+            z = (su * kap ** (alpha - 1.0)).reshape(len(w), -1) @ su.reshape(len(w), -1).conj().T
+            return scale * _divided_differences(w, 2.0 * c) * z
+
+        return math.log2(q) / (alpha - 1.0), grad
 
     return f
-
-
-def _density_of_log(h: np.ndarray):
-    """(eigenvalues clamped at _TINY, eigenvectors, log sigma) of sigma = exp(h) / tr exp(h)."""
-    spec = Spectrum.eigh(h)
-    # the shift by the top eigenvalue guards against overflow
-    e = np.exp(spec.values - spec.values[-1])
-    total = float(np.sum(e))
-    log_sigma = h.copy()
-    log_sigma[np.diag_indices_from(h)] -= spec.values[-1] + math.log(total)
-    return np.maximum(e / total, _TINY), spec.vectors, log_sigma
 
 
 def _mirror_descent(obj, sigma0: np.ndarray | Spectrum):
     """Minimize ``obj`` over density matrices by mirror descent from ``sigma0`` or its Spectrum.
 
-    The iterate is held as log sigma, and a step is normalize(exp(log sigma
-    - eta * grad)), with a backtracking search on eta.  A trial point costs
-    one eigendecomposition plus one evaluation of ``obj``.  It runs at most
-    _MAX_ITERS steps, and ``exit`` says why it stopped:
+    The iterate sigma = V diag(w) V^+ is held as (w, V, ln w), ln w unclamped.
+    ``obj(w, V)`` returns f and a closure for G~ = V^+ G V, called only at an
+    accepted point.  A step is normalize(exp(log sigma - eta G)), with a
+    backtracking search on eta.  A trial point costs one eigh of diag(ln w) -
+    eta G~, whose eigenvectors U give V' = V U, plus one evaluation of ``obj``;
+    sigma is formed only for the result.  It runs at most _MAX_ITERS steps, and
+    ``exit`` says why it stopped, with the projected gradient P = G - tr(G sigma) I
+    measured by ||P||_sigma = tr(P sigma P)^(1/2), which, unlike |P|, vanishes at
+    a minimizer where sigma is rank-deficient:
 
-    * ``"grad_tol"``: the projected gradient P = G - tr(G sigma) I has norm
-      at most _GRAD_TOL;
+    * ``"grad_tol"``: ||P||_sigma is at most _GRAD_TOL;
     * ``"resolution"``: before a trial point, the step's first-order decrease
-      eta tr(P sigma P) is below _RESOLUTION max(1, |f|), too small to show
+      eta ||P||_sigma^2 is below _RESOLUTION max(1, |f|), too small to show
       in f; eta halves on every failed trial, so the line search ends;
     * ``"stall"``: f fell by less than _STALL_TOL in _STALL_ITERS steps;
     * ``"max_iters"``: none of these; :class:`OptimizerDivergence` is raised
-      instead if the gradient norm is above 1e-4.
+      instead if ||P||_sigma is above 1e-4.
     """
     if not isinstance(sigma0, Spectrum):
         sigma0 = np.asarray(sigma0, dtype=complex)
         sigma0 = Spectrum.eigh(_herm_part(sigma0 / np.real(np.trace(sigma0))))
     w, v = np.maximum(sigma0.values, _TINY), sigma0.vectors
-    sigma = (v * w) @ v.conj().T
-    log_sigma = (v * np.log(w)) @ v.conj().T
-    fval, grad = obj(w, v)
+    ln_w = np.log(w)
+    fval, grad_at = obj(w, v)
+    grad = grad_at()
     eye = np.eye(len(w))
     eta = 1.0
     history = [fval]
     grad_norm = math.inf
     for it in range(_MAX_ITERS):
-        proj = grad - float(np.real(np.trace(grad @ sigma))) * eye
-        grad_norm = float(np.linalg.norm(proj))
+        proj = grad - float(np.real(np.diagonal(grad)) @ w) * eye
+        slope = float(np.sum(np.abs(proj) ** 2 @ w))  # tr(P sigma P)
+        grad_norm = math.sqrt(slope)
         if grad_norm <= _GRAD_TOL:
-            return MinimizeResult(fval, sigma, it, grad_norm, "grad_tol")
-        slope = float(np.real(np.vdot(proj, sigma @ proj)))
+            return MinimizeResult(fval, (v * w) @ v.conj().T, it, grad_norm, "grad_tol")
         floor = _RESOLUTION * max(1.0, abs(fval))
         while eta * slope >= floor:
-            w, v, cand_log = _density_of_log(log_sigma - eta * grad)
-            fc, gc = obj(w, v)
+            spec = Spectrum.eigh(np.diag(ln_w) - eta * grad)
+            ln_c = spec.values - spec.values[-1]  # the shift guards against overflow
+            ln_c -= math.log(float(np.sum(np.exp(ln_c))))
+            cw, cv = np.maximum(np.exp(ln_c), _TINY), v @ spec.vectors
+            fc, gc = obj(cw, cv)
             if fc < fval - 1e-15:
-                sigma, log_sigma, fval, grad = (v * w) @ v.conj().T, cand_log, fc, gc
+                w, v, ln_w, fval, grad = cw, cv, ln_c, fc, gc()
                 eta = min(eta * 1.3, 1e3)
                 break
             eta *= 0.5
         else:
-            return MinimizeResult(fval, sigma, it, grad_norm, "resolution")
+            return MinimizeResult(fval, (v * w) @ v.conj().T, it, grad_norm, "resolution")
         history.append(fval)
         if len(history) > _STALL_ITERS and history[-_STALL_ITERS - 1] - fval < _STALL_TOL:
-            return MinimizeResult(fval, sigma, it + 1, grad_norm, "stall")
+            return MinimizeResult(fval, (v * w) @ v.conj().T, it + 1, grad_norm, "stall")
     if grad_norm > 1e-4:
         raise OptimizerDivergence(
             f"simplex minimizer hit {_MAX_ITERS} iterations, "
             f"projected gradient norm {grad_norm:.3e}"
         )
-    return MinimizeResult(fval, sigma, _MAX_ITERS, grad_norm, "max_iters")
+    return MinimizeResult(fval, (v * w) @ v.conj().T, _MAX_ITERS, grad_norm, "max_iters")
 
 
 def minimized_conditioning(

@@ -292,6 +292,41 @@ def test_minimized_conditioning_of_a_classical_state(db, alpha, monkeypatch):
     assert short.exit == "max_iters"
 
 
+# D*_{1/2}(A|B) of the states of the test below as reached by an earlier form of the
+# descent, which took the gradient through the divided differences of sigma^(1/2) and
+# measured P by the Euclidean norm: every run stopped by "resolution", 2e-11 to 8.7e-8
+# above the minimum.
+_HALF_ORDER_EARLIER = (-0.4889076211532187, -0.322309838668343, -0.5155694467502345,
+                         -0.3314829436551431, -0.47107483863799915)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rank_deficient_minimizer_at_alpha_one_half(seed):
+    """At alpha = 1/2 the sandwiched minimizer has lambda_min(sigma) of about 1e-17.
+
+    ||P||_sigma vanishes there and the Euclidean |P| does not: with |P| in the
+    divergence guard, this descent raised OptimizerDivergence at seed 0 (|P| =
+    0.69 after 500 steps).  The value lies below the earlier form's (by 2e-11
+    to 8e-9), and sigma keeps trace 1.
+    """
+    st_ = random_state((("A", 2), ("B", 3)), 4, make_rng(seed))
+    res = minimized_conditioning(st_, ["A"], ["B"], "sandwiched", 0.5)
+    assert res.value < _HALF_ORDER_EARLIER[seed]
+    assert abs(np.trace(res.sigma).real - 1.0) <= 1e-12
+
+
+def test_divergence_guard_raises_after_one_step(monkeypatch):
+    """With one step allowed, ||P||_sigma > 1e-4 raises on 180 interior problems:
+    full-rank rho_AB, |B| in {2, 3, 4}, alpha in {0.6, 1.5, 2}, seeds 0-19."""
+    monkeypatch.setattr(condentropy, "_MAX_ITERS", 1)
+    for seed in range(20):
+        for db in (2, 3, 4):
+            st_ = random_state((("A", 2), ("B", db)), 2 * db, make_rng(seed))
+            for alpha in (0.6, 1.5, 2.0):
+                with pytest.raises(OptimizerDivergence):
+                    minimized_conditioning(st_, ["A"], ["B"], "sandwiched", alpha)
+
+
 def _embedded_in_b3(seed: int):
     """A rank-3 rho_AB with |A| = |B| = 2, its B mapped isometrically into |B| = 3.
 
@@ -354,7 +389,8 @@ def _divergence_to_conditioning(rho, da, family, alpha, sigma):
 def test_objective_gradient_matches_central_difference(family, alphas, db):
     """The analytic gradient against a central difference over a Hermitian basis.
 
-    rho_AB has rank 3, below full rank; sigma is full rank with
+    The objective returns the gradient in sigma's eigenbasis, rotated back
+    here.  rho_AB has rank 3, below full rank; sigma is full rank with
     lambda_min >= 0.02, and the step is 1e-5 lambda_min(sigma).
     """
     rng = make_rng(db, stream=7)
@@ -372,7 +408,9 @@ def test_objective_gradient_matches_central_difference(family, alphas, db):
         sigma = random_density(db, db, rng)
         while np.linalg.eigvalsh(sigma)[0] < 0.02:
             sigma = random_density(db, db, rng)
-        _, grad = make(rho, 2, alpha)(*np.linalg.eigh(sigma))
+        w, v = np.linalg.eigh(sigma)
+        _, grad_t = make(rho, 2, alpha)(w, v)
+        grad = v @ grad_t() @ v.conj().T
         h = 1e-5 * np.linalg.eigvalsh(sigma)[0]
         fd = sum((_divergence_to_conditioning(rho, 2, family, alpha, sigma + h * e)
                   - _divergence_to_conditioning(rho, 2, family, alpha, sigma - h * e))

@@ -200,16 +200,17 @@ def test_eigensolves_of_the_bound_search(solves):
 def test_eigensolves_of_mirror_descent(solves):
     """One sandwiched minimization at |B| = 2 and at |B| = 4, alpha = 1.5.
 
-    Two eigh set up (rho_B, whose eigenbasis the start shares, and the
-    start's objective); each trial point of the line search costs one eigh
-    for the iterate and one for I x sigma^c rho I x sigma^c, whatever |B|.
-    A finite-difference gradient made 4 |B|^2 more per iteration.  The
-    descent stops once a step's first-order decrease is below the
-    objective's float resolution, so no line search runs through halvings
-    that cannot succeed.
+    Three eigh set up (rho_B, whose eigenbasis the start shares, rho for its
+    support factor, and the start's objective); each trial point of the line
+    search costs one eigh for the iterate, in the old eigenbasis, and one of
+    the r x r Gram matrix K, whose spectrum is that of I x sigma^c rho
+    I x sigma^c, whatever |B|.  A finite-difference gradient made 4 |B|^2
+    more per iteration.  The descent stops once a step's first-order decrease
+    is below the objective's float resolution, so no line search runs through
+    halvings that cannot succeed.
     """
     per_iter = {}
-    for db, pinned, iters in ((2, (32, 0), 10), (4, (38, 0), 13)):
+    for db, pinned, iters in ((2, (35, 0), 11), (4, (35, 0), 11)):
         state = random_state((("A", 2), ("B", db)), 2 * db, make_rng(db, stream=11))
         res = []
         count = solves(lambda: res.append(
