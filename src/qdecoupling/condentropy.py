@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
 
 from .channels import Channel
 from .divergences import ALPHA_ONE_GUARD, d_max, divergence, umegaki
@@ -351,12 +350,16 @@ def _sandwiched_objective(rho: np.ndarray, da: int, alpha: float):
 def _mirror_descent(obj, sigma0: np.ndarray | Spectrum):
     """Minimize ``obj`` over density matrices by mirror descent from ``sigma0`` or its Spectrum.
 
-    The iterate sigma = V diag(w) V^+ is held as (w, V, ln w), ln w unclamped.
-    ``obj(w, V)`` returns f and a closure for G~ = V^+ G V, called only at an
-    accepted point.  A step is normalize(exp(log sigma - eta G)), with a
-    backtracking search on eta.  A trial point costs one eigh of diag(ln w) -
-    eta G~, whose eigenvectors U give V' = V U, plus one evaluation of ``obj``;
-    sigma is formed only for the result.  It runs at most _MAX_ITERS steps, and
+    The iterate sigma = V diag(w) V^+ is held as (w, V, ln w).  ``obj(w, V)``
+    returns f and a closure for G~ = V^+ G V, called only at an accepted point.
+    A step is normalize(exp(log sigma - eta G)), its log-eigenvalues floored at
+    -30, with a backtracking search on eta: after a failed trial, eta goes to
+    the minimizer of the quadratic through f(0), the slope -||P||_sigma^2 and
+    f(eta), kept in [0.1 eta, 0.5 eta] (0.1 eta after an inf or NaN value;
+    Nocedal and Wright, Numerical Optimization, 3.5); an accepted step grows it
+    by 1.3.  A trial point costs one eigh of diag(ln w) - eta G~, whose
+    eigenvectors U give V' = V U, plus one evaluation of ``obj``; sigma is
+    formed only for the result.  It runs at most _MAX_ITERS steps, and
     ``exit`` says why it stopped, with the projected gradient P = G - tr(G sigma) I
     measured by ||P||_sigma = tr(P sigma P)^(1/2), which, unlike |P|, vanishes at
     a minimizer where sigma is rank-deficient:
@@ -364,7 +367,8 @@ def _mirror_descent(obj, sigma0: np.ndarray | Spectrum):
     * ``"grad_tol"``: ||P||_sigma is at most _GRAD_TOL;
     * ``"resolution"``: before a trial point, the step's first-order decrease
       eta ||P||_sigma^2 is below _RESOLUTION max(1, |f|), too small to show
-      in f; eta halves on every failed trial, so the line search ends;
+      in f; eta falls at least twofold on every failed trial, so the line
+      search ends;
     * ``"stall"``: f fell by less than _STALL_TOL in _STALL_ITERS steps;
     * ``"max_iters"``: none of these; :class:`OptimizerDivergence` is raised
       instead if ||P||_sigma is above 1e-4.
@@ -391,13 +395,18 @@ def _mirror_descent(obj, sigma0: np.ndarray | Spectrum):
             spec = Spectrum.eigh(np.diag(ln_w) - eta * grad)
             ln_c = spec.values - spec.values[-1]  # the shift guards against overflow
             ln_c -= math.log(float(np.sum(np.exp(ln_c))))
-            cw, cv = np.maximum(np.exp(ln_c), _TINY), v @ spec.vectors
+            # e^-30 = 9.4e-14 per eigenvalue, far inside the trace checks (1e-9), keeps
+            # every eigenvector within reach of a step: from ln w near -690 it is not
+            ln_c = np.maximum(ln_c, -30.0)
+            cw, cv = np.exp(ln_c), v @ spec.vectors
             fc, gc = obj(cw, cv)
             if fc < fval - 1e-15:
                 w, v, ln_w, fval, grad = cw, cv, ln_c, fc, gc()
                 eta = min(eta * 1.3, 1e3)
                 break
-            eta *= 0.5
+            # to the minimizer of the quadratic through f(0), f'(0) = -slope and f(eta)
+            excess = fc - fval + eta * slope  # > 0 while eta slope is above the floor
+            eta *= min(max(0.5 * eta * slope / excess, 0.1), 0.5) if excess < math.inf else 0.1
         else:
             return MinimizeResult(fval, (v * w) @ v.conj().T, it, grad_norm, "resolution")
         history.append(fval)
@@ -575,6 +584,7 @@ def channel_coherent_info(
     """
     if family != "petz":
         raise ValueError(f"channel coherent information is Petz only, got {family!r}")
+    from scipy import optimize  # here, not at the top: no CLI command imports scipy
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     din = channel.din

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .channels import Channel, apply_channel
 from .condentropy import (
@@ -102,6 +101,7 @@ def sup_on_interval(f, lo: float, hi: float, n_grid: int = 64) -> ExponentCurve:
     b = float(grid_s[min(i + 1, n_grid - 1)])
     best_s, best_v = float(grid_s[i]), float(vals[i])
     if b - a > 1e-12:
+        from scipy import optimize  # here, not at the top: no CLI command imports scipy
         res = optimize.minimize_scalar(
             lambda s: -f(float(np.clip(s, lo, hi))),
             bounds=(a, b),

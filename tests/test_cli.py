@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -522,3 +524,44 @@ def test_fuzzed_inputs_exit_with_a_documented_code(command, state, state2, gram,
                 code = exc.code
     assert code in _DOCUMENTED_EXITS, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+_SCIPY_AFTER_COMMANDS = """
+import contextlib, io, json, sys
+from qdecoupling.cli import main
+codes = []
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_cli_commands_do_not_import_scipy(tmp_path, rng):
+    """Importing scipy.optimize took most of a command's cold start, and no command
+    calls it: a fresh interpreter runs one of each and has loaded no scipy module."""
+    p = write_state(random_state((("A", 4), ("E", 2)), 3, rng), tmp_path / "s.json")
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps([[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]))
+    out = str(tmp_path / "curve.csv")
+    commands = [
+        ["exponent-curve", "--state", p, "--task", "standard-decoupling", "--r-min", "0.2",
+         "--r-max", "1.0", "--r-steps", "3", "--out", out],
+        ["exponent-curve", "--task", "channel", "--gram", str(gram), "--r-min", "0.05",
+         "--r-max", "0.3", "--r-steps", "2", "--out", out],
+        ["decouple-mc", "--state", p, "--da1", "2", "--da2", "2", "--samples", "20"],
+        ["verify", "--suite", "haar2", "--trials", "5", "--seed", "1"],
+        ["divergence", p, p, "--kind", "sandwiched", "--alpha", "2"],
+    ]
+    import qdecoupling
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(qdecoupling.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER_COMMANDS],
+                          input=json.dumps(commands), capture_output=True, text=True,
+                          env=env, cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK] * len(commands)
+    assert scipy_modules == []

@@ -327,6 +327,208 @@ def test_divergence_guard_raises_after_one_step(monkeypatch):
                     minimized_conditioning(st_, ["A"], ["B"], "sandwiched", alpha)
 
 
+def _sweep_states():
+    """360 states: per seed in 0-39, one rng draws |B| in (2, 3, 4) by rank in (1, 2, 2|B|)."""
+    for seed in range(40):
+        rng = make_rng(seed, stream=3)
+        for db in (2, 3, 4):
+            for rank in (1, 2, 2 * db):
+                yield random_state((("A", 2), ("B", db)), rank, rng)
+
+
+# D*_{1/2}(A|B) of the _sweep_states as reached before the log floor of the descent
+# and its interpolating backtrack; None where that descent raised OptimizerDivergence
+# (5 states, at rank 2: it parked an eigenvalue of sigma at 1e-300 and then crept).
+_HALF_ORDER_SWEEP_BEFORE = (
+    0.33325077503605627, -0.622412021993736, -0.6006432135754002, 0.16984724080396035,
+    -0.36487442878367765, -0.6807212753954096, 0.40707749316387654, 0.16421364639108635,
+    -0.679015169324598, 0.12667686265896805, -0.698183617010445, -0.5659637834442924,
+    0.5012582251175325, None, -0.6128823063552297, 0.6328014913395387, 0.23720216155559487,
+    -0.713966310662996, 0.032317776178582516, 0.09400013156809335, -0.7670744458502817,
+    0.41410816513899074, 0.2945453326062437, -0.5433286479984273, 0.2928445066893073,
+    -0.03424555531624618, -0.7419136235090634, 0.7528436867837307, -0.4884588292618918,
+    -0.5750541756245706, 0.17261273980742536, -0.2712076737931935, -0.661103691216134,
+    0.2807160880312284, -0.13126216512931063, -0.6503012462601178, 0.1913304100218795,
+    -0.02712655067428314, -0.7237292270302014, 0.5989126172223526, -0.036068050907548,
+    -0.7017070810739827, 0.2578902134673408, -0.4781015868873034, -0.6535093407950993,
+    0.029490416907929168, -0.3623001138758419, -0.8064915960959731, 0.44108457375557414,
+    -0.2979474738070933, -0.8376896305366021, 0.35917475162689955, None, -0.6704939134305802,
+    0.06405753501332746, -0.31428932151092254, -0.7672087766668997, 0.3895245142382719,
+    -0.3362656466352661, -0.692101632687117, 0.7018987646989832, 0.02097181465223175,
+    -0.6124106603426852, 0.016966136295722946, 0.03793402815605866, -0.7455945794344233,
+    0.12084424966949975, 0.12743677545977555, -0.6255128540277773, 0.13304910918002189,
+    0.2341561991061005, -0.6548783237351854, 0.6425011134088161, -0.28940190602144966,
+    -0.8501345136417832, 0.0394124902804153, 0.0182280955251127, -0.6298286147950024,
+    0.4166033291778717, -0.073369600780432, -0.7731703003066953, 0.02171116097698247,
+    -0.45890131282086133, -0.6468129947841977, 0.4930614901005668, 0.2553270085340981,
+    -0.6686033089215171, 0.16709935380322463, 0.06428718150821655, -0.693235435863241,
+    0.11850100068693818, 0.07296753199634118, -0.3955707620823686, 0.2656700748139038,
+    -0.24051168996478645, -0.7059646821783239, 0.21621397668155878, None, -0.6964740279904277,
+    0.06903950329483162, -0.8340417801649509, -0.6664946676647945, 0.3900186568941833,
+    -0.38132894065716844, -0.6697662278899387, 0.2519052283428555, -0.2982480181889275,
+    -0.6465358834837293, 0.4363726918237439, -0.4461574009545381, -0.7599998103773726,
+    0.4862499490801515, -0.49536933277116746, -0.5737161725558977, 0.7074147770200608,
+    -0.2826342272605293, -0.6884208307703109, 0.540217563715732, -0.48584502693230597,
+    -0.6749461814384489, 0.6280745748217349, -0.24794671577609723, -0.7029230342638454,
+    0.6829914361151069, -0.20018118166927185, -0.6850045204957075, 0.11529356155688589,
+    -0.11759959213679749, -0.7993840360815373, 0.6514080729268122, -0.28327043788791484,
+    -0.7009781234460553, 0.4418489531357538, -0.06533718564329534, -0.6824817631382606,
+    0.2996061347236344, -0.3734109764445516, -0.6514031394994058, 0.27203130742686665,
+    -0.47513187211105584, -0.566913298141003, 0.5408886481695335, -0.16239326574718774,
+    -0.6195739120429784, 0.36847153202241806, -0.23751838501478328, -0.6055072687100546,
+    0.36425274533268476, -0.36840333082158044, -0.7748247727815457, 0.45342643356312334,
+    0.04951760756421911, -0.6942018134390378, 0.058593051125371984, -0.5064347014882746,
+    -0.8297000222066621, 0.37686269087354984, -0.36543184058237793, -0.5174139873395953,
+    0.3385030940063179, 0.13158912325238253, -0.542108954337774, 0.34215491679610593,
+    -0.729157514968903, -0.735422366353613, 0.17837643497267577, -0.5055848360568955,
+    -0.736022432247306, 0.433723638179091, -0.06941289440090388, -0.7784962854270481,
+    0.27085371331634095, -0.8158635295018346, -0.6892763816386865, 0.6384342008584322,
+    -0.14370080747766784, -0.5791502804754302, 0.38687464556477663, 0.12247571803557909,
+    -0.6578724914205935, 0.01084814470167972, -0.6649388158335386, -0.8481385599047361,
+    0.23785404529731183, None, -0.6191213038225704, 0.6197966026227595, 0.12094741993230386,
+    -0.6969699634130597, 0.08638769894073249, -0.23952523371597692, -0.7898003424766779,
+    0.397684789488245, -0.38058028038177094, -0.7292966919344182, 0.2939628940312988,
+    -0.299316390005677, -0.6752930121425837, 0.07788955400518142, -0.5136903787487203,
+    -0.7434827978961317, 0.017542317728310934, 2.4511836802328058e-06, -0.6752077659792568,
+    0.4416759548082193, 0.0943022179765012, -0.719058017959857, 0.14470629764619145,
+    -0.6345207922526053, -0.7512363944582412, 0.04342578915595333, -0.022027322734293985,
+    -0.8378202644879164, 0.6281203909484651, 0.013879882369773921, -0.6355396978739847,
+    0.03194348815713413, 0.02489296657626114, -0.9362157401246228, 0.1912728458965672, None,
+    -0.6936852330992491, 0.33924547077585765, 0.16884258773046104, -0.6493600625903259,
+    0.14877491033572127, -0.14676843977211937, -0.6547347420259193, 0.143813338970879,
+    -0.2980596416960677, -0.5418062635945009, 0.23134188706615874, -0.35913938288275793,
+    -0.5979173720955051, 0.025291982315919708, -0.4782633189819217, -0.7338070601082864,
+    0.2178163468001743, -0.4326022211549353, -0.6846053396091161, 0.138515714531852,
+    -0.21588509288671198, -0.7044598663492343, 0.2436115464338295, -0.07677230838136728,
+    -0.810878804134097, 0.2338923570949759, -0.3036059404386247, -0.6735342732844599,
+    0.6603367921845273, 0.07791681711022454, -0.6582067379535828, 0.27620996362664074,
+    -0.33629281104830344, -0.7824042203702558, 0.5449754901969827, -0.03670328471564407,
+    -0.7312492798051856, 0.43182184903478205, -0.3249784774507147, -0.7120856119567186,
+    0.04654012891885893, -0.5268427187271879, -0.6734234773058664, 0.18389050442830132,
+    -0.6309159929940076, -0.5802537923909115, 0.1882711291995692, 0.21512947850082367,
+    -0.6791066817658659, 0.12414224363570205, -0.08413524662743853, -0.8328872290146483,
+    0.07847368582340875, -0.24307795696174891, -0.7133960397600461, 0.1847642105312446,
+    -0.07204877521848892, -0.7046403667023231, 0.26442438629167797, -0.1781390828106354,
+    -0.7446420484547327, 0.14611469851128062, -0.14539410130229133, -0.7590002486412973,
+    0.4849778551498775, 0.029761218501707994, -0.7129360106709703, 0.26556459542918215,
+    -0.12332939003184204, -0.6674524129737643, 0.3012857723805066, -0.3524994798800063,
+    -0.6906651596191298, 0.21536552235968082, -0.009954135690438222, -0.7575065141371515,
+    0.10860724285155444, -0.5778106467014068, -0.7000805891900749, 0.5217021964093915,
+    -0.36176236503131026, -0.7525302559846573, 0.2688075799128822, -0.3696889061645684,
+    -0.680734850733809, 0.14344427014321737, -0.28217925974520136, -0.48360001466416963,
+    0.4481107241429472, -0.06838396891734483, -0.7403603220997317, 0.329880349553994,
+    -0.16331997450212266, -0.7219028534727253, 0.09761004533786635, -0.44777058138340875,
+    -0.7669882848696212, 0.14248285938104902, -0.16996723648499834, -0.7197966100521759,
+    0.15931338702239545, -0.3422443553268719, -0.7022287164548124, 0.029371633496599468,
+    0.01977022020106307, -0.5624893264605353, 0.21280007206398002, -0.2221696340123049,
+    -0.85231957679602, 0.128671494513689, 0.11953220869806265, -0.5961675771674103,
+    0.19018817519243505, -0.392198525433335, -0.8570375612056882, 0.2803117936908578,
+    -0.1846395604901789, -0.6535941063943216, 0.31300457157312145, -0.47659383109287623,
+    -0.7873623073281125, 0.21849620206897497, -0.1604215540339694, -0.5089434397136886,
+    0.153159937348097, 0.029756594777795218, -0.5797912903813099, 0.4247808674354578,
+    0.06426034581408507, -0.6816383537378036, 0.008513469528401554, -0.49386757948166005,
+    -0.7262375680443381, 0.19718320876849585, -0.19119400873853606, -0.4042759295209666,
+    0.43060038692193586, -0.035045164325517505, -0.6264915107604482,
+)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.51, 0.6])
+def test_sweep_near_the_order_one_half(alpha):
+    """No descent raises, each takes at most 200 steps (173 at most when written), and
+    at alpha = 1/2 no value lies above the one reached before the log floor."""
+    results = [minimized_conditioning(st_, ["A"], ["B"], "sandwiched", alpha)
+               for st_ in _sweep_states()]
+    assert max(r.iters for r in results) <= 200
+    if alpha == 0.5:
+        pairs = [(r.value, before) for r, before in zip(results, _HALF_ORDER_SWEEP_BEFORE)
+                 if before is not None]
+        assert len(pairs) == 355
+        assert all(value <= before + 1e-12 for value, before in pairs)
+
+
+def _recorded(objective, bad=None):
+    """``objective`` wrapped to record each trial point: its value, whether the descent
+    accepted it (asked for its gradient) and that gradient; with ``bad`` set, every
+    point after the start returns (bad, None), as the q <= 0 branch does."""
+    trials = []
+
+    def make(*args):
+        f = objective(*args)
+
+        def wrapped(w, v):
+            fc, grad_at = f(w, v)
+            if bad is not None and trials:
+                fc, grad_at = bad, None
+            trial = {"w": w, "f": fc, "grad": None}
+            trials.append(trial)
+
+            def grad():
+                trial["grad"] = grad_at()
+                return trial["grad"]
+
+            return fc, grad
+
+        return wrapped
+
+    return make, trials
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_a_trial_without_a_value_cuts_the_step_tenfold(bad, monkeypatch):
+    """Every trial fails with an infinite or NaN value: eta falls tenfold per trial, so
+    the line search reaches the resolution stop after 14 trials (44 when it halved)."""
+    make, trials = _recorded(_sandwiched_objective, bad)
+    monkeypatch.setattr(condentropy, "_sandwiched_objective", make)
+    st_ = random_state((("A", 2), ("B", 3)), 6, make_rng(0))
+    res = minimized_conditioning(st_, ["A"], ["B"], "sandwiched", 1.5)
+    assert (res.exit, res.iters, res.value) == ("resolution", 0, trials[0]["f"])
+    assert len(trials) - 1 == 14
+
+
+def test_failed_trials_step_to_the_quadratic_model(monkeypatch):
+    """After a failed trial at eta, the next eta is the minimizer of the quadratic
+    through f(0), the slope -||P||_sigma^2 and f(eta), within [0.1 eta, 0.5 eta].
+
+    The run is recorded through the objective and through the eigh of each
+    step's matrix diag(ln w) - eta G~, whose off-diagonal part is -eta G~: two
+    trials of one line search share G~, so their off-diagonal entries give the
+    ratio of their etas.
+    """
+    make, trials = _recorded(_sandwiched_objective)
+    monkeypatch.setattr(condentropy, "_sandwiched_objective", make)
+    steps = []
+    eigh = condentropy.Spectrum.eigh
+
+    def recorded_eigh(m):
+        if trials and m.shape == (3, 3):  # after the start; K is 2 x 2
+            steps.append(m)
+        return eigh(m)
+
+    monkeypatch.setattr(condentropy.Spectrum, "eigh", recorded_eigh)
+    st_ = random_state((("A", 2), ("B", 3)), 2, make_rng(1, stream=3))
+    minimized_conditioning(st_, ["A"], ["B"], "sandwiched", 0.5)
+    assert len(steps) == len(trials) - 1
+    base, ratios = trials[0], []
+    for k in range(1, len(trials) - 1):
+        trial = trials[k]
+        if trial["grad"] is not None:  # accepted: the next line search starts here
+            base = trial
+            continue
+        g, w = base["grad"], base["w"]
+        proj = g - float(np.real(np.diagonal(g)) @ w) * np.eye(3)
+        slope = float(np.sum(np.abs(proj) ** 2 @ w))  # ||P||_sigma^2
+        off = ~np.eye(3, dtype=bool)
+        i = np.argmax(np.abs(steps[k - 1]) * off)
+        eta = -steps[k - 1].flat[i] / g.flat[i]
+        ratio = (steps[k].flat[i] / steps[k - 1].flat[i]).real
+        model = 0.5 * eta.real * slope / (trial["f"] - base["f"] + eta.real * slope)
+        assert ratio == pytest.approx(min(max(model, 0.1), 0.5), rel=1e-9)
+        ratios.append(ratio)
+    assert len(ratios) >= 20
+    assert all(0.1 - 1e-12 <= r <= 0.5 + 1e-12 for r in ratios)
+    assert min(ratios) < 0.45
+
+
 def _embedded_in_b3(seed: int):
     """A rank-3 rho_AB with |A| = |B| = 2, its B mapped isometrically into |B| = 3.
 
