@@ -118,6 +118,8 @@ def cmd_divergence(args) -> int:
     b = load_state(args.state_b)
     if args.kind in ("petz", "sandwiched") and args.alpha is None:
         return _usage("--alpha is required for Renyi divergences")
+    if a.total_dim != b.total_dim:
+        raise ValueError(f"states must have the same dimension ({a.total_dim} vs {b.total_dim})")
     # an overflowing power ends in nan, reported once below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         val = divergence(a.density, b.density, args.kind, args.alpha)

@@ -61,14 +61,12 @@ class OptimizerDivergence(RuntimeError):
 
 def _split_blocks(state: State, a_labels, b_labels):
     """Density rearranged as (A block, B block) plus the two block sizes."""
-    a_labels = list(a_labels)
-    b_labels = list(b_labels)
-    if sorted(a_labels + b_labels) != sorted(state.labels):
+    order = list(a_labels) + list(b_labels)
+    if sorted(order) != sorted(state.labels):
         raise ValueError("a_labels + b_labels must partition the state's subsystems")
-    perm = state.permuted(*(a_labels + b_labels))
+    rho = state.density if tuple(order) == state.labels else state.permuted(*order).density
     da = int(np.prod([state.dim_of(l) for l in a_labels]))
-    db = perm.total_dim // da
-    return perm.density, da, db
+    return rho, da, state.total_dim // da
 
 
 def _herm_part(m: np.ndarray) -> np.ndarray:
@@ -161,26 +159,30 @@ class PetzUpEntropy:
     """Optimized Petz H_up_alpha(A|B) of one rho_AB, A first with |A| = ``da``.
 
     Closed form (Tomamichel, Berta and Hayashi, JMP 2014): (alpha/(1-alpha))
-    log2 tr m^(1/alpha) with m = tr_A rho^alpha.  rho is decomposed once and
-    its kernel cut; a call sums mu^(1/alpha) over the support of m, at an
-    ``alpha`` that must not be 1.
+    log2 tr m^(1/alpha) with m = tr_A rho^alpha.  ``spec`` is rho's Spectrum,
+    from :meth:`Spectrum.of` at the input boundary or :meth:`Spectrum.eigh` for
+    a matrix the package built; rho's kernel is cut and its support factor W
+    kept (:func:`_support_factor`).  A call sums mu^(1/alpha) over the support
+    of m, at an ``alpha`` that must not be 1.
     """
 
-    def __init__(self, rho: np.ndarray, da: int):
-        self.spec = Spectrum.of(rho)
-        self.dims = [da, rho.shape[0] // da]
+    def __init__(self, spec: Spectrum, da: int):
+        self.spec = spec
+        self.dims = [da, len(spec.values) // da]
+        vecs, lam = _support_factor(spec, self.dims)
+        self._factor = vecs, lam, np.log(lam)
         self._phis: dict[float, tuple[float, float]] = {}
-        self._factor: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def of(cls, state: State, a_labels, b_labels) -> "PetzUpEntropy":
         """The entropy of the (A, B) partition of ``state``."""
         rho, da, _ = _split_blocks(state, a_labels, b_labels)
-        return cls(rho, da)
+        return cls(Spectrum.eigh(rho), da)
 
     def marginal(self, alpha: float) -> np.ndarray:
-        """m = tr_A rho^alpha, symmetrized."""
-        return _herm_part(partial_trace(self.spec.pow(alpha), self.dims, [1]))
+        """m = tr_A rho^alpha = W lambda^alpha W^+, Hermitian up to roundoff."""
+        vecs, lam, _ = self._factor
+        return (vecs * lam**alpha) @ vecs.conj().T
 
     def __call__(self, alpha: float) -> float:
         mu = Spectrum.eigvalsh(self.marginal(alpha))
@@ -192,17 +194,20 @@ class PetzUpEntropy:
 
         With T = tr m^(1/alpha), G = V (L o V^+ (I_A x m^(1/alpha-1)) V) V^+ /
         ((1 - alpha) T ln 2), L the divided differences of x^alpha at rho's
-        eigenvalues (Daleckii-Krein).  Its kernel-kernel block is 0: it holds for
-        a drho with no such block, as when rho_AB is a channel's output on a pure
-        input.  One eigh of m; rho's decomposition is reused.
+        eigenvalues (Daleckii-Krein), set to 0 on the kernel-kernel block: G holds
+        for a drho with no such block, as when rho_AB is a channel's output on a
+        pure input.  V^+ (I_A x Y) V = sum_a V_a^+ Y V_a over the row blocks V_a
+        of V.  One eigh of m; rho's decomposition is reused.
         """
         mu = Spectrum.eigh(self.marginal(alpha))
         lam, vecs = mu.values[mu.support], mu.vectors[:, mu.support]
         t = float(np.sum(lam ** (1.0 / alpha)))
-        x = tensor(np.eye(self.dims[0]), (vecs * lam ** (1.0 / alpha - 1.0)) @ vecs.conj().T)
-        kernel = ~self.spec.support
-        w = np.where(kernel, _TINY, self.spec.values)
-        g = _pow_derivative(w, self.spec.vectors, alpha, x, kernel)
+        y = (vecs * lam ** (1.0 / alpha - 1.0)) @ vecs.conj().T
+        v, kernel = self.spec.vectors, ~self.spec.support
+        xt = v.conj().T @ (y @ v.reshape(*self.dims, -1)).reshape(v.shape)
+        dd = _divided_differences(np.where(kernel, _TINY, self.spec.values), alpha)
+        dd[kernel[:, None] & kernel] = 0.0
+        g = v @ (dd * xt) @ v.conj().T
         return (alpha / (1.0 - alpha)) * math.log2(t), g / ((1.0 - alpha) * t * math.log(2.0))
 
     def phi(self, s):
@@ -211,16 +216,13 @@ class PetzUpEntropy:
         T = tr m^(1+s), m = tr_A rho^alpha, alpha = 1/(1+s): one eigh of m,
         with rho's eigenbasis and support, gives T and dT/ds = sum_j mu_j^(1+s)
         ln mu_j + (1+s) tr(m^s dm/ds), dm/ds = -alpha^2 tr_A(rho^alpha ln rho).
-        With W rho's support eigenvectors as a |B| x (|A| r) matrix, built at
-        the first call, m = W lambda^alpha W^+ (lambda tiled).  phi is s times
+        With W rho's support eigenvectors as a |B| x (|A| r) matrix, kept by
+        the constructor, m = W lambda^alpha W^+ (lambda tiled).  phi is s times
         the Petz coherent information, concave in s.  Memoized (:func:`_phi_at`).
         """
         return _phi_at(s, self._phis, self._phi_stack)
 
     def _phi_stack(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._factor is None:
-            vecs, lam = _support_factor(self.spec, self.dims)
-            self._factor = vecs, lam, np.log(lam)
         vecs, lam, ln_lam = self._factor
         s = s[:, None]
         alpha = 1.0 / (1.0 + s)
@@ -288,19 +290,10 @@ def _divided_differences(w: np.ndarray, c: float) -> np.ndarray:
     return np.exp(0.5 * (c - 1.0) * (lw[:, None] + lw[None, :])) * ratio
 
 
-def _pow_derivative(w: np.ndarray, v: np.ndarray, c: float, x: np.ndarray,
-                    kernel: np.ndarray) -> np.ndarray:
-    """The G with tr(G dsigma) = tr(x d(sigma^c)) for Hermitian x, sigma = v diag(w) v^+
-    and a dsigma with no block on the mask ``kernel``, where L is set to 0."""
-    dd = _divided_differences(w, c)
-    dd[np.ix_(kernel, kernel)] = 0.0
-    return v @ (dd * (v.conj().T @ x @ v)) @ v.conj().T
-
-
 def _petz_objective(rho: np.ndarray, da: int, alpha: float):
     """q = tr(m sigma^c) = sum_j w_j^c m~_jj, m = tr_A rho^alpha, m~ = V^+ m V, c = 1 - alpha,
     and G~ = L o m~ / ((alpha - 1) q ln 2)."""
-    m = PetzUpEntropy(rho, da).marginal(alpha)
+    m = PetzUpEntropy(Spectrum.eigh(rho), da).marginal(alpha)
     c = 1.0 - alpha
 
     def f(w: np.ndarray, v: np.ndarray):
@@ -323,7 +316,7 @@ def _sandwiched_objective(rho: np.ndarray, da: int, alpha: float):
     with L at the order 2c and Z~ = sum_a S_a K^(alpha-1) S_a^+ on K's support.
     """
     c = (1.0 - alpha) / (2.0 * alpha)
-    vecs, lam = _support_factor(Spectrum.of(rho), [da, rho.shape[0] // da])
+    vecs, lam = _support_factor(Spectrum.eigh(rho), [da, rho.shape[0] // da])
     factor, r = vecs * np.sqrt(lam), len(lam) // da
 
     def f(w: np.ndarray, v: np.ndarray):
@@ -446,7 +439,7 @@ def minimized_conditioning(
     # renormalizing the in-support block only decreases it.  Restricting to
     # that subspace keeps the iterates full rank, which the multiplicative
     # update needs to make progress.
-    spec_b = Spectrum.of(partial_trace(rho, [da, db], [1]))
+    spec_b = Spectrum.eigh(partial_trace(rho, [da, db], [1]))
     sup = spec_b.support
     basis = None
     if int(np.sum(sup)) < db:
@@ -539,11 +532,11 @@ def _input_objective(channel: Channel, alpha: float):
     x holds the real and imaginary parts of an unnormalized input v on R x A,
     |R| = |A| = din, and psi = v / |v|.  The gradient G in rho_RB comes from
     :meth:`PetzUpEntropy.value_and_gradient` and is carried back through the
-    channel and the normalization; an evaluation costs 2 eigh (rho_RB and
-    tr_R rho^alpha).
+    channel and the normalization; an evaluation costs 2 eigh (rho_RB, built
+    here and not validated again, and tr_R rho^alpha).
     """
     din, dout = channel.din, channel.dout
-    w = channel.choi.reshape(din, dout, din, dout)
+    choi = din * channel.choi.reshape(din, -1)  # din J[ic, jd], columns (c, j, d)
     n = din * din
 
     def f(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -552,10 +545,13 @@ def _input_objective(channel: Channel, alpha: float):
         if nrm < 1e-12:
             return 0.0, np.zeros_like(x)
         psi = (v / nrm).reshape(din, din)
-        out = din * np.einsum("icjd,ri,sj->rcsd", w, psi, psi.conj())
-        h, g = PetzUpEntropy(out.reshape(din * dout, din * dout), din).value_and_gradient(alpha)
-        # dh = 2 Re sum C dpsi, C[r, i] = din sum G[sd, rc] w[ic, jd] conj(psi[s, j])
-        c = din * np.einsum("sdrc,icjd,sj->ri", g.reshape(din, dout, din, dout), w, psi.conj())
+        # out[rc, sd] = din sum_ij psi[r, i] J[ic, jd] conj(psi[s, j])
+        out = np.einsum("rcjd,sj->rcsd", (psi @ choi).reshape(din, dout, din, dout), psi.conj())
+        rho = Spectrum.eigh(out.reshape(din * dout, din * dout))
+        h, g = PetzUpEntropy(rho, din).value_and_gradient(alpha)
+        # dh = 2 Re sum C dpsi, C[r, i] = din sum G[sd, rc] J[ic, jd] conj(psi[s, j])
+        c = np.einsum("sdrc,sj->rcjd", g.reshape(din, dout, din, dout), psi.conj())
+        c = c.reshape(din, -1) @ choi.T
         grad = np.concatenate([2.0 * c.real.ravel(), -2.0 * c.imag.ravel()])
         # through psi = v / |v|: drop the radial part and scale by 1 / |v|
         p = np.concatenate([psi.real.ravel(), psi.imag.ravel()])

@@ -398,7 +398,8 @@ def dephasing_channel_curve(channel: Channel, rates) -> list[ExponentResult]:
     r = np.asarray(rates, dtype=float)
     if (r < 0).any():
         raise ValueError("rate r must be nonnegative")
-    coh = memo_on(channel, ("dephasing",), lambda: PetzUpEntropy(channel.choi, channel.din))
+    coh = memo_on(channel, ("dephasing",),
+                  lambda: PetzUpEntropy(Spectrum.of(channel.choi), channel.din))
     return _petz_curve(coh, r, True)
 
 

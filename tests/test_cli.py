@@ -93,6 +93,19 @@ def test_divergence_usage_errors(tmp_path, capsys, rng):
     capsys.readouterr()
 
 
+def test_divergence_of_states_of_different_dimension_exits_3(tmp_path, capsys, rng):
+    """An 8 x 8 and a 2 x 2 state: exit 3 with one line that names both dimensions."""
+    big = write_state(random_state((("A", 2), ("B", 4)), 3, rng), tmp_path / "big.json")
+    small = write_state(random_state((("A", 2),), 2, rng), tmp_path / "small.json")
+    for argv, dims in (([big, small], "8 vs 2"), ([small, big], "2 vs 8")):
+        for kind in (["--kind", "umegaki"], ["--kind", "petz", "--alpha", "0.5"],
+                     ["--kind", "sandwiched", "--alpha", "2"], ["--kind", "max"]):
+            assert main(["divergence", *argv, *kind]) == EXIT_PRECONDITION
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.splitlines() == [
+                f"precondition violated: states must have the same dimension ({dims})"]
+
+
 _ALPHA_ERROR = "precondition violated: alpha must be a positive finite number"
 
 

@@ -36,7 +36,7 @@ from qdecoupling.exponents import (
     standard_decoupling_exponents,
     sup_on_interval,
 )
-from qdecoupling.linalg import tensor
+from qdecoupling.linalg import Spectrum, tensor
 from qdecoupling.states import (
     State,
     make_rng,
@@ -402,7 +402,7 @@ def _grid_cases():
     h_std = sandwiched_cond_entropy(State(std.density, std.dims), ["A"], ["E"])
     h_d, h_c = (ConditionalEntropy(st.marginal("A", "R"), ["A"], ["R"]) for st in (dst, cst))
     p_mc, p_cd = PetzUpEntropy.of(mc, ["C"], ["D"]), PetzUpEntropy.of(cd, ["C"], ["D"])
-    p_ch = PetzUpEntropy(ch.choi, ch.din)
+    p_ch = PetzUpEntropy(Spectrum.of(ch.choi), ch.din)
     hi = 1.0 - 1e-9
     grid = np.linspace(0.02, 1.0, 20)
     petz = lambda e, conv: (_half(e.phi), lambda r: -0.5 * r, lambda r: None, hi, conv,

@@ -7,10 +7,13 @@ one state decomposes each of its operands once per distinct order, and
 the Monte Carlo estimator solves one stack of samples at a time.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from scipy import optimize
 
+from qdecoupling import linalg
 from qdecoupling.channels import apply_channel, channel_from_kraus, random_channel
 from qdecoupling.condentropy import (
     EntropyKind,
@@ -244,6 +247,65 @@ def test_eigensolves_of_the_channel_input_search(solves, monkeypatch):
     rng = make_rng(3, stream=13)
     assert solves(channel_coherent_info, channel, 0.7, "petz", 2, rng) == (50, 0)
     assert sum(evals) == 25
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """count(fn, *args) -> the number of ``linalg.as_hermitian`` calls fn(*args)
+    makes, through every module of the package that imported it."""
+    calls = [0]
+    orig = linalg.as_hermitian
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qdecoupling") and getattr(module, "as_hermitian", None) is orig:
+            monkeypatch.setattr(module, "as_hermitian", counted)
+
+    def count(fn, *args):
+        calls[0] = 0
+        fn(*args)
+        return calls[0]
+
+    return count
+
+
+def test_optimizers_validate_only_at_the_input_boundary(validations, monkeypatch):
+    """No matrix that the optimizers build from a validated State is validated again.
+
+    The mirror descents of test_eigensolves_of_mirror_descent (7 and 9 steps)
+    make no validation; before, the identity permutation, rho_B and rho made
+    three.  The channel-input search of
+    test_eigensolves_of_the_channel_input_search validates once, for the
+    State it returns, whatever the number of evaluations; before, each
+    evaluation validated its output rho_RB.
+    """
+    steps = []
+    for db in (2, 4):
+        state = random_state((("A", 2), ("B", db)), 2 * db, make_rng(db, stream=11))
+        assert validations(lambda: steps.append(
+            minimized_conditioning(state, ["A"], ["B"], "sandwiched", 1.5).iters)) == 0
+    assert steps == [7, 9]
+    evals = []
+    minimize = optimize.minimize
+
+    def counted(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        evals.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(optimize, "minimize", counted)
+    iso = haar_unitary(4, make_rng(3, stream=12))[:, :3]
+    channel = channel_from_kraus([iso[:2], iso[2:]])
+    per_search = []
+    for restarts in (1, 2, 4):
+        evals.clear()
+        rng = make_rng(3, stream=13)
+        assert validations(channel_coherent_info, channel, 0.7, "petz", restarts, rng) == 1
+        per_search.append(sum(evals))
+    assert per_search[0] < per_search[1] == 25 < per_search[2]
 
 
 def test_derived_states_match_the_public_constructor(rng):
