@@ -15,8 +15,8 @@ import numpy as np
 
 from .channels import Channel
 from .divergences import ALPHA_ONE_GUARD, d_max, divergence, umegaki
-from .linalg import Spectrum, as_hermitian, partial_trace, tensor
-from .states import State, memo_on, tensor_power
+from .linalg import Spectrum, partial_trace, tensor
+from .states import State, memo_on
 
 _TINY = 1e-300
 _LN2 = math.log(2.0)
@@ -97,15 +97,16 @@ class ConditionalEntropy:
     Construction splits the blocks, symmetrizes rho_AB, decomposes
     sigma = I_A x rho_B = V diag(w) V^+ once and keeps V^+ rho V, symmetrized, and
     ln w (0 on the kernel); a call at the order ``alpha`` and :meth:`phi` reuse them.
+    The state was validated, so none of these matrices is validated again.
     """
 
     def __init__(self, state: State, a_labels, b_labels, family: str = "sandwiched"):
         rho, da, db = _split_blocks(state, a_labels, b_labels)
-        self.rho = as_hermitian(rho)
-        self.sigma = _psd(Spectrum.of(tensor(np.eye(da), partial_trace(rho, [da, db], [1]))))
+        self.rho = _herm_part(rho)
+        self.sigma = _psd(Spectrum.eigh(tensor(np.eye(da), partial_trace(rho, [da, db], [1]))))
         self._sup = self.sigma.support
         self._ln_w = np.log(np.where(self._sup, self.sigma.values, 1.0))
-        self._rho_t = as_hermitian(self.sigma.vectors.conj().T @ self.rho @ self.sigma.vectors)
+        self._rho_t = _herm_part(self.sigma.vectors.conj().T @ self.rho @ self.sigma.vectors)
         self.family = family
         self._phis: dict[float, tuple[float, float]] = {}
         self._min_entropy: float | None = None
@@ -480,17 +481,6 @@ def cond_entropy(state: State, a_labels, b_labels, kind: EntropyKind) -> float:
     return -minimized_conditioning(state, a_labels, b_labels, kind.family, kind.alpha).value
 
 
-def coherent_info(
-    state: State,
-    a_labels,
-    b_labels,
-    family: str = "petz",
-    alpha: float = 0.5,
-) -> float:
-    """Renyi coherent information I(A>B): sign-flipped optimized entropy."""
-    return -cond_entropy(state, a_labels, b_labels, EntropyKind(family, alpha, optimized=True))
-
-
 def duality_pair(state: State, a_labels, b_labels, c_labels, s: float):
     """Both sides of the pure-state duality, for cross-checking.
 
@@ -507,20 +497,6 @@ def duality_pair(state: State, a_labels, b_labels, c_labels, s: float):
     lhs = cond_entropy(ac, a_labels, c_labels, EntropyKind("sandwiched", 1.0 + s))
     rhs = -petz_up_closed_form(ab, a_labels, b_labels, 1.0 / (1.0 + s))
     return lhs, rhs
-
-
-def tensor_power_entropy(
-    state: State, a_labels, b_labels, kind: EntropyKind, m: int
-) -> float:
-    """Per-copy conditional entropy of the m-fold tensor power."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if state.total_dim ** (2 * m) > 2**26:
-        raise ValueError("tensor power exceeds the memory budget")
-    big = tensor_power(state, m)
-    a_all = [f"{l}#{k}" for k in range(m) for l in a_labels]
-    b_all = [f"{l}#{k}" for k in range(m) for l in b_labels]
-    return cond_entropy(big, a_all, b_all, kind) / m
 
 
 # -- channel input optimization --------------------------------------------

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel, apply_channel, kraus_operators, partial_trace_channel
-from .condentropy import EntropyKind, cond_entropy
 from .divergences import sandwiched_renyi, support_contained, umegaki
 from .exponents import S_MIN, concave_sup, decoupling_phi
 from .linalg import Spectrum, distinct_eigenvalue_count, positive_part_trace, tensor
@@ -205,23 +204,6 @@ def decoupling_error_lower_bound(rho_ae: State, d_a1: int, d_a2: int) -> float:
     v = distinct_eigenvalue_count(rho_e)
     shift = 9.0 * v * (d_a2 / d_a1) * tensor(np.eye(da), rho_e)
     return positive_part_trace(rho_ae.density - shift) / v
-
-
-def isometry_decoupling_bound(
-    rho_ar: State, a_label: str, d_tilde: int, s: float
-) -> float:
-    """Upper bound for decoupling through a rank-d_tilde partial isometry.
-
-    (c_s/s) * (|Atilde|^(1+s)/|A|) * 2^(-s * H_{1+s}(A|R)), sandwiched.
-    """
-    if not 0 < s < 1:
-        raise ValueError("s must lie in (0, 1)")
-    da = rho_ar.dim_of(a_label)
-    if not 1 <= d_tilde <= da:
-        raise ValueError("d_tilde must lie in [1, |A|]")
-    rest = [l for l in rho_ar.labels if l != a_label]
-    h = cond_entropy(rho_ar, [a_label], rest, EntropyKind("sandwiched", 1.0 + s))
-    return (prefactor(s) / s) * (d_tilde ** (1.0 + s) / da) * 2.0 ** (-s * h)
 
 
 # -- inequality checkers ---------------------------------------------------

@@ -110,42 +110,6 @@ def d_max(rho: np.ndarray, sigma) -> float:
     return math.log2(top)
 
 
-def classical_divergence_oracle(
-    p: np.ndarray, q: np.ndarray, kind: str, alpha: float | None = None
-) -> float:
-    """Scalar-sum evaluation on probability vectors, for commuting cross-checks.
-
-    ``kind`` is one of "umegaki", "petz", "sandwiched", "max"; the two Renyi
-    families coincide classically.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.any(p < 0) or np.any(q < 0):
-        raise ValueError("probability vectors must be nonnegative")
-    sup_p = p > 0
-    if kind == "umegaki":
-        if np.any(sup_p & (q == 0)):
-            return math.inf
-        return float(np.sum(p[sup_p] * (np.log2(p[sup_p]) - np.log2(q[sup_p]))))
-    if kind == "max":
-        if np.any(sup_p & (q == 0)):
-            return math.inf
-        return float(np.max(np.log2(p[sup_p] / q[sup_p])))
-    if kind in ("petz", "sandwiched"):
-        if alpha is None:
-            raise ValueError("Renyi kinds need alpha")
-        if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
-            return classical_divergence_oracle(p, q, "umegaki")
-        if alpha > 1 and np.any(sup_p & (q == 0)):
-            return math.inf
-        mask = sup_p & (q > 0)
-        s = float(np.sum(p[mask] ** alpha * q[mask] ** (1.0 - alpha)))
-        if s <= 0:
-            return math.inf
-        return (math.log2(s) - math.log2(float(np.sum(p)))) / (alpha - 1.0)
-    raise ValueError(f"unknown divergence kind {kind!r}")
-
-
 def divergence(rho: np.ndarray, sigma, kind: str, alpha: float | None = None) -> float:
     """Uniform dispatch used by the CLI and the conditional-entropy layer."""
     if kind == "umegaki":

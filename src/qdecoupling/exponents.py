@@ -232,12 +232,6 @@ def decoupling_phi(rho_ae: State, channel: Channel):
     return lambda s: tuple(x + y for x, y in zip(h_ae.phi(s), h_ac.phi(s)))
 
 
-def decoupling_achievable_exponent(rho_ae: State, channel: Channel) -> float:
-    """sup over s in (0,1) of s(H(A|E) + H(A'|C)), clamped at zero."""
-    return max(0.0, float(concave_sup(decoupling_phi(rho_ae, channel), 0.0, S_MIN,
-                                      1.0).sup_value[0]))
-
-
 def critical_rate(rho_ae: State) -> float:
     """Derivative of -(s/2) H_{1+s}(A|E) at s = 1, in bits, from the state's memoized phi."""
     return -0.5 * sandwiched_cond_entropy(rho_ae, ["A"], ["E"]).phi(1.0)[1]

@@ -12,7 +12,6 @@ this package:
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -196,35 +195,6 @@ def partial_trace(
     out = np.einsum(t, row + col, out_idx)
     dk = int(np.prod([dims[i] for i in keep]))
     return out.reshape(dk, dk)
-
-
-def trace_norm(x: np.ndarray) -> float:
-    """Sum of singular values (works for non-Hermitian inputs)."""
-    return float(np.sum(np.linalg.svd(np.asarray(x, dtype=complex), compute_uv=False)))
-
-
-def _check_state(rho: np.ndarray, name: str) -> np.ndarray:
-    rho = as_hermitian(rho)
-    vals = Spectrum.eigvalsh(rho).values
-    if float(vals[0]) < -1e-8:
-        raise ValueError(f"{name} is not PSD (min eigenvalue {vals[0]:.3e})")
-    tr = float(np.real(np.trace(rho)))
-    if tr > 1.0 + 1e-8:
-        raise ValueError(f"{name} has trace {tr:.6f} > 1")
-    return rho
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Fidelity ``|| sqrt(rho) sqrt(sigma) ||_1`` between two states."""
-    rho = _check_state(rho, "rho")
-    sigma = _check_state(sigma, "sigma")
-    f = trace_norm(mat_pow(rho, 0.5) @ mat_pow(sigma, 0.5))
-    return min(max(f, 0.0), 1.0)
-
-
-def purified_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    f = fidelity(rho, sigma)
-    return math.sqrt(max(0.0, 1.0 - f * f))
 
 
 def eigenvalue_clusters(h: np.ndarray) -> list[tuple[float, np.ndarray]]:

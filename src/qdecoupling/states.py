@@ -112,10 +112,6 @@ class State:
     def tensor_with(self, other: "State") -> "State":
         return State._trusted(tensor(self.density, other.density), self.dims + other.dims)
 
-    def relabeled(self, mapping: dict[str, str]) -> "State":
-        dims = tuple((mapping.get(l, l), d) for l, d in self.dims)
-        return State._trusted(self.density, dims)
-
 
 def memo_on(obj, key, make):
     """``make()`` computed once per ``key`` and kept on the input ``obj``.
@@ -133,24 +129,12 @@ def memo_on(obj, key, make):
     return memo[key]
 
 
-def tensor_power(state: State, m: int) -> State:
-    """m-fold tensor power; copy k gets labels suffixed with ``#k``."""
-    out = state.relabeled({l: f"{l}#0" for l in state.labels})
-    for k in range(1, m):
-        out = out.tensor_with(state.relabeled({l: f"{l}#{k}" for l in state.labels}))
-    return out
-
-
 # -- standard states ------------------------------------------------------
 
 
 def max_entangled(d: int, labels: tuple[str, str] = ("A", "B")) -> State:
     vec = np.eye(d).reshape(d * d) / np.sqrt(d)
     return State(np.outer(vec, vec.conj()), ((labels[0], d), (labels[1], d)))
-
-
-def max_mixed(d: int, label: str = "A") -> State:
-    return State(np.eye(d) / d, ((label, d),))
 
 
 def maximally_correlated(coeffs: np.ndarray, labels: tuple[str, str] = ("A", "B")) -> State:
@@ -210,23 +194,6 @@ def random_pure(dims: tuple[tuple[str, int], ...], rng: np.random.Generator) -> 
     v = _ginibre(total, 1, rng)[:, 0]
     v /= np.linalg.norm(v)
     return State(np.outer(v, v.conj()), dims)
-
-
-def purify(state: State, label: str = "P") -> State:
-    """Pure extension on one extra subsystem of size rank(state)."""
-    spec = Spectrum.of(state.density)
-    vals, vecs = spec.values, spec.vectors
-    sup = np.flatnonzero(spec.support)
-    rank = max(len(sup), 1)
-    d = state.total_dim
-    vec = np.zeros(d * rank, dtype=complex)
-    for k, i in enumerate(sup):
-        vec += np.sqrt(vals[i]) * np.kron(vecs[:, i], np.eye(rank)[:, k])
-    tr = min(float(np.sum(vals[sup])), 1.0) if len(sup) else 0.0
-    nrm = np.linalg.norm(vec)
-    if nrm > 0:
-        vec = vec / nrm * np.sqrt(tr)
-    return State._trusted(np.outer(vec, vec.conj()), state.dims + ((label, rank),))
 
 
 # -- group ensembles and exact moments ------------------------------------

@@ -6,6 +6,8 @@ from scipy.linalg import fractional_matrix_power
 from scipy.optimize import brentq, minimize_scalar
 
 from qdecoupling.channels import kraus_operators
+from qdecoupling.divergences import ALPHA_ONE_GUARD
+from qdecoupling.linalg import Spectrum
 from qdecoupling.states import State, make_rng
 
 
@@ -29,6 +31,59 @@ def commuting_pair(d, rng):
     rho = (u * p) @ u.conj().T
     sig = (u * q) @ u.conj().T
     return rho, sig, p, q
+
+
+def classical_divergence_oracle(
+    p: np.ndarray, q: np.ndarray, kind: str, alpha: float | None = None
+) -> float:
+    """Scalar-sum evaluation on probability vectors, for commuting cross-checks.
+
+    ``kind`` is one of "umegaki", "petz", "sandwiched", "max"; the two Renyi
+    families coincide classically.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if np.any(p < 0) or np.any(q < 0):
+        raise ValueError("probability vectors must be nonnegative")
+    sup_p = p > 0
+    if kind == "umegaki":
+        if np.any(sup_p & (q == 0)):
+            return math.inf
+        return float(np.sum(p[sup_p] * (np.log2(p[sup_p]) - np.log2(q[sup_p]))))
+    if kind == "max":
+        if np.any(sup_p & (q == 0)):
+            return math.inf
+        return float(np.max(np.log2(p[sup_p] / q[sup_p])))
+    if kind in ("petz", "sandwiched"):
+        if alpha is None:
+            raise ValueError("Renyi kinds need alpha")
+        if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
+            return classical_divergence_oracle(p, q, "umegaki")
+        if alpha > 1 and np.any(sup_p & (q == 0)):
+            return math.inf
+        mask = sup_p & (q > 0)
+        s = float(np.sum(p[mask] ** alpha * q[mask] ** (1.0 - alpha)))
+        if s <= 0:
+            return math.inf
+        return (math.log2(s) - math.log2(float(np.sum(p)))) / (alpha - 1.0)
+    raise ValueError(f"unknown divergence kind {kind!r}")
+
+
+def purify(state: State, label: str = "P") -> State:
+    """Pure extension on one extra subsystem of size rank(state)."""
+    spec = Spectrum.of(state.density)
+    vals, vecs = spec.values, spec.vectors
+    sup = np.flatnonzero(spec.support)
+    rank = max(len(sup), 1)
+    d = state.total_dim
+    vec = np.zeros(d * rank, dtype=complex)
+    for k, i in enumerate(sup):
+        vec += np.sqrt(vals[i]) * np.kron(vecs[:, i], np.eye(rank)[:, k])
+    tr = min(float(np.sum(vals[sup])), 1.0) if len(sup) else 0.0
+    nrm = np.linalg.norm(vec)
+    if nrm > 0:
+        vec = vec / nrm * np.sqrt(tr)
+    return State._trusted(np.outer(vec, vec.conj()), state.dims + ((label, rank),))
 
 
 def apply_kraus(channel, state, on):

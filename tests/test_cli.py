@@ -27,7 +27,6 @@ from qdecoupling.cli import (
     state_to_doc,
 )
 from qdecoupling.condentropy import cond_vn_entropy
-from qdecoupling.divergences import classical_divergence_oracle
 from qdecoupling.linalg import tensor
 from qdecoupling.states import (
     State,
@@ -38,7 +37,7 @@ from qdecoupling.states import (
     random_state,
 )
 
-from conftest import commuting_pair
+from conftest import classical_divergence_oracle, commuting_pair
 
 
 def write_state(state, path):

@@ -21,13 +21,11 @@ from qdecoupling.condentropy import (
     _petz_objective,
     _sandwiched_objective,
     channel_coherent_info,
-    coherent_info,
     cond_entropy,
     cond_vn_entropy,
     duality_pair,
     minimized_conditioning,
     petz_up_closed_form,
-    tensor_power_entropy,
     von_neumann_entropy,
 )
 from qdecoupling.linalg import Spectrum, partial_trace, tensor
@@ -36,11 +34,12 @@ from qdecoupling.states import (
     haar_unitary,
     make_rng,
     max_entangled,
-    purify,
     random_density,
     random_pure,
     random_state,
 )
+
+from conftest import purify
 
 KINDS = [
     EntropyKind("petz", 0.6),
@@ -95,13 +94,6 @@ def test_petz_up_closed_form_matches_numeric(seed, alpha):
     assert -res.value == pytest.approx(closed, abs=1e-6)
 
 
-def test_coherent_info_is_negated_up_entropy(rng):
-    st_ = random_state((("A", 2), ("B", 2)), 3, rng)
-    assert coherent_info(st_, ["A"], ["B"], "petz", 0.7) == pytest.approx(
-        -petz_up_closed_form(st_, ["A"], ["B"], 0.7), abs=1e-12
-    )
-
-
 def test_duality_on_max_entangled_with_spectator():
     phi = max_entangled(2)
     spectator = State(np.diag([1.0, 0.0]).astype(complex), (("C", 2),))
@@ -136,21 +128,6 @@ def test_orders_outside_the_positive_reals_are_rejected(alpha, rng):
         EntropyKind("petz", alpha, optimized=True)
     with pytest.raises(ValueError, match="alpha must be a positive finite number"):
         petz_up_closed_form(st_, ["A"], ["B"], alpha)
-
-
-def test_tensor_power_single_copy_and_additivity(rng):
-    st_ = random_state((("A", 2), ("B", 2)), 3, rng)
-    kind = EntropyKind("sandwiched", 1.5)
-    single = cond_entropy(st_, ["A"], ["B"], kind)
-    assert tensor_power_entropy(st_, ["A"], ["B"], kind, 1) == pytest.approx(single, abs=1e-12)
-    per_copy = tensor_power_entropy(st_, ["A"], ["B"], kind, 2)
-    assert per_copy == pytest.approx(single, abs=1e-6)
-
-
-def test_tensor_power_memory_budget(rng):
-    st_ = random_state((("A", 4), ("B", 4)), 4, rng)
-    with pytest.raises(ValueError):
-        tensor_power_entropy(st_, ["A"], ["B"], EntropyKind("petz", 2.0), 6)
 
 
 def test_channel_coherent_info_identity():

@@ -19,7 +19,6 @@ from qdecoupling.decoupling import (
     decoupling_error_sample,
     decoupling_error_upper_bound,
     decoupling_error_upper_bound_optimized,
-    isometry_decoupling_bound,
     mc_decoupling_error,
     positive_part_inequality_sweep,
     prefactor,
@@ -85,7 +84,7 @@ def test_full_trace_makes_error_zero(rng):
 def test_max_entangled_instance_sample_value():
     # tracing out half of a maximally entangled state of two qubits leaves
     # I/2 x I/2 vs the actual joint state: D = log2(4) = 2
-    phi = max_entangled(4, ("A", "E")).relabeled({})
+    phi = max_entangled(4, ("A", "E"))
     inst = standard_instance(phi, 2, 2)
     rng = make_rng(0)
     vals = [decoupling_error_sample(inst, haar_unitary(4, rng)) for _ in range(5)]
@@ -235,19 +234,6 @@ def test_lower_bound_sandwich(rng):
 def test_lower_bound_validation(rng):
     with pytest.raises(ValueError):
         decoupling_error_lower_bound(random_state((("A", 4), ("E", 2)), 2, rng), 3, 2)
-
-
-def test_isometry_bound_full_rank_matches_standard_form(rng):
-    rho = random_state((("A", 4), ("R", 2)), 3, rng)
-    for s in (0.2, 0.6, 0.9):
-        b = isometry_decoupling_bound(rho, "A", 4, s)
-        assert b > 0
-        # shrinking the isometry rank shrinks the bound
-        assert isometry_decoupling_bound(rho, "A", 1, s) <= b
-    with pytest.raises(ValueError):
-        isometry_decoupling_bound(rho, "A", 5, 0.5)
-    with pytest.raises(ValueError):
-        isometry_decoupling_bound(rho, "A", 2, 1.5)
 
 
 def test_sharp_trace_equal_arguments(rng):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qdecoupling.channels import apply_channel, random_channel
 from qdecoupling.divergences import (
     ALPHA_ONE_GUARD,
-    classical_divergence_oracle,
     d_max,
     divergence,
     petz_renyi,
@@ -20,7 +19,7 @@ from qdecoupling.divergences import (
 from qdecoupling.linalg import Spectrum
 from qdecoupling.states import State, make_rng, random_density
 
-from conftest import commuting_pair
+from conftest import classical_divergence_oracle, commuting_pair
 
 ALL_KINDS = [("umegaki", None), ("max", None), ("petz", 0.5), ("petz", 2.0),
              ("sandwiched", 0.5), ("sandwiched", 2.0)]

@@ -25,7 +25,7 @@ from qdecoupling.exponents import (
     comparator_exponent,
     concave_sup,
     critical_rate,
-    decoupling_achievable_exponent,
+    decoupling_phi,
     dephasing_channel_curve,
     distillation_curve,
     distillation_exponent,
@@ -183,13 +183,18 @@ def test_comparator_never_exceeds_achievable():
 
 
 def test_decoupling_achievable_exponent_matches_partial_trace_route(rng):
+    """The general-channel supremum of s(H(A|E) + H(A'|C)) over the partial trace of
+    A2 is the standard achievable exponent at r = log|A2|: there 2r - log|A| =
+    log|A2| - log|A1| = H_{1+s}(A'|C) for every s."""
     from qdecoupling.decoupling import standard_instance
 
-    rho = random_pure((("A", 4), ("E", 2)), rng)
-    inst = standard_instance(rho, 2, 2)
-    val = decoupling_achievable_exponent(rho, inst.channel)
-    assert val >= 0.0
-    assert math.isfinite(val)
+    for rho in (random_pure((("A", 4), ("E", 2)), rng), random_state((("A", 4), ("E", 2)), 8, rng)):
+        ch = standard_instance(rho, 2, 2).channel
+        general = concave_sup(decoupling_phi(rho, ch), 0.0, S_MIN, 1.0)
+        standard = standard_decoupling_exponents(rho, 2.0, 1.0)
+        assert max(0.0, general.sup_value[0]) == pytest.approx(standard.achievable, abs=1e-12)
+        assert general.argmax_s[0] == pytest.approx(standard.argmax_s, abs=1e-9)
+    assert standard.achievable > 0.0  # the mixed state's exponent is not the clamp
 
 
 def test_merging_max_entangled_closed_forms():

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import qdecoupling
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     p for p in (ROOT / "src" / "qdecoupling").glob("*.py") if p.name != "__init__.py"
@@ -119,3 +121,52 @@ def test_brentq_check_sees_every_form():
     src = ("from scipy.optimize import brentq\nimport scipy.optimize as so\n"
            "so.brentq(f, 0, 1)\nbrentq(f, 0, 1)\nbrent(f)\n")
     assert _brentq_uses(ast.parse(src)) == [1, 3, 4]
+
+
+# Definitions kept although no other code in ``src/`` refers to them.
+REACHED_FROM_OUTSIDE = {
+    "mat_pow",  # perfbench's tracer looks it up by name
+    "decoupling_error_sample",  # perfbench's tracer wraps it; the batched estimator's reference
+    "comparator_exponent",  # acceptance criterion 10
+    # fixture constructors of the tests and the acceptance criteria
+    "max_entangled",
+    "maximally_correlated",
+    "identity_channel",
+    "full_trace_channel",
+}
+
+
+def _names(node: ast.AST):
+    """Every name ``node`` refers to: loaded names, attributes and imported names."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def _unreferenced(trees: dict[str, ast.Module], exported: set[str]) -> list[str]:
+    """Top-level functions and classes of ``trees`` that ``exported`` lacks and that
+    no top-level statement but their own definition refers to."""
+    tops = [(name, top, set(_names(top))) for name, tree in trees.items() for top in tree.body]
+    return [f"{name}:{top.name}" for name, top, _ in tops
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name not in exported
+            and not any(top.name in refs for _, other, refs in tops if other is not top)]
+
+
+def test_no_library_code_that_only_tests_reach():
+    """Every top-level function and class of ``src/`` is used by other library code,
+    exported by ``__all__`` or named in REACHED_FROM_OUTSIDE with its reason."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in MODULES if p.parent.name == "qdecoupling"}
+    dead = _unreferenced(trees, set(qdecoupling.__all__) | REACHED_FROM_OUTSIDE)
+    assert not dead, f"only tests reach these definitions: {', '.join(dead)}"
+
+
+def test_unreferenced_check_sees_recursion_and_exports():
+    trees = {"m.py": ast.parse("def f():\n    return f()\n\ndef g():\n    return h\n\n"
+                               "def h():\n    pass\n\nclass C:\n    pass\n")}
+    assert _unreferenced(trees, set()) == ["m.py:f", "m.py:g", "m.py:C"]
+    assert _unreferenced(trees, {"g", "C"}) == ["m.py:f"]

@@ -7,13 +7,10 @@ from qdecoupling.linalg import (
     as_hermitian,
     distinct_eigenvalue_count,
     eigenvalue_clusters,
-    fidelity,
     mat_pow,
     partial_trace,
     positive_part_trace,
-    purified_distance,
     tensor,
-    trace_norm,
 )
 from qdecoupling.states import make_rng
 
@@ -68,21 +65,6 @@ def test_partial_trace_keep_all_and_errors():
         partial_trace(rho, [2, 2], [2])
 
 
-def test_fidelity_and_distances_self():
-    rng = make_rng(3)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
-    assert purified_distance(rho, rho) == pytest.approx(0.0, abs=1e-5)
-
-
-def test_fidelity_orthogonal():
-    a = np.diag([1.0, 0.0])
-    b = np.diag([0.0, 1.0])
-    assert fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_distinct_eigenvalue_count_examples():
     assert distinct_eigenvalue_count(np.diag([0.5, 0.25, 0.25])) == 2
     assert distinct_eigenvalue_count(np.eye(4)) == 1
@@ -120,11 +102,6 @@ def test_as_hermitian_checks_each_matrix_of_a_stack():
     stack[3, 1, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         as_hermitian(stack)
-
-
-def test_trace_norm_matches_abs_eigvals():
-    h = random_herm(4, make_rng(5))
-    assert trace_norm(h) == pytest.approx(float(np.sum(np.abs(np.linalg.eigvalsh(h)))), abs=1e-10)
 
 
 @settings(deadline=None, max_examples=40)

@@ -280,8 +280,12 @@ def test_optimizers_validate_only_at_the_input_boundary(validations, monkeypatch
     three.  The channel-input search of
     test_eigensolves_of_the_channel_input_search validates once, for the
     State it returns, whatever the number of evaluations; before, each
-    evaluation validated its output rho_RB.
+    evaluation validated its output rho_RB.  A 20-rate decoupling curve
+    validates twice, in d_max for the min-entropy; before, the
+    ConditionalEntropy it builds validated rho, I_A x rho_B and V^+ rho V too.
     """
+    state = random_state((("A", 4), ("E", 2)), 3, make_rng(5, stream=11))
+    assert validations(standard_decoupling_curve, state, 2.0, np.linspace(0.1, 2.0, 20)) == 2
     steps = []
     for db in (2, 4):
         state = random_state((("A", 2), ("B", db)), 2 * db, make_rng(db, stream=11))
