@@ -21,6 +21,7 @@ from .divergences import d_max, divergence, petz_renyi, sandwiched_renyi, umegak
 from .exponents import (
     ExponentResult,
     channel_coding_exponent,
+    dephasing_channel_curve,
     distillation_exponent,
     merging_exponents,
     standard_decoupling_exponents,
@@ -43,6 +44,7 @@ __all__ = [
     "decoupling_error_lower_bound",
     "decoupling_error_upper_bound",
     "decoupling_error_upper_bound_optimized",
+    "dephasing_channel_curve",
     "distillation_exponent",
     "divergence",
     "duality_pair",

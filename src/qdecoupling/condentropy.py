@@ -27,8 +27,6 @@ _RESOLUTION = 16.0 * float(np.finfo(float).eps)
 # The stopping rules of _mirror_descent.
 _MAX_ITERS = 500
 _GRAD_TOL = 1e-9
-_STALL_TOL = 1e-12
-_STALL_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -92,27 +90,23 @@ def _psd(spec: Spectrum) -> Spectrum:
 
 
 class ConditionalEntropy:
-    """Non-optimized H_alpha(A|B) = -D_alpha(rho_AB || I_A x rho_B) of one state.
+    """Non-optimized sandwiched H~_alpha(A|B) = -D~_alpha(rho_AB || I_A x rho_B) of one state.
 
     Construction splits the blocks, symmetrizes rho_AB, decomposes
     sigma = I_A x rho_B = V diag(w) V^+ once and keeps V^+ rho V, symmetrized, and
-    ln w (0 on the kernel); a call at the order ``alpha`` and :meth:`phi` reuse them.
-    The state was validated, so none of these matrices is validated again.
+    ln w (0 on the kernel); :meth:`phi` reuses them.  The state was validated, so
+    none of these matrices is validated again.
     """
 
-    def __init__(self, state: State, a_labels, b_labels, family: str = "sandwiched"):
+    def __init__(self, state: State, a_labels, b_labels):
         rho, da, db = _split_blocks(state, a_labels, b_labels)
         self.rho = _herm_part(rho)
         self.sigma = _psd(Spectrum.eigh(tensor(np.eye(da), partial_trace(rho, [da, db], [1]))))
         self._sup = self.sigma.support
         self._ln_w = np.log(np.where(self._sup, self.sigma.values, 1.0))
         self._rho_t = _herm_part(self.sigma.vectors.conj().T @ self.rho @ self.sigma.vectors)
-        self.family = family
         self._phis: dict[float, tuple[float, float]] = {}
         self._min_entropy: float | None = None
-
-    def __call__(self, alpha: float) -> float:
-        return -divergence(self.rho, self.sigma, self.family, alpha)
 
     def phi(self, s):
         """phi(s) = s H~_{1+s}(A|B) = -log2 Q and its s-slope, sandwiched, at a float or 1-D array.
@@ -161,8 +155,8 @@ class PetzUpEntropy:
 
     Closed form (Tomamichel, Berta and Hayashi, JMP 2014): (alpha/(1-alpha))
     log2 tr m^(1/alpha) with m = tr_A rho^alpha.  ``spec`` is rho's Spectrum,
-    from :meth:`Spectrum.of` at the input boundary or :meth:`Spectrum.eigh` for
-    a matrix the package built; rho's kernel is cut and its support factor W
+    from :meth:`Spectrum.of` for an unvalidated matrix or :meth:`Spectrum.eigh` for
+    one the package built or validated; rho's kernel is cut and its support factor W
     kept (:func:`_support_factor`).  A call sums mu^(1/alpha) over the support
     of m, at an ``alpha`` that must not be 1.
     """
@@ -273,11 +267,12 @@ def _phi_at(s, memo: dict, stack):
 
 # -- objectives for the sigma minimization --------------------------------
 #
-# Both take sigma = V diag(w) V^+ by its eigenvalues w (clamped below at _TINY)
-# and eigenvectors V, precompute all that does not depend on sigma, and return
-# D_family(rho_AB || I_A x sigma) with a closure for its exact gradient G~ = V^+ G V
-# in sigma's eigenbasis, dD = tr(G dsigma).  By Daleckii-Krein, V^+ d(sigma^c) V =
-# L o V^+ dsigma V, with L the divided differences of x^c at w.
+# Both take sigma = V diag(w) V^+ by its eigenvalues w (at least 1e-9/|B| at the
+# start of a descent, e^-30 after a step) and eigenvectors V, precompute all that
+# does not depend on sigma, and return D_family(rho_AB || I_A x sigma) with a
+# closure for its exact gradient G~ = V^+ G V in sigma's eigenbasis, dD = tr(G dsigma).
+# By Daleckii-Krein, V^+ d(sigma^c) V = L o V^+ dsigma V, with L the divided
+# differences of x^c at w.
 
 
 def _divided_differences(w: np.ndarray, c: float) -> np.ndarray:
@@ -341,8 +336,8 @@ def _sandwiched_objective(rho: np.ndarray, da: int, alpha: float):
     return f
 
 
-def _mirror_descent(obj, sigma0: np.ndarray | Spectrum):
-    """Minimize ``obj`` over density matrices by mirror descent from ``sigma0`` or its Spectrum.
+def _mirror_descent(obj, sigma0: Spectrum):
+    """Minimize ``obj`` over density matrices by mirror descent from the Spectrum ``sigma0``.
 
     The iterate sigma = V diag(w) V^+ is held as (w, V, ln w).  ``obj(w, V)``
     returns f and a closure for G~ = V^+ G V, called only at an accepted point.
@@ -363,20 +358,15 @@ def _mirror_descent(obj, sigma0: np.ndarray | Spectrum):
       eta ||P||_sigma^2 is below _RESOLUTION max(1, |f|), too small to show
       in f; eta falls at least twofold on every failed trial, so the line
       search ends;
-    * ``"stall"``: f fell by less than _STALL_TOL in _STALL_ITERS steps;
     * ``"max_iters"``: none of these; :class:`OptimizerDivergence` is raised
       instead if ||P||_sigma is above 1e-4.
     """
-    if not isinstance(sigma0, Spectrum):
-        sigma0 = np.asarray(sigma0, dtype=complex)
-        sigma0 = Spectrum.eigh(_herm_part(sigma0 / np.real(np.trace(sigma0))))
-    w, v = np.maximum(sigma0.values, _TINY), sigma0.vectors
+    w, v = sigma0.values, sigma0.vectors
     ln_w = np.log(w)
     fval, grad_at = obj(w, v)
     grad = grad_at()
     eye = np.eye(len(w))
     eta = 1.0
-    history = [fval]
     grad_norm = math.inf
     for it in range(_MAX_ITERS):
         proj = grad - float(np.real(np.diagonal(grad)) @ w) * eye
@@ -403,9 +393,6 @@ def _mirror_descent(obj, sigma0: np.ndarray | Spectrum):
             eta *= min(max(0.5 * eta * slope / excess, 0.1), 0.5) if excess < math.inf else 0.1
         else:
             return MinimizeResult(fval, (v * w) @ v.conj().T, it, grad_norm, "resolution")
-        history.append(fval)
-        if len(history) > _STALL_ITERS and history[-_STALL_ITERS - 1] - fval < _STALL_TOL:
-            return MinimizeResult(fval, (v * w) @ v.conj().T, it + 1, grad_norm, "stall")
     if grad_norm > 1e-4:
         raise OptimizerDivergence(
             f"simplex minimizer hit {_MAX_ITERS} iterations, "
@@ -420,15 +407,13 @@ def minimized_conditioning(
     b_labels,
     family: str,
     alpha: float,
-    sigma0: np.ndarray | None = None,
 ) -> MinimizeResult:
     """inf over sigma_B of D(rho_AB || I_A x sigma_B), by one mirror descent.
 
     The problem is convex at every order the library uses (sandwiched
-    alpha >= 1/2, Petz alpha in (0, 2]), so one start suffices: ``sigma0``
-    when given and not orthogonal to supp rho_B, else (1 - 1e-9) rho_B +
-    1e-9 I / |B|.  At alpha near 1 the Umegaki value at sigma_B = rho_B is
-    returned directly.
+    alpha >= 1/2, Petz alpha in (0, 2]), so one start suffices:
+    (1 - 1e-9) rho_B + 1e-9 I / |B| on supp rho_B.  At alpha near 1 the
+    Umegaki value at sigma_B = rho_B is returned directly.
     """
     rho, da, db = _split_blocks(state, a_labels, b_labels)
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
@@ -448,15 +433,11 @@ def minimized_conditioning(
         db = basis.shape[1]
         iso = tensor(np.eye(da), basis)
         rho = iso.conj().T @ rho @ iso
-        if sigma0 is not None:
-            s0 = basis.conj().T @ np.asarray(sigma0, dtype=complex) @ basis
-            tr0 = float(np.real(np.trace(s0)))
-            sigma0 = s0 / tr0 if tr0 > 1e-12 else None
     obj = (_petz_objective if family == "petz" else _sandwiched_objective)(rho, da, alpha)
-    if sigma0 is None:  # in rho_B's eigenbasis, which is the identity after the restriction
-        lam = spec_b.values[sup]
-        sigma0 = Spectrum((1.0 - 1e-9) * lam / np.sum(lam) + 1e-9 / db,
-                          spec_b.vectors if basis is None else np.eye(db, dtype=complex))
+    # the start in rho_B's eigenbasis, which is the identity after the restriction
+    lam = spec_b.values[sup]
+    sigma0 = Spectrum((1.0 - 1e-9) * lam / np.sum(lam) + 1e-9 / db,
+                      spec_b.vectors if basis is None else np.eye(db, dtype=complex))
     res = _mirror_descent(obj, sigma0)
     if basis is not None:
         res = replace(res, sigma=basis @ res.sigma @ basis.conj().T)
@@ -464,18 +445,20 @@ def minimized_conditioning(
 
 
 def petz_up_closed_form(state: State, a_labels, b_labels, alpha: float) -> float:
-    """Optimized Petz H_up_alpha(A|B) by :class:`PetzUpEntropy`, or by Umegaki near alpha = 1."""
+    """Optimized Petz H_up_alpha(A|B) by :class:`PetzUpEntropy`, or H(A|B) near alpha = 1."""
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be a positive finite number")
-    if abs(alpha - 1.0) < ALPHA_ONE_GUARD:  # the minimizer's closed form
-        return -minimized_conditioning(state, a_labels, b_labels, "petz", alpha).value
+    if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
+        return cond_vn_entropy(state, a_labels, b_labels)
     return PetzUpEntropy.of(state, a_labels, b_labels)(alpha)
 
 
 def cond_entropy(state: State, a_labels, b_labels, kind: EntropyKind) -> float:
     """Conditional Renyi entropy of the (A, B) partition, in bits."""
     if not kind.optimized:
-        return ConditionalEntropy(state, a_labels, b_labels, kind.family)(kind.alpha)
+        rho, da, db = _split_blocks(state, a_labels, b_labels)
+        sigma = Spectrum.eigh(tensor(np.eye(da), partial_trace(rho, [da, db], [1])))
+        return -divergence(rho, sigma, kind.family, kind.alpha)
     if kind.family == "petz":
         return petz_up_closed_form(state, a_labels, b_labels, kind.alpha)
     return -minimized_conditioning(state, a_labels, b_labels, kind.family, kind.alpha).value

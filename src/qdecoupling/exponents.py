@@ -20,8 +20,8 @@ function keeps its phi object, memoized on s, on its input ``State`` or
 ``Channel`` (see ``states.memo_on``), so curves on one input evaluate each
 (input, s) pair once.  Inputs are immutable; changing a state's density in
 place would leave stale values.  The one exception is
-``channel_coding_exponent`` without ``dephasing``, whose randomized input
-search is not concave, depends on call order and is not memoized.
+``channel_coding_exponent``, whose randomized input search is not concave,
+depends on call order and is not memoized.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .states import State, make_rng, memo_on
 
 S_MIN = 1e-4
 S_CAP = 64.0
+N_GRID = 24
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class ExponentResult:
         return [cls(*row) for row in zip(*(np.atleast_1d(a).tolist() for a in cols))]
 
 
-def sup_on_interval(f, lo: float, hi: float, n_grid: int = 64) -> ExponentCurve:
+def sup_on_interval(f, lo: float, hi: float) -> ExponentCurve:
     """Supremum of a scalar function on (lo, hi] by grid plus local refinement.
 
     The grid is geometric (dense near lo); the best cell is polished with a
@@ -89,7 +90,7 @@ def sup_on_interval(f, lo: float, hi: float, n_grid: int = 64) -> ExponentCurve:
     randomized input search of ``channel_coding_exponent``, and
     :func:`concave_sup` serves every concave objective.
     """
-    grid_s = np.geomspace(lo, hi, n_grid)
+    grid_s = np.geomspace(lo, hi, N_GRID)
     vals = []
     for s in grid_s:
         v = f(float(s))
@@ -98,7 +99,7 @@ def sup_on_interval(f, lo: float, hi: float, n_grid: int = 64) -> ExponentCurve:
         vals.append(v)
     i = int(np.argmax(vals))
     a = float(grid_s[max(i - 1, 0)])
-    b = float(grid_s[min(i + 1, n_grid - 1)])
+    b = float(grid_s[min(i + 1, N_GRID - 1)])
     best_s, best_v = float(grid_s[i]), float(vals[i])
     if b - a > 1e-12:
         from scipy import optimize  # here, not at the top: no CLI command imports scipy
@@ -268,18 +269,15 @@ def comparator_exponent(
     """Half the supremum of s(2r - log|A| + Hup_{1/(1-s)}(A|E)) over (0,1).
 
     Uses the optimized sandwiched entropy of order 1/(1-s), minimized
-    numerically with the conditioning state warm-started along the s grid.
+    numerically by one cold-started descent at each point of the s grid.
     This comparator never exceeds the standard achievable exponent.
     """
     if r <= 0:
         raise ValueError("rate r must be positive")
     best = -math.inf
-    sigma0 = None
     for s in np.linspace(0.02, 0.98, n_grid):
         alpha = 1.0 / (1.0 - float(s))
-        res = minimized_conditioning(rho_ae, ["A"], ["E"], "sandwiched", alpha, sigma0=sigma0)
-        sigma0 = res.sigma
-        h_up = -res.value
+        h_up = -minimized_conditioning(rho_ae, ["A"], ["E"], "sandwiched", alpha).value
         best = max(best, 0.5 * float(s) * (2.0 * r - log_a + h_up))
     return max(0.0, best)
 
@@ -387,13 +385,14 @@ def distillation_exponent(rho_cd: State, c_labels, d_labels, r: float) -> Expone
 
 
 def dephasing_channel_curve(channel: Channel, rates) -> list[ExponentResult]:
-    """Coding exponents of a basis-preserving channel, per rate: ``channel_coding_exponent``
-    with ``dephasing=True``, its input pinned to the maximally entangled state."""
+    """Coding exponents of a basis-preserving channel, per rate, its input pinned to the
+    maximally entangled state (sufficient for basis-preserving channels built from a Gram
+    matrix), so the matching converse, exact at high rates, applies."""
     r = np.asarray(rates, dtype=float)
     if (r < 0).any():
         raise ValueError("rate r must be nonnegative")
     coh = memo_on(channel, ("dephasing",),
-                  lambda: PetzUpEntropy(Spectrum.of(channel.choi), channel.din))
+                  lambda: PetzUpEntropy(Spectrum.eigh(channel.choi), channel.din))
     return _petz_curve(coh, r, True)
 
 
@@ -401,20 +400,14 @@ def channel_coding_exponent(
     channel: Channel,
     r: float,
     restarts: int = 8,
-    dephasing: bool = False,
 ) -> ExponentResult:
     """Quantum channel coding exponent (s/2)(I_{1/(1+s)}(channel) - r).
 
-    With ``dephasing=True`` the channel input is pinned to the maximally
-    entangled state (sufficient for basis-preserving channels built from a
-    Gram matrix) and the matching converse with exactness at high rates
-    applies (:func:`dephasing_channel_curve`); otherwise the input is
-    optimized per s by multi-start ascent, only the achievable direction is
-    reported, and the critical rate is the slope at s = 1 at the best input
-    found there (Danskin's theorem).
+    The input is optimized per s by multi-start ascent, only the achievable
+    direction is reported, and the critical rate is the slope at s = 1 at the
+    best input found there (Danskin's theorem).  For a basis-preserving
+    channel, :func:`dephasing_channel_curve` pins the input and adds the converse.
     """
-    if dephasing:
-        return dephasing_channel_curve(channel, [r])[0]
     if r < 0:
         raise ValueError("rate r must be nonnegative")
     rng = make_rng(0)
@@ -427,7 +420,7 @@ def channel_coding_exponent(
         warm["x0"] = np.concatenate([vec.real, vec.imag])
         return val, inp
 
-    ach = sup_on_interval(lambda s: 0.5 * s * (best_input(s)[0] - r), S_MIN, 1.0 - 1e-9, n_grid=24)
+    ach = sup_on_interval(lambda s: 0.5 * s * (best_input(s)[0] - r), S_MIN, 1.0 - 1e-9)
     out = apply_channel(channel, best_input(1.0)[1], "A")
     rc = PetzUpEntropy.of(out, ["R"], ["A"]).phi(1.0)[1]
     return ExponentResult.of(ach, math.inf, rc, False)[0]

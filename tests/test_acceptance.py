@@ -30,9 +30,9 @@ from qdecoupling.decoupling import (
 )
 from qdecoupling.divergences import divergence
 from qdecoupling.exponents import (
-    channel_coding_exponent,
     comparator_exponent,
     critical_rate,
+    dephasing_channel_curve,
     standard_decoupling_exponents,
 )
 from qdecoupling.linalg import tensor
@@ -255,7 +255,7 @@ def test_criterion_12_closed_instance_exponents():
         worst = max(worst, abs(standard_decoupling_exponents(phi, 1.0, r).achievable
                                - max(0.0, 2 * r - 2.0)))
     for r in (0.05, 0.2, 0.5):
-        got = channel_coding_exponent(ch, r, dephasing=True).achievable
+        got = dephasing_channel_curve(ch, [r])[0].achievable
         worst = max(worst, abs(got - classical_dephasing_oracle(gram, r)))
     ok = worst <= 1e-8
     _line("12", ok, f"closed-instance exponents: product, maximally entangled, "

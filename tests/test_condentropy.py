@@ -229,12 +229,12 @@ _SLOPE_STATES = {
     "rank-3": lambda rng: random_state((("A", 2), ("B", 3)), 3, rng),
     "dephasing-choi": _dephasing_choi,
     # rank 3, with a kernel in rho_B: sigma^c is 0 there at every order
-    "rho-b-kernel": lambda rng: _embedded_in_b3(int(rng.integers(1000)))[0],
+    "rho-b-kernel": lambda rng: _embedded_in_b3(int(rng.integers(1000))),
 }
 _PHIS = {
     # (phi object, s H_{1+s} or s times the coherent information by the value routes)
-    "sandwiched": lambda st: (ConditionalEntropy(st, ["A"], ["B"]),
-                              lambda e, s: s * e(1.0 + s)),
+    "sandwiched": lambda st: (ConditionalEntropy(st, ["A"], ["B"]), lambda e, s: s * cond_entropy(
+        st, ["A"], ["B"], EntropyKind("sandwiched", 1.0 + s))),
     "petz": lambda st: (PetzUpEntropy.of(st, ["A"], ["B"]),
                         lambda e, s: -s * e(1.0 / (1.0 + s))),
 }
@@ -446,10 +446,12 @@ _HALF_ORDER_SWEEP_BEFORE = (
 
 @pytest.mark.parametrize("alpha", [0.5, 0.51, 0.6])
 def test_sweep_near_the_order_one_half(alpha):
-    """No descent raises, each takes at most 200 steps (173 at most when written), and
-    at alpha = 1/2 no value lies above the one reached before the log floor."""
+    """No descent raises, each stops by ``grad_tol`` or ``resolution`` within 200 steps
+    (173 at most when written), and at alpha = 1/2 no value lies above the one reached
+    before the log floor."""
     results = [minimized_conditioning(st_, ["A"], ["B"], "sandwiched", alpha)
                for st_ in _sweep_states()]
+    assert {r.exit for r in results} <= {"grad_tol", "resolution"}
     assert max(r.iters for r in results) <= 200
     if alpha == 0.5:
         pairs = [(r.value, before) for r, before in zip(results, _HALF_ORDER_SWEEP_BEFORE)
@@ -541,41 +543,12 @@ def test_failed_trials_step_to_the_quadratic_model(monkeypatch):
     assert min(ratios) < 0.45
 
 
-def _embedded_in_b3(seed: int):
-    """A rank-3 rho_AB with |A| = |B| = 2, its B mapped isometrically into |B| = 3.
-
-    Returns the embedded state and the projector onto the complement of
-    supp rho_B.
-    """
+def _embedded_in_b3(seed: int) -> State:
+    """A rank-3 rho_AB with |A| = |B| = 2, its B mapped isometrically into |B| = 3."""
     rng = make_rng(seed, stream=14)
     x = random_state((("A", 2), ("B", 2)), 3, rng)
-    v = haar_unitary(3, rng)[:, :2]
-    iso = tensor(np.eye(2), v)
-    emb = State(iso @ x.density @ iso.conj().T, (("A", 2), ("B", 3)))
-    return emb, np.eye(3) - v @ v.conj().T
-
-
-@pytest.mark.parametrize("family,alpha", [("petz", 0.6), ("petz", 1.5),
-                                          ("sandwiched", 0.6), ("sandwiched", 2.0)])
-@pytest.mark.parametrize("seed", range(3))
-def test_warm_start_on_a_rank_deficient_rho_b(family, alpha, seed):
-    """A full-rank sigma0 is cut to supp rho_B and reaches the cold-start value."""
-    emb, _ = _embedded_in_b3(seed)
-    cold = minimized_conditioning(emb, ["A"], ["B"], family, alpha)
-    sigma0 = random_density(3, 3, make_rng(seed, stream=15))
-    warm = minimized_conditioning(emb, ["A"], ["B"], family, alpha, sigma0=sigma0)
-    assert abs(warm.value - cold.value) <= 1e-12
-    assert warm.sigma.shape == (3, 3)
-
-
-@pytest.mark.parametrize("family,alpha", [("petz", 0.6), ("sandwiched", 2.0)])
-def test_warm_start_off_the_support_of_rho_b_is_dropped(family, alpha):
-    """A sigma0 with no weight on supp rho_B falls back to the default start."""
-    emb, off = _embedded_in_b3(0)
-    cold = minimized_conditioning(emb, ["A"], ["B"], family, alpha)
-    warm = minimized_conditioning(emb, ["A"], ["B"], family, alpha, sigma0=off)
-    assert warm.value == cold.value
-    assert warm.iters == cold.iters
+    iso = tensor(np.eye(2), haar_unitary(3, rng)[:, :2])
+    return State(iso @ x.density @ iso.conj().T, (("A", 2), ("B", 3)))
 
 
 def _divergence_to_conditioning(rho, da, family, alpha, sigma):

@@ -264,7 +264,7 @@ def test_channel_coding_dephasing_matches_classical_oracle():
     g = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
     ch = generalized_dephasing(g)
     for r in (0.05, 0.2, 0.5):
-        res = channel_coding_exponent(ch, r, dephasing=True)
+        res = dephasing_channel_curve(ch, [r])[0]
         assert res.achievable == pytest.approx(classical_dephasing_oracle(g, r), abs=1e-8)
         assert math.isfinite(res.converse)
 
@@ -282,7 +282,7 @@ def test_dephasing_converse_matches_classical_oracle():
     np.fill_diagonal(gram, 1.0)
     ch = generalized_dephasing(gram)
     for r in (0.01, 0.05, 0.1):
-        res = channel_coding_exponent(ch, r, dephasing=True)
+        res = dephasing_channel_curve(ch, [r])[0]
         assert abs(res.converse - classical_dephasing_converse_oracle(gram, r)) <= 1e-10
 
 

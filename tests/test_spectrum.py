@@ -14,7 +14,12 @@ import pytest
 from scipy import optimize
 
 from qdecoupling import linalg
-from qdecoupling.channels import apply_channel, channel_from_kraus, random_channel
+from qdecoupling.channels import (
+    apply_channel,
+    channel_from_kraus,
+    generalized_dephasing,
+    random_channel,
+)
 from qdecoupling.condentropy import (
     EntropyKind,
     PetzUpEntropy,
@@ -30,7 +35,11 @@ from qdecoupling.decoupling import (
     standard_instance,
 )
 from qdecoupling.divergences import d_max, petz_renyi, sandwiched_renyi, umegaki
-from qdecoupling.exponents import distillation_curve, standard_decoupling_curve
+from qdecoupling.exponents import (
+    dephasing_channel_curve,
+    distillation_curve,
+    standard_decoupling_curve,
+)
 from qdecoupling.linalg import Spectrum
 from qdecoupling.states import (
     State,
@@ -283,9 +292,13 @@ def test_optimizers_validate_only_at_the_input_boundary(validations, monkeypatch
     evaluation validated its output rho_RB.  A 20-rate decoupling curve
     validates twice, in d_max for the min-entropy; before, the
     ConditionalEntropy it builds validated rho, I_A x rho_B and V^+ rho V too.
+    A 20-rate dephasing-channel curve validates nothing: the Channel validated
+    its Choi matrix; before, the curve validated it again.
     """
     state = random_state((("A", 4), ("E", 2)), 3, make_rng(5, stream=11))
     assert validations(standard_decoupling_curve, state, 2.0, np.linspace(0.1, 2.0, 20)) == 2
+    channel = generalized_dephasing(np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex))
+    assert validations(dephasing_channel_curve, channel, np.linspace(0.05, 0.5, 20)) == 0
     steps = []
     for db in (2, 4):
         state = random_state((("A", 2), ("B", db)), 2 * db, make_rng(db, stream=11))
