@@ -267,12 +267,12 @@ def _phi_at(s, memo: dict, stack):
 
 # -- objectives for the sigma minimization --------------------------------
 #
-# Both take sigma = V diag(w) V^+ by its eigenvalues w (at least 1e-9/|B| at the
-# start of a descent, e^-30 after a step) and eigenvectors V, precompute all that
-# does not depend on sigma, and return D_family(rho_AB || I_A x sigma) with a
-# closure for its exact gradient G~ = V^+ G V in sigma's eigenbasis, dD = tr(G dsigma).
-# By Daleckii-Krein, V^+ d(sigma^c) V = L o V^+ dsigma V, with L the divided
-# differences of x^c at w.
+# Both are built from rho's support factor (W, lambda) of _support_factor and
+# decompose nothing.  They take sigma = V diag(w) V^+, V in W's basis of B, by its
+# eigenvalues w (at least 1e-9/|B| at the start of a descent, e^-30 after a step)
+# and eigenvectors V, and return D_family(rho_AB || I_A x sigma) with a closure for
+# its exact gradient G~ = V^+ G V in sigma's eigenbasis, dD = tr(G dsigma).  By
+# Daleckii-Krein, V^+ d(sigma^c) V = L o V^+ dsigma V, L the divided differences of x^c at w.
 
 
 def _divided_differences(w: np.ndarray, c: float) -> np.ndarray:
@@ -286,10 +286,10 @@ def _divided_differences(w: np.ndarray, c: float) -> np.ndarray:
     return np.exp(0.5 * (c - 1.0) * (lw[:, None] + lw[None, :])) * ratio
 
 
-def _petz_objective(rho: np.ndarray, da: int, alpha: float):
-    """q = tr(m sigma^c) = sum_j w_j^c m~_jj, m = tr_A rho^alpha, m~ = V^+ m V, c = 1 - alpha,
-    and G~ = L o m~ / ((alpha - 1) q ln 2)."""
-    m = PetzUpEntropy(Spectrum.eigh(rho), da).marginal(alpha)
+def _petz_objective(vecs: np.ndarray, lam: np.ndarray, alpha: float):
+    """q = tr(m sigma^c) = sum_j w_j^c m~_jj, m = tr_A rho^alpha = W lambda^alpha W^+,
+    m~ = V^+ m V, c = 1 - alpha, and G~ = L o m~ / ((alpha - 1) q ln 2)."""
+    m = (vecs * lam**alpha) @ vecs.conj().T
     c = 1.0 - alpha
 
     def f(w: np.ndarray, v: np.ndarray):
@@ -303,16 +303,15 @@ def _petz_objective(rho: np.ndarray, da: int, alpha: float):
     return f
 
 
-def _sandwiched_objective(rho: np.ndarray, da: int, alpha: float):
+def _sandwiched_objective(vecs: np.ndarray, lam: np.ndarray, da: int, alpha: float):
     """Q = tr M^alpha, M = Gamma rho Gamma, Gamma = I_A x sigma^c, c = (1 - alpha) / (2 alpha).
 
-    rho = R R^+ is decomposed once, R = W lambda^(1/2) of :func:`_support_factor`.  A
-    call forms S = V^+ R and T_a = w^c S_a; K = sum_a T_a^+ T_a, r x r, has the spectrum
-    of M.  As dQ = alpha tr(Z d(sigma^(2c))), G~ = alpha L o Z~ / ((alpha - 1) Q ln 2),
+    rho = R R^+ with R = W lambda^(1/2), r = rank rho columns per a.  A call forms
+    S = V^+ R and T_a = w^c S_a; K = sum_a T_a^+ T_a, r x r, has the spectrum of M.
+    As dQ = alpha tr(Z d(sigma^(2c))), G~ = alpha L o Z~ / ((alpha - 1) Q ln 2),
     with L at the order 2c and Z~ = sum_a S_a K^(alpha-1) S_a^+ on K's support.
     """
     c = (1.0 - alpha) / (2.0 * alpha)
-    vecs, lam = _support_factor(Spectrum.eigh(rho), [da, rho.shape[0] // da])
     factor, r = vecs * np.sqrt(lam), len(lam) // da
 
     def f(w: np.ndarray, v: np.ndarray):
@@ -412,8 +411,10 @@ def minimized_conditioning(
 
     The problem is convex at every order the library uses (sandwiched
     alpha >= 1/2, Petz alpha in (0, 2]), so one start suffices:
-    (1 - 1e-9) rho_B + 1e-9 I / |B| on supp rho_B.  At alpha near 1 the
-    Umegaki value at sigma_B = rho_B is returned directly.
+    (1 - 1e-9) rho_B + 1e-9 I / |B| on supp rho_B, rho_B = W lambda W^+ from rho's
+    support factor (:func:`_support_factor`).  The descent runs on P^+ W, P the support
+    eigenvectors of rho_B, and returns P sigma P^+.  At alpha near 1 the Umegaki value
+    at sigma_B = rho_B is returned directly.
     """
     rho, da, db = _split_blocks(state, a_labels, b_labels)
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
@@ -425,23 +426,16 @@ def minimized_conditioning(
     # renormalizing the in-support block only decreases it.  Restricting to
     # that subspace keeps the iterates full rank, which the multiplicative
     # update needs to make progress.
-    spec_b = Spectrum.eigh(partial_trace(rho, [da, db], [1]))
-    sup = spec_b.support
-    basis = None
-    if int(np.sum(sup)) < db:
-        basis = spec_b.vectors[:, sup]
-        db = basis.shape[1]
-        iso = tensor(np.eye(da), basis)
-        rho = iso.conj().T @ rho @ iso
-    obj = (_petz_objective if family == "petz" else _sandwiched_objective)(rho, da, alpha)
-    # the start in rho_B's eigenbasis, which is the identity after the restriction
-    lam = spec_b.values[sup]
-    sigma0 = Spectrum((1.0 - 1e-9) * lam / np.sum(lam) + 1e-9 / db,
-                      spec_b.vectors if basis is None else np.eye(db, dtype=complex))
+    vecs, lam = _support_factor(Spectrum.eigh(rho), [da, db])
+    spec_b = Spectrum.eigh((vecs * lam) @ vecs.conj().T)
+    basis, w = spec_b.vectors[:, spec_b.support], spec_b.values[spec_b.support]
+    vecs = basis.conj().T @ vecs
+    obj = (_petz_objective(vecs, lam, alpha) if family == "petz"
+           else _sandwiched_objective(vecs, lam, da, alpha))
+    # the start in rho_B's eigenbasis, which is the identity in the basis of the descent
+    sigma0 = Spectrum((1.0 - 1e-9) * w / np.sum(w) + 1e-9 / len(w), np.eye(len(w), dtype=complex))
     res = _mirror_descent(obj, sigma0)
-    if basis is not None:
-        res = replace(res, sigma=basis @ res.sigma @ basis.conj().T)
-    return res
+    return replace(res, sigma=basis @ res.sigma @ basis.conj().T)
 
 
 def petz_up_closed_form(state: State, a_labels, b_labels, alpha: float) -> float:

@@ -73,14 +73,14 @@ def standard_instance(rho_ae: State, d_a1: int, d_a2: int) -> DecouplingInstance
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Sample mean and error of the decoupling error over Haar draws."""
+    """Sample mean and error of the decoupling error over Haar draws, and the samples."""
 
     mean: float
     stderr: float
     n_samples: int
     seed: int
+    per_sample: np.ndarray = field(compare=False)  # an array has no truth value for ==
     n_infinite: int = field(default=0)
-    per_sample: tuple[float, ...] | None = field(default=None)
 
     @property
     def is_finite(self) -> bool:
@@ -111,7 +111,6 @@ def mc_decoupling_error(
     inst: DecouplingInstance,
     n_samples: int = 500,
     seed: int = 0,
-    keep_samples: bool = False,
 ) -> MCEstimate:
     """Monte Carlo estimate of the Haar-averaged decoupling error.
 
@@ -123,8 +122,8 @@ def mc_decoupling_error(
     up to roundoff.
 
     Infinite samples (support violations of single draws) are counted and
-    surfaced through ``n_infinite`` rather than dropped; the mean and
-    stderr are then reported over the finite samples only.
+    surfaced through ``n_infinite`` and as NaN in ``per_sample`` rather than
+    dropped; the mean and stderr are then reported over the finite samples only.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -160,8 +159,8 @@ def mc_decoupling_error(
         stderr=stderr,
         n_samples=n_samples,
         seed=seed,
+        per_sample=vals,
         n_infinite=n_inf,
-        per_sample=tuple(vals) if keep_samples else None,
     )
 
 

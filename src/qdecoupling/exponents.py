@@ -197,11 +197,11 @@ def _suprema(phi, c: np.ndarray, hi: float, asym_slope, converse: bool = True):
     converse supremum, over s > 0, is +inf without ``converse`` and where
     ``asym_slope``, the limit of the objective over s, is positive
     (``diverges``).  Elsewhere s_hi doubles from 1 while the slope
-    c + phi'(s_hi) is > 0, up to S_CAP, all rates on one ladder of s, and
-    :func:`concave_sup` on [S_MIN, s_hi] finds the maximizer s*; ``capped``:
-    the slope is > 0 at S_CAP.  The achievable supremum is at s* if s* <= hi,
-    else at hi, as the concave objective does not fall before s*; it is
-    searched where there is no s*.
+    c + phi'(s_hi) is > 0, up to S_CAP, all rates on one ladder of s;
+    ``capped``: the slope is > 0 at S_CAP.  One :func:`concave_sup` call
+    finds each rate's maximizer s*, on [S_MIN, s_hi] where the converse is
+    finite and on [S_MIN, hi] elsewhere.  The achievable supremum is at s* if
+    s* <= hi, else at hi, as the concave objective does not fall before s*.
     """
     diverges = np.full(len(c), converse) & (asym_slope > 1e-9)
     fin = converse & ~diverges
@@ -210,17 +210,12 @@ def _suprema(phi, c: np.ndarray, hi: float, asym_slope, converse: bool = True):
         up[up] = c[up] + phi(s_hi[up])[1] > 0.0
         s_hi[up] *= 2.0
     capped[fin] = c[fin] + phi(s_hi[fin])[1] > 0.0
-    s, v = np.full((2, len(c)), math.nan)
-    if fin.any():
-        sub = concave_sup(phi, c[fin], S_MIN, s_hi[fin])
-        s[fin], v[fin] = sub.argmax_s, sub.sup_value
+    sub = concave_sup(phi, c, S_MIN, np.where(fin, s_hi, hi))
+    s, v = sub.argmax_s, sub.sup_value
     # the objective is 0 at s = 0, so the true supremum is >= 0
     conv = np.where(fin, np.where(v > 0.0, v, 0.0), math.inf)
     if (beyond := s > hi).any():
         s[beyond], v[beyond] = hi, c[beyond] * hi + phi(hi)[0]
-    if (search := np.isnan(s)).any():
-        sub = concave_sup(phi, c[search], S_MIN, hi)
-        s[search], v[search] = sub.argmax_s, sub.sup_value
     return ExponentCurve(s, v), conv, capped, diverges
 
 

@@ -391,7 +391,8 @@ def test_decouple_mc_bound_violation_exit(tmp_path, capsys, monkeypatch, rng):
 
     monkeypatch.setattr(
         cli, "mc_decoupling_error",
-        lambda inst, n, seed=0: MCEstimate(mean=1e6, stderr=0.0, n_samples=n, seed=seed),
+        lambda inst, n, seed=0: MCEstimate(mean=1e6, stderr=0.0, n_samples=n, seed=seed,
+                                           per_sample=np.full(n, 1e6)),
     )
     p = write_state(random_state((("A", 4), ("E", 2)), 2, rng), tmp_path / "s.json")
     code = main(["decouple-mc", "--state", p, "--da1", "2", "--da2", "2",

@@ -20,6 +20,7 @@ from qdecoupling.condentropy import (
     _input_objective,
     _petz_objective,
     _sandwiched_objective,
+    _support_factor,
     channel_coherent_info,
     cond_entropy,
     cond_vn_entropy,
@@ -28,6 +29,7 @@ from qdecoupling.condentropy import (
     petz_up_closed_form,
     von_neumann_entropy,
 )
+from qdecoupling.divergences import petz_renyi, sandwiched_renyi
 from qdecoupling.linalg import Spectrum, partial_trace, tensor
 from qdecoupling.states import (
     State,
@@ -302,6 +304,32 @@ def test_minimized_conditioning_of_a_classical_state(db, alpha, monkeypatch):
     except OptimizerDivergence:
         return
     assert short.exit == "max_iters"
+
+
+def _attainment_states():
+    """rho_B full rank at |B| = 2, 3 and 4; rho_B with a kernel (|B| = 3, supported on two
+    levels); and a state listed as (B, A), whose blocks the minimizer permutes."""
+    rng = make_rng(4, stream=15)
+    states = [random_state((("A", 2), ("B", db)), 2 * db, rng) for db in (2, 3, 4)]
+    return states + [_embedded_in_b3(4), random_state((("B", 3), ("A", 2)), 3, rng)]
+
+
+@pytest.mark.parametrize("family,alphas", [("sandwiched", (0.6, 1.5, 2.0)),
+                                           ("petz", (0.6, 1.5))])
+def test_value_is_attained_at_the_returned_sigma(family, alphas):
+    """The value is D(rho_AB || I_A x sigma) at the sigma returned, to 1e-12.
+
+    The descent runs in the eigenbasis of rho_B's support and rotates its
+    sigma back to B, so this checks that rotation, with and without a kernel.
+    """
+    div = sandwiched_renyi if family == "sandwiched" else petz_renyi
+    for st_ in _attainment_states():
+        rho, db = st_.permuted("A", "B").density, st_.dim_of("B")
+        for alpha in alphas:
+            res = minimized_conditioning(st_, ["A"], ["B"], family, alpha)
+            assert res.sigma.shape == (db, db)
+            ref = div(rho, tensor(np.eye(2), res.sigma), alpha)
+            assert abs(res.value - ref) <= 1e-12, (family, db, alpha)
 
 
 # D*_{1/2}(A|B) of the states of the test below as reached by an earlier form of the
@@ -596,7 +624,9 @@ def test_objective_gradient_matches_central_difference(family, alphas, db):
         while np.linalg.eigvalsh(sigma)[0] < 0.02:
             sigma = random_density(db, db, rng)
         w, v = np.linalg.eigh(sigma)
-        _, grad_t = make(rho, 2, alpha)(w, v)
+        vecs, lam = _support_factor(Spectrum.eigh(rho), [2, db])
+        obj = make(vecs, lam, alpha) if family == "petz" else make(vecs, lam, 2, alpha)
+        _, grad_t = obj(w, v)
         grad = v @ grad_t() @ v.conj().T
         h = 1e-5 * np.linalg.eigvalsh(sigma)[0]
         fd = sum((_divergence_to_conditioning(rho, 2, family, alpha, sigma + h * e)

@@ -94,11 +94,11 @@ def test_max_entangled_instance_sample_value():
 
 def test_mc_reproducibility(rng):
     inst = standard_instance(random_state((("A", 4), ("E", 2)), 3, rng), 2, 2)
-    a = mc_decoupling_error(inst, n_samples=20, seed=9, keep_samples=True)
-    b = mc_decoupling_error(inst, n_samples=20, seed=9, keep_samples=True)
-    assert a.per_sample == b.per_sample
-    c = mc_decoupling_error(inst, n_samples=20, seed=10, keep_samples=True)
-    assert a.per_sample != c.per_sample
+    a = mc_decoupling_error(inst, n_samples=20, seed=9)
+    b = mc_decoupling_error(inst, n_samples=20, seed=9)
+    assert np.array_equal(a.per_sample, b.per_sample)
+    c = mc_decoupling_error(inst, n_samples=20, seed=10)
+    assert not np.array_equal(a.per_sample, c.per_sample)
 
 
 def _equivalence_instances():
@@ -137,9 +137,9 @@ def test_mc_matches_the_per_sample_loop(name, inst):
                     for _ in range(300)])
     assert np.all(np.isfinite(ref))
     for n in (2, 128, 129, 300):
-        est = mc_decoupling_error(inst, n_samples=n, seed=31, keep_samples=True)
+        est = mc_decoupling_error(inst, n_samples=n, seed=31)
         assert len(est.per_sample) == n and est.n_infinite == 0
-        assert np.max(np.abs(np.array(est.per_sample) - ref[:n])) <= 1e-13
+        assert np.max(np.abs(est.per_sample - ref[:n])) <= 1e-13
         assert est.mean == pytest.approx(np.mean(ref[:n]), abs=1e-13)
         assert est.stderr == pytest.approx(np.std(ref[:n], ddof=1) / math.sqrt(n), abs=1e-13)
 
@@ -192,7 +192,7 @@ def test_mc_leaking_samples_are_infinite(monkeypatch):
         return u
 
     monkeypatch.setattr(decoupling, "haar_unitaries", sampler)
-    est = mc_decoupling_error(inst, n_samples=200, seed=3, keep_samples=True)
+    est = mc_decoupling_error(inst, n_samples=200, seed=3)
     unitaries = np.concatenate(drawn)
     ref = np.array([decoupling_error_sample(inst, u) for u in unitaries])
     finite = np.isfinite(ref)
@@ -201,9 +201,8 @@ def test_mc_leaking_samples_are_infinite(monkeypatch):
     assert np.array_equal(finite, np.abs(unitaries[:, 2, 2]) == 1.0)
     n_finite = np.count_nonzero(finite)
     assert 0 < n_finite < 200 and est.n_infinite == 200 - n_finite and not est.is_finite
-    per_sample = np.array(est.per_sample)
-    assert np.all(np.isnan(per_sample[~finite]))
-    assert np.max(np.abs(per_sample[finite] - ref[finite])) <= 1e-13
+    assert np.all(np.isnan(est.per_sample[~finite]))
+    assert np.max(np.abs(est.per_sample[finite] - ref[finite])) <= 1e-13
     assert est.mean == pytest.approx(np.mean(ref[finite]), abs=1e-13)
     assert est.stderr == pytest.approx(
         np.std(ref[finite], ddof=1) / math.sqrt(n_finite), abs=1e-13)

@@ -463,15 +463,15 @@ def test_one_root_per_rate_matches_a_direct_achievable_search(task, monkeypatch)
     converse maximizer s* when s* <= hi and at hi otherwise.  A direct
     ``concave_sup`` on [S_MIN, hi] on a fresh entropy object must give the
     same values and maximizers.  A curve makes one search per rate in all,
-    in at most two lockstep calls: the converse's, and the achievable one
-    of the rates whose converse diverges.
+    in one lockstep call: up to the converse's s_hi, or up to hi for the
+    rates whose converse diverges.
     """
     curve, phi, c_of, _, hi, _, _, rates = _grid_cases()[task]
     search = exponents.concave_sup
     calls = []
     monkeypatch.setattr(exponents, "concave_sup", lambda *a: calls.append(a) or search(*a))
     results = curve(rates)
-    assert len(calls) <= 2 and sum(len(np.atleast_1d(a[1])) for a in calls) == len(rates)
+    assert len(calls) == 1 and len(np.atleast_1d(calls[0][1])) == len(rates)
     direct = search(phi, np.array([c_of(float(r)) for r in rates]), S_MIN, hi)
     for res, s, v in zip(results, direct.argmax_s, direct.sup_value):
         assert abs(res.achievable - max(0.0, v)) <= 1e-12, task

@@ -209,11 +209,13 @@ def test_eigensolves_of_the_bound_search(solves):
     assert solves.matrices == (26, 0)
 
 
-def test_eigensolves_of_mirror_descent(solves):
+def test_eigensolves_of_mirror_descent(solves, partial_traces):
     """One sandwiched minimization at |B| = 2 and at |B| = 4, alpha = 1.5.
 
-    Three eigh set up (rho_B, whose eigenbasis the start shares, rho for its
-    support factor, and the start's objective); each trial point of the line
+    Three eigh set up (rho for its support factor W, then rho_B = W lambda W^+
+    from the factor, whose eigenbasis the start shares, then the start's
+    objective), and no partial trace: rho_B comes from the factor, and the
+    descent takes no other marginal.  Each trial point of the line
     search costs one eigh for the iterate, in the old eigenbasis, and one of
     the r x r Gram matrix K, whose spectrum is that of I x sigma^c rho
     I x sigma^c, whatever |B|.  A finite-difference gradient made 4 |B|^2
@@ -230,6 +232,7 @@ def test_eigensolves_of_mirror_descent(solves):
         count = solves(lambda: res.append(
             minimized_conditioning(state, ["A"], ["B"], "sandwiched", 1.5)))
         assert (count, res[0].iters) == (pinned, iters)
+        assert partial_traces(minimized_conditioning, state, ["A"], ["B"], "sandwiched", 1.5) == 0
         per_iter[db] = sum(count) / res[0].iters
     assert per_iter[4] <= 1.5 * per_iter[2]
 
@@ -258,20 +261,19 @@ def test_eigensolves_of_the_channel_input_search(solves, monkeypatch):
     assert sum(evals) == 25
 
 
-@pytest.fixture
-def validations(monkeypatch):
-    """count(fn, *args) -> the number of ``linalg.as_hermitian`` calls fn(*args)
-    makes, through every module of the package that imported it."""
+def _package_calls(monkeypatch, name):
+    """count(fn, *args) -> the number of ``linalg.<name>`` calls fn(*args) makes,
+    through every module of the package that imported it."""
     calls = [0]
-    orig = linalg.as_hermitian
+    orig = getattr(linalg, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return orig(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qdecoupling") and getattr(module, "as_hermitian", None) is orig:
-            monkeypatch.setattr(module, "as_hermitian", counted)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("qdecoupling") and getattr(module, name, None) is orig:
+            monkeypatch.setattr(module, name, counted)
 
     def count(fn, *args):
         calls[0] = 0
@@ -279,6 +281,16 @@ def validations(monkeypatch):
         return calls[0]
 
     return count
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    return _package_calls(monkeypatch, "as_hermitian")
+
+
+@pytest.fixture
+def partial_traces(monkeypatch):
+    return _package_calls(monkeypatch, "partial_trace")
 
 
 def test_optimizers_validate_only_at_the_input_boundary(validations, monkeypatch):
