@@ -479,14 +479,14 @@ def duality_pair(state: State, a_labels, b_labels, c_labels, s: float):
 # -- channel input optimization --------------------------------------------
 
 
-def _input_objective(channel: Channel, alpha: float):
-    """x -> (H_up_alpha(R|B) of the channel's output on psi, its gradient in x).
+def _input_objective(channel: Channel, entropy):
+    """x -> (``entropy`` of the channel's output on psi, its gradient in x).
 
     x holds the real and imaginary parts of an unnormalized input v on R x A,
-    |R| = |A| = din, and psi = v / |v|.  The gradient G in rho_RB comes from
-    :meth:`PetzUpEntropy.value_and_gradient` and is carried back through the
-    channel and the normalization; an evaluation costs 2 eigh (rho_RB, built
-    here and not validated again, and tr_R rho^alpha).
+    |R| = |A| = din, and psi = v / |v|.  ``entropy`` maps the :class:`PetzUpEntropy` of
+    the output rho_RB (one eigh; built here, not validated again) to a value and its
+    gradient G in rho_RB, as ``coh.value_and_gradient(alpha)`` does for H_up_alpha(R|B);
+    G is carried back through the channel and the normalization.
     """
     din, dout = channel.din, channel.dout
     choi = din * channel.choi.reshape(din, -1)  # din J[ic, jd], columns (c, j, d)
@@ -501,7 +501,7 @@ def _input_objective(channel: Channel, alpha: float):
         # out[rc, sd] = din sum_ij psi[r, i] J[ic, jd] conj(psi[s, j])
         out = np.einsum("rcjd,sj->rcsd", (psi @ choi).reshape(din, dout, din, dout), psi.conj())
         rho = Spectrum.eigh(out.reshape(din * dout, din * dout))
-        h, g = PetzUpEntropy(rho, din).value_and_gradient(alpha)
+        h, g = entropy(PetzUpEntropy(rho, din))
         # dh = 2 Re sum C dpsi, C[r, i] = din sum G[sd, rc] J[ic, jd] conj(psi[s, j])
         c = np.einsum("sdrc,sj->rcjd", g.reshape(din, dout, din, dout), psi.conj())
         c = c.reshape(din, -1) @ choi.T
@@ -513,48 +513,39 @@ def _input_objective(channel: Channel, alpha: float):
     return f
 
 
-def channel_coherent_info(
-    channel: Channel,
-    alpha: float,
-    family: str = "petz",
-    restarts: int = 32,
-    rng: np.random.Generator | None = None,
-    x0: np.ndarray | None = None,
-) -> tuple[float, State]:
-    """Best Petz-Renyi coherent information over pure channel inputs.
-
-    Multi-start L-BFGS-B descent of H_up_alpha(R|B) over the 2 din^2 real
-    parameters of an unnormalized input, with the value and its exact
-    gradient from one evaluation of :func:`_input_objective` (2 eigh).  The
-    maximally entangled input is always tried, plus ``restarts - 1`` random
-    pure starts (and ``x0`` if given).  The channel input maximization is
-    non-convex; the best value found is returned with its achieving input.
-    ``family`` must be ``"petz"``.
-    """
-    if family != "petz":
-        raise ValueError(f"channel coherent information is Petz only, got {family!r}")
+def input_search(channel: Channel, entropy, restarts: int, rng) -> tuple[float, State]:
+    """Least value of :func:`_input_objective` with ``entropy``, and its pure input, by
+    L-BFGS-B over the 2 din^2 real parameters from the maximally entangled input and
+    ``restarts - 1`` random ones drawn from ``rng``: non-convex, so the best found."""
     from scipy import optimize  # here, not at the top: no CLI command imports scipy
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     din = channel.din
     n = din * din
-    neg = _input_objective(channel, alpha)
-    starts = []
+    f = _input_objective(channel, entropy)
     phi = np.eye(din).reshape(n) / np.sqrt(din)
-    starts.append(np.concatenate([phi.real, phi.imag]))
-    if x0 is not None:
-        starts.append(np.asarray(x0, dtype=float))
-    if rng is None:
-        rng = np.random.default_rng(0)
-    while len(starts) < restarts + (x0 is not None):
+    starts = [np.concatenate([phi.real, phi.imag])]
+    while len(starts) < restarts:
         g = rng.standard_normal(2 * n)
         starts.append(g / np.linalg.norm(g))
     best_val, best_x = math.inf, starts[0]
     for s0 in starts:
-        res = optimize.minimize(neg, s0, method="L-BFGS-B", jac=True)
+        res = optimize.minimize(f, s0, method="L-BFGS-B", jac=True)
         if res.fun < best_val:
             best_val, best_x = float(res.fun), res.x
     v = best_x[:n] + 1j * best_x[n:]
     v /= np.linalg.norm(v)
-    inp = State._trusted(np.outer(v, v.conj()), (("R", din), ("A", din)))
-    return -best_val, inp
+    return best_val, State._trusted(np.outer(v, v.conj()), (("R", din), ("A", din)))
+
+
+def channel_coherent_info(channel: Channel, alpha: float, family: str = "petz", restarts: int = 32,
+                          rng: np.random.Generator | None = None) -> tuple[float, State]:
+    """Best Petz-Renyi coherent information over pure channel inputs, with its input:
+    :func:`input_search` of H_up_alpha(R|B), 2 eigh per evaluation (rho_RB and
+    tr_R rho^alpha).  ``family`` must be ``"petz"``."""
+    if family != "petz":
+        raise ValueError(f"channel coherent information is Petz only, got {family!r}")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    h, inp = input_search(channel, lambda coh: coh.value_and_gradient(alpha), restarts, rng)
+    return -h, inp

@@ -77,7 +77,9 @@ def petz_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
 
 
 def sandwiched_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
-    """Sandwiched family built on tr((sigma^c rho sigma^c)^a), c=(1-a)/2a, in bits."""
+    """Sandwiched family built on tr((sigma^c rho sigma^c)^a), c=(1-a)/2a, in bits, as
+    a/(a-1) log2 x_max + (log2 sum (x / x_max)^a - log2 tr rho)/(a-1) over the sandwich's
+    eigenvalues x on its support: no term overflows, so it is finite at any finite order."""
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be a positive finite number")
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
@@ -88,13 +90,14 @@ def sandwiched_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
         return math.inf
     if alpha < 1 and not supports_overlap(rho, s):
         return math.inf
-    conj = s.pow((1.0 - alpha) / (2.0 * alpha))
+    conj = s.pow(0.5 / alpha - 0.5)
     mid = Spectrum.of(conj @ rho @ conj)
-    q = float(np.sum(mid.values[mid.support] ** alpha))
-    if q <= 0:
+    x = mid.values[mid.support]
+    if not x.size:
         return math.inf
+    log_sum = math.log2(float(np.sum((x / x[-1]) ** alpha)))
     tr_rho = float(np.real(np.trace(rho)))
-    return (math.log2(q) - math.log2(tr_rho)) / (alpha - 1.0)
+    return alpha / (alpha - 1.0) * math.log2(x[-1]) + (log_sum - math.log2(tr_rho)) / (alpha - 1.0)
 
 
 def d_max(rho: np.ndarray, sigma) -> float:

@@ -19,9 +19,9 @@ phi decomposes the orders it lacks in one stacked eigh.  Each exponent
 function keeps its phi object, memoized on s, on its input ``State`` or
 ``Channel`` (see ``states.memo_on``), so curves on one input evaluate each
 (input, s) pair once.  Inputs are immutable; changing a state's density in
-place would leave stale values.  The one exception is
-``channel_coding_exponent``, whose randomized input search is not concave,
-depends on call order and is not memoized.
+place would leave stale values.  ``channel_coding_exponent`` alone is not
+memoized: a randomized multi-start search over channel inputs, not concave,
+keeps the best, with one :func:`concave_sup` over s at each input.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .condentropy import (
     channel_coherent_info,
     choi_cond_entropy,
     cond_vn_entropy,
+    input_search,
     minimized_conditioning,
     sandwiched_cond_entropy,
 )
@@ -86,9 +87,8 @@ def sup_on_interval(f, lo: float, hi: float) -> ExponentCurve:
     """Supremum of a scalar function on (lo, hi] by grid plus local refinement.
 
     The grid is geometric (dense near lo); the best cell is polished with a
-    bounded scalar minimizer.  It assumes no concavity: it serves the
-    randomized input search of ``channel_coding_exponent``, and
-    :func:`concave_sup` serves every concave objective.
+    bounded scalar minimizer.  No library code calls it, as every objective
+    is concave (:func:`concave_sup`); perfbench's tracer looks it up by name.
     """
     grid_s = np.geomspace(lo, hi, N_GRID)
     vals = []
@@ -391,31 +391,35 @@ def dephasing_channel_curve(channel: Channel, rates) -> list[ExponentResult]:
     return _petz_curve(coh, r, True)
 
 
-def channel_coding_exponent(
-    channel: Channel,
-    r: float,
-    restarts: int = 8,
-) -> ExponentResult:
-    """Quantum channel coding exponent (s/2)(I_{1/(1+s)}(channel) - r).
+def _coding_entropy(r: float):
+    """coh -> (-E, its gradient in rho_RB), E = sup_s (s/2)(I_{1/(1+s)} - r) on [S_MIN, 1) of
+    the output whose Petz entropy is ``coh``, by one :func:`concave_sup`.  By Danskin's theorem
+    (Danskin, *The Theory of Max-Min*, 1967) the gradient is (s*/2) G of
+    ``coh.value_and_gradient(1/(1+s*))`` at the maximizer s*."""
+    def entropy(coh: PetzUpEntropy) -> tuple[float, np.ndarray]:
+        sup = concave_sup(_half(coh.phi), -0.5 * r, S_MIN, 1.0 - 1e-9)
+        s = float(sup.argmax_s[0])
+        return -float(sup.sup_value[0]), 0.5 * s * coh.value_and_gradient(1.0 / (1.0 + s))[1]
 
-    The input is optimized per s by multi-start ascent, only the achievable
-    direction is reported, and the critical rate is the slope at s = 1 at the
-    best input found there (Danskin's theorem).  For a basis-preserving
+    return entropy
+
+
+def channel_coding_exponent(channel: Channel, r: float, restarts: int = 8) -> ExponentResult:
+    """Quantum channel coding exponent sup_s (s/2)(I_{1/(1+s)}(channel) - r).
+
+    The suprema over s and over the input commute, so one multi-start input search
+    (:func:`condentropy.input_search`) runs on the per-input exponent of
+    :func:`_coding_entropy`; ``argmax_s`` is its s* at the best input.  Only the
+    achievable direction is reported, and the critical rate is the slope at s = 1
+    at the best input for I_{1/2} (Danskin's theorem).  For a basis-preserving
     channel, :func:`dephasing_channel_curve` pins the input and adds the converse.
     """
     if r < 0:
         raise ValueError("rate r must be nonnegative")
     rng = make_rng(0)
-    warm: dict[str, np.ndarray | None] = {"x0": None}
-
-    def best_input(s: float) -> tuple[float, State]:
-        val, inp = channel_coherent_info(channel, 1.0 / (1.0 + s), restarts=restarts, rng=rng,
-                                         x0=warm["x0"])
-        vec = Spectrum.eigh(inp.density).vectors[:, -1]
-        warm["x0"] = np.concatenate([vec.real, vec.imag])
-        return val, inp
-
-    ach = sup_on_interval(lambda s: 0.5 * s * (best_input(s)[0] - r), S_MIN, 1.0 - 1e-9)
-    out = apply_channel(channel, best_input(1.0)[1], "A")
-    rc = PetzUpEntropy.of(out, ["R"], ["A"]).phi(1.0)[1]
+    best = input_search(channel, _coding_entropy(r), restarts, rng)[1]
+    coh = PetzUpEntropy.of(apply_channel(channel, best, "A"), ["R"], ["A"])
+    ach = concave_sup(_half(coh.phi), -0.5 * r, S_MIN, 1.0 - 1e-9)
+    best = channel_coherent_info(channel, 0.5, restarts=restarts, rng=rng)[1]
+    rc = PetzUpEntropy.of(apply_channel(channel, best, "A"), ["R"], ["A"]).phi(1.0)[1]
     return ExponentResult.of(ach, math.inf, rc, False)[0]

@@ -6,7 +6,9 @@ from scipy.linalg import fractional_matrix_power
 from scipy.optimize import brentq, minimize_scalar
 
 from qdecoupling.channels import kraus_operators
+from qdecoupling.condentropy import channel_coherent_info
 from qdecoupling.divergences import ALPHA_ONE_GUARD
+from qdecoupling.exponents import S_MIN, sup_on_interval
 from qdecoupling.linalg import Spectrum
 from qdecoupling.states import State, make_rng
 
@@ -180,3 +182,12 @@ def brentq_exponents(phi, c, asym_slope, hi, converse, s_min=1e-4, s_cap=64.0):
     elif curve[0] > hi:
         curve = hi, c * hi + phi(hi)[0]
     return max(0.0, curve[1]), conv, curve[0], capped, diverges
+
+
+def per_order_coding_exponent(channel, r, restarts):
+    """The coding exponent by the per-order route: sup_on_interval over s in [S_MIN, 1)
+    of (s/2)(I_{1/(1+s)} - r), with a cold-started channel_coherent_info at each s."""
+    def f(s):
+        return 0.5 * s * (channel_coherent_info(channel, 1.0 / (1.0 + s), restarts=restarts)[0] - r)
+
+    return max(0.0, sup_on_interval(f, S_MIN, 1.0 - 1e-9).sup_value)

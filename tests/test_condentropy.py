@@ -30,6 +30,7 @@ from qdecoupling.condentropy import (
     von_neumann_entropy,
 )
 from qdecoupling.divergences import petz_renyi, sandwiched_renyi
+from qdecoupling.exponents import S_MIN, _coding_entropy
 from qdecoupling.linalg import Spectrum, partial_trace, tensor
 from qdecoupling.states import (
     State,
@@ -41,7 +42,7 @@ from qdecoupling.states import (
     random_state,
 )
 
-from conftest import purify
+from conftest import brentq_concave_sup, purify
 
 KINDS = [
     EntropyKind("petz", 0.6),
@@ -66,6 +67,14 @@ def test_product_state_entropy(kind, rng):
 def test_max_entangled_entropy(kind):
     phi = max_entangled(3)
     assert cond_entropy(phi, ["A"], ["B"], kind) == pytest.approx(-math.log2(3), abs=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [1e3, 1e4, 1e6])
+def test_sandwiched_entropy_of_max_entangled_at_large_orders(alpha):
+    """H~_alpha(A|B) = -1 of a Bell pair at every order, with no overflow of x^alpha."""
+    value = cond_entropy(max_entangled(2), ["A"], ["B"], EntropyKind("sandwiched", alpha))
+    assert value == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_von_neumann_examples(rng):
@@ -158,29 +167,54 @@ _GRADIENT_CHANNELS = {
 }
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9])
+# rates at which the coding exponent's s* lies inside (S_MIN, 1) at the test's input
+_CODING_RATES = {"identity": 0.3, "2to2-rank2": 0.02, "3to2-rank2": 0.02}
+
+
+def _coding_reference(r: float):
+    """coh -> -sup_s (s/2)(I_{1/(1+s)} - r) on [S_MIN, 1), the root by scipy's brentq,
+    asserting that the maximizer is interior."""
+    def reference(coh):
+        half = lambda s: tuple(0.5 * v for v in coh.phi(s))
+        s, sup = brentq_concave_sup(half, -0.5 * r, S_MIN, 1.0 - 1e-9)
+        assert S_MIN < s < 1.0 - 1e-9
+        return -sup
+
+    return reference
+
+
+@pytest.mark.parametrize("entropy", ["0.5", "0.7", "0.9", "coding"])
 @pytest.mark.parametrize("name", list(_GRADIENT_CHANNELS))
-def test_input_gradient_matches_central_difference(name, alpha):
+def test_input_gradient_matches_central_difference(name, entropy):
     """The exact gradient of the channel-input objective against a central difference.
 
     The channels have Kraus rank 1 or 2, so the output rho_RB of a pure
     input has rank at most 2, a kernel, and the zeroed kernel-kernel block
     of the divided differences is exercised.  x is not a unit vector, so the chain rule
-    through psi = v / |v| is too.  The value is the Petz closed form of the
-    output that apply_channel builds.
+    through psi = v / |v| is too.  The entropy maps are H_up_alpha(R|B) at three
+    orders and the coding exponent's -sup_s (s/2)(I_{1/(1+s)} - r), whose gradient
+    is Danskin's, at a rate where the maximizer s* is interior.  The value is the
+    Petz closed form of the output that apply_channel builds, its s-supremum by brentq.
     """
+    if entropy == "coding":
+        r = _CODING_RATES[name]
+        entropy_map, reference = _coding_entropy(r), _coding_reference(r)
+    else:
+        alpha = float(entropy)
+        entropy_map = lambda coh: coh.value_and_gradient(alpha)
+        reference = lambda coh: coh(alpha)
     rng = make_rng(13)
     ch = _GRADIENT_CHANNELS[name](rng)
     n = ch.din * ch.din
-    f = _input_objective(ch, alpha)
+    f = _input_objective(ch, entropy_map)
     x = 1.3 * rng.standard_normal(2 * n)
     value, grad = f(x)
     h = 1e-6
     fd = np.array([(f(x + h * e)[0] - f(x - h * e)[0]) / (2.0 * h) for e in np.eye(2 * n)])
-    assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd), (name, alpha)
+    assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd), (name, entropy)
     v = (x[:n] + 1j * x[n:]) / np.linalg.norm(x)
     out = apply_channel(ch, State(np.outer(v, v.conj()), (("R", ch.din), ("A", ch.din))), "A")
-    assert abs(value - PetzUpEntropy.of(out, ["R"], ["A"])(alpha)) <= 1e-13
+    assert abs(value - reference(PetzUpEntropy.of(out, ["R"], ["A"]))) <= 1e-13
 
 
 _MARGINAL_STATES = {

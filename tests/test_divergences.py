@@ -170,3 +170,17 @@ def test_monotone_in_alpha_and_family_order(rng):
     for a in alphas:
         assert sandwiched_renyi(rho, sig, a) <= petz_renyi(rho, sig, a) + 1e-9
         assert sandwiched_renyi(rho, sig, a) <= dm + 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_sandwiched_is_finite_below_d_max_at_large_orders():
+    """x^alpha of the sandwich's eigenvalues overflows at these orders; the value,
+    taken relative to the largest eigenvalue, stays finite, below D_max and
+    non-decreasing in alpha."""
+    rng = make_rng(3)
+    rho, sig = random_density(3, 3, rng), random_density(3, 3, rng)
+    dm = d_max(rho, sig)
+    vals = [sandwiched_renyi(rho, sig, a) for a in (2.0, 200.0, 1e3, 1e6)]
+    assert all(math.isfinite(v) and v <= dm + 1e-12 for v in vals), (vals, dm)
+    assert all(b >= a for a, b in zip(vals, vals[1:])), vals
+    assert vals[-1] == pytest.approx(dm, abs=1e-5)

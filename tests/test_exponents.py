@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from qdecoupling import exponents
-from qdecoupling.channels import Channel, generalized_dephasing, identity_channel
+from qdecoupling.channels import (
+    Channel,
+    generalized_dephasing,
+    identity_channel,
+    random_channel,
+)
 from qdecoupling.cli import CURVE_TASKS
 from qdecoupling.condentropy import (
     ConditionalEntropy,
@@ -51,6 +56,7 @@ from conftest import (
     brentq_exponents,
     classical_dephasing_converse_oracle,
     classical_dephasing_oracle,
+    per_order_coding_exponent,
 )
 
 
@@ -258,6 +264,43 @@ def test_channel_coding_identity():
         assert res.converse == math.inf
         # s I_{1/(1+s)} = s at every input-optimal order, so the slope at s = 1 is 1
         assert res.critical_rate == pytest.approx(1.0, abs=1e-6)
+
+
+def test_channel_coding_reaches_the_per_order_route():
+    """One input search with the s-supremum inside it reaches the supremum over s
+    of a cold input search at each order, up to L-BFGS-B's default stop."""
+    ch = random_channel(2, 2, make_rng(5))
+    res = channel_coding_exponent(ch, 0.1, restarts=3)
+    assert res.achievable >= per_order_coding_exponent(ch, 0.1, restarts=3) - 2e-11
+
+
+def test_channel_coding_runs_two_input_searches(monkeypatch):
+    """One L-BFGS-B run per start for the exponent and one per start for the
+    critical rate; an input search at each s would make about 59 per start."""
+    from scipy import optimize
+
+    minimize, calls = optimize.minimize, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", counted)
+    channel_coding_exponent(random_channel(2, 2, make_rng(5)), 0.1, restarts=3)
+    assert 0 < len(calls) <= 2 * 3
+
+
+def test_channel_coding_argmax_is_the_maximizer_at_the_best_input():
+    """On the dephasing channel of a symmetric Gram matrix the maximally entangled
+    input is optimal, so ``argmax_s`` is the interior s* of
+    :func:`dephasing_channel_curve`, which pins that input."""
+    ch = generalized_dephasing(np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex))
+    res = channel_coding_exponent(ch, 0.14, restarts=3)
+    pinned = dephasing_channel_curve(ch, [0.14])[0]
+    assert S_MIN < pinned.argmax_s < 1.0 - 1e-9
+    assert S_MIN <= res.argmax_s < 1.0
+    assert res.argmax_s == pytest.approx(pinned.argmax_s, abs=1e-6)
+    assert res.achievable >= pinned.achievable - 2e-11
 
 
 def test_channel_coding_dephasing_matches_classical_oracle():
