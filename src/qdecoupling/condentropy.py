@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import Channel
-from .divergences import ALPHA_ONE_GUARD, d_max, divergence, umegaki
+from .divergences import ALPHA_ONE_GUARD, divergence, umegaki
 from .linalg import Spectrum, partial_trace, tensor
 from .states import State, memo_on
 
@@ -67,12 +67,8 @@ def _split_blocks(state: State, a_labels, b_labels):
     return rho, da, state.total_dim // da
 
 
-def _herm_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
-
-
 def von_neumann_entropy(m: np.ndarray) -> float:
-    return Spectrum.eigvalsh(_herm_part(m)).entropy()
+    return Spectrum.eigvalsh(0.5 * (m + m.conj().T)).entropy()
 
 
 def cond_vn_entropy(state: State, a_labels, b_labels) -> float:
@@ -82,59 +78,49 @@ def cond_vn_entropy(state: State, a_labels, b_labels) -> float:
     return von_neumann_entropy(rho) - von_neumann_entropy(rho_b)
 
 
-def _psd(spec: Spectrum) -> Spectrum:
-    """``spec`` after the check of :meth:`Spectrum.pow`, made once for many powers."""
-    if float(spec.values[0]) < -spec.cutoff:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {spec.values[0]:.3e}")
-    return spec
-
-
 class ConditionalEntropy:
     """Non-optimized sandwiched H~_alpha(A|B) = -D~_alpha(rho_AB || I_A x rho_B) of one state.
 
-    Construction splits the blocks, symmetrizes rho_AB, decomposes
-    sigma = I_A x rho_B = V diag(w) V^+ once and keeps V^+ rho V, symmetrized, and
-    ln w (0 on the kernel); :meth:`phi` reuses them.  The state was validated, so
-    none of these matrices is validated again.
+    Construction runs :func:`_conditioning_basis` and keeps S = P^+ W lambda^(1/2) and
+    ln w; :meth:`phi` and :meth:`min_entropy` decompose only the r x r Gram matrices of
+    :func:`_gram`, r = rank rho.  The state was validated, so nothing is validated again.
     """
 
     def __init__(self, state: State, a_labels, b_labels):
         rho, da, db = _split_blocks(state, a_labels, b_labels)
-        self.rho = _herm_part(rho)
-        self.sigma = _psd(Spectrum.eigh(tensor(np.eye(da), partial_trace(rho, [da, db], [1]))))
-        self._sup = self.sigma.support
-        self._ln_w = np.log(np.where(self._sup, self.sigma.values, 1.0))
-        self._rho_t = _herm_part(self.sigma.vectors.conj().T @ self.rho @ self.sigma.vectors)
+        _, vecs, lam, w = _conditioning_basis(rho, [da, db])
+        self._s, self._r, self._ln_w = vecs * np.sqrt(lam), len(lam) // da, np.log(w)
+        self._ln_rows = np.repeat(self._ln_w, da)  # ln w_i at the row (i, a) of T
         self._phis: dict[float, tuple[float, float]] = {}
         self._min_entropy: float | None = None
 
     def phi(self, s):
         """phi(s) = s H~_{1+s}(A|B) = -log2 Q and its s-slope, sandwiched, at a float or 1-D array.
 
-        Q = tr X^alpha, X = sigma^c rho sigma^c, c = (1 - alpha) / (2 alpha),
-        alpha = 1 + s: one eigh of X gives Q and dQ/dalpha = sum_i x_i^alpha
-        (ln x_i - <v_i| ln sigma |v_i> / alpha) over X's support, with X in
-        sigma's eigenbasis, where ln sigma is diagonal.  phi is concave (log Q
-        is convex in alpha; Mosonyi and Ogawa, CMP 2015).  Memoized (:func:`_phi_at`).
+        Q = tr X^alpha, X = sigma^c rho sigma^c, c = (1 - alpha) / (2 alpha), alpha = 1 + s:
+        one eigh of K = T^+ T (:func:`_gram`, g = w^c) gives Q = sum kappa^alpha and dQ/dalpha =
+        sum kappa^alpha (ln kappa - <v| ln sigma |v> / alpha) over K's support, with X's
+        eigenvector v = T u / kappa^(1/2), so <v| ln sigma |v> = sum_rows |(T u)_row|^2 ln w_row /
+        kappa.  phi is concave (log Q is convex in alpha; Mosonyi and Ogawa, CMP 2015).
         """
         return _phi_at(s, self._phis, self._phi_stack)
 
     def _phi_stack(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         alpha = (1.0 + s)[:, None]
-        g = np.exp(self._ln_w * ((1.0 - alpha) / (2.0 * alpha))) * self._sup
-        x = Spectrum.eigh(g[:, :, None] * self._rho_t * g[:, None, :])
-        sup = x.support
-        lam = np.where(sup, x.values, 1.0)
-        lam_a = np.where(sup, _pow(lam, alpha), 0.0)
-        q = np.sum(lam_a, axis=-1)
-        ln_sigma = self._ln_w @ np.abs(x.vectors) ** 2
-        dq = np.sum(lam_a * (np.log(lam) - ln_sigma / alpha), axis=-1)
+        k, t = _gram(np.exp(self._ln_w * ((1.0 - alpha) / (2.0 * alpha))), self._s, self._r)
+        sup = k.support
+        kap = np.where(sup, k.values, 1.0)
+        kap_a = np.where(sup, _pow(kap, alpha), 0.0)
+        q = np.sum(kap_a, axis=-1)
+        ln_sigma = (self._ln_rows @ np.abs(t @ k.vectors) ** 2) / kap
+        dq = np.sum(kap_a * (np.log(kap) - ln_sigma / alpha), axis=-1)
         return -np.log2(q), -dq / (q * _LN2)
 
     def min_entropy(self) -> float:
-        """-D_max(rho_AB || I_A x rho_B), the sandwiched limit as alpha grows."""
+        """-D_max(rho_AB || I_A x rho_B) = -log2 of K's top eigenvalue at c = -1/2."""
         if self._min_entropy is None:
-            self._min_entropy = -d_max(self.rho, self.sigma)
+            k, _ = _gram(np.exp(-0.5 * self._ln_w), self._s, self._r)
+            self._min_entropy = -math.log2(float(k.values[-1]))
         return self._min_entropy
 
 
@@ -243,9 +229,28 @@ def _pow(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _support_factor(spec: Spectrum, dims) -> tuple[np.ndarray, np.ndarray]:
     """rho's support eigenvectors x_k as one |B| x (|A| r) matrix W, column (a, k)
     holding <a|x_k>, and their eigenvalues tiled |A| times: tr_A f(rho) = W f(lambda) W^+."""
-    sup, (da, db) = _psd(spec).support, dims
+    if float(spec.values[0]) < -spec.cutoff:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {spec.values[0]:.3e}")
+    sup, (da, db) = spec.support, dims
     vecs = spec.vectors[:, sup].reshape(da, db, -1).transpose(1, 0, 2)
     return vecs.reshape(db, -1), np.tile(spec.values[sup], da)
+
+
+def _conditioning_basis(rho: np.ndarray, dims):
+    """(P, P^+ W, lambda, w): rho's support factor (W, lambda) (:func:`_support_factor`),
+    rotated into the support eigenvectors P of rho_B = W lambda W^+, with eigenvalues w."""
+    vecs, lam = _support_factor(Spectrum.eigh(rho), dims)
+    spec_b = Spectrum.eigh((vecs * lam) @ vecs.conj().T)
+    basis = spec_b.vectors[:, spec_b.support]
+    return basis, basis.conj().T @ vecs, lam, spec_b.values[spec_b.support]
+
+
+def _gram(g: np.ndarray, s: np.ndarray, r: int) -> tuple[Spectrum, np.ndarray]:
+    """K = T^+ T's Spectrum and T = g S, rows (i, a), r columns: S = P^+ R, rho = R R^+,
+    in a basis of supp rho_B where sigma_B = diag(w), and g = w^c, a row or a stack of
+    rows.  K, r x r, has the nonzero spectrum of (I_A x sigma^c) rho (I_A x sigma^c)."""
+    t = (g[..., :, None] * s).reshape(*g.shape[:-1], -1, r)
+    return Spectrum.eigh(t.conj().swapaxes(-1, -2) @ t), t
 
 
 def _phi_at(s, memo: dict, stack):
@@ -267,12 +272,12 @@ def _phi_at(s, memo: dict, stack):
 
 # -- objectives for the sigma minimization --------------------------------
 #
-# Both are built from rho's support factor (W, lambda) of _support_factor and
-# decompose nothing.  They take sigma = V diag(w) V^+, V in W's basis of B, by its
-# eigenvalues w (at least 1e-9/|B| at the start of a descent, e^-30 after a step)
-# and eigenvectors V, and return D_family(rho_AB || I_A x sigma) with a closure for
-# its exact gradient G~ = V^+ G V in sigma's eigenbasis, dD = tr(G dsigma).  By
-# Daleckii-Krein, V^+ d(sigma^c) V = L o V^+ dsigma V, L the divided differences of x^c at w.
+# Both take rho's support factor (W, lambda) in the basis of rho_B's support
+# (_conditioning_basis), and sigma = V diag(w) V^+ in that basis by its eigenvalues w
+# (at least 1e-9/|B| at the start of a descent, e^-30 after a step) and eigenvectors V.
+# They return D_family(rho_AB || I_A x sigma) with a closure for its exact gradient
+# G~ = V^+ G V in sigma's eigenbasis, dD = tr(G dsigma).  By Daleckii-Krein,
+# V^+ d(sigma^c) V = L o V^+ dsigma V, L the divided differences of x^c at w.
 
 
 def _divided_differences(w: np.ndarray, c: float) -> np.ndarray:
@@ -306,18 +311,16 @@ def _petz_objective(vecs: np.ndarray, lam: np.ndarray, alpha: float):
 def _sandwiched_objective(vecs: np.ndarray, lam: np.ndarray, da: int, alpha: float):
     """Q = tr M^alpha, M = Gamma rho Gamma, Gamma = I_A x sigma^c, c = (1 - alpha) / (2 alpha).
 
-    rho = R R^+ with R = W lambda^(1/2), r = rank rho columns per a.  A call forms
-    S = V^+ R and T_a = w^c S_a; K = sum_a T_a^+ T_a, r x r, has the spectrum of M.
-    As dQ = alpha tr(Z d(sigma^(2c))), G~ = alpha L o Z~ / ((alpha - 1) Q ln 2),
-    with L at the order 2c and Z~ = sum_a S_a K^(alpha-1) S_a^+ on K's support.
+    rho = R R^+ with R = W lambda^(1/2); a call forms K = sum_a T_a^+ T_a, T_a = w^c S_a,
+    S = V^+ R, by :func:`_gram`.  As dQ = alpha tr(Z d(sigma^(2c))), G~ = alpha L o Z~ /
+    ((alpha - 1) Q ln 2), L at the order 2c, Z~ = sum_a S_a K^(alpha-1) S_a^+ on K's support.
     """
     c = (1.0 - alpha) / (2.0 * alpha)
     factor, r = vecs * np.sqrt(lam), len(lam) // da
 
     def f(w: np.ndarray, v: np.ndarray):
         s = v.conj().T @ factor
-        t = ((w**c)[:, None] * s).reshape(-1, r)  # the rows of every T_a
-        spec = Spectrum.eigh(t.conj().T @ t)
+        spec, _ = _gram(w**c, s, r)
         sup = spec.support
         kap, u = spec.values[sup], spec.vectors[:, sup]
         q = float(np.sum(kap**alpha))
@@ -410,11 +413,10 @@ def minimized_conditioning(
     """inf over sigma_B of D(rho_AB || I_A x sigma_B), by one mirror descent.
 
     The problem is convex at every order the library uses (sandwiched
-    alpha >= 1/2, Petz alpha in (0, 2]), so one start suffices:
-    (1 - 1e-9) rho_B + 1e-9 I / |B| on supp rho_B, rho_B = W lambda W^+ from rho's
-    support factor (:func:`_support_factor`).  The descent runs on P^+ W, P the support
-    eigenvectors of rho_B, and returns P sigma P^+.  At alpha near 1 the Umegaki value
-    at sigma_B = rho_B is returned directly.
+    alpha >= 1/2, Petz alpha in (0, 2]), so one start suffices: (1 - 1e-9) rho_B +
+    1e-9 I / |B| on supp rho_B.  The descent runs on P^+ W of :func:`_conditioning_basis`
+    and returns P sigma P^+.  At alpha near 1 the Umegaki value at sigma_B = rho_B is
+    returned directly.
     """
     rho, da, db = _split_blocks(state, a_labels, b_labels)
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
@@ -426,10 +428,7 @@ def minimized_conditioning(
     # renormalizing the in-support block only decreases it.  Restricting to
     # that subspace keeps the iterates full rank, which the multiplicative
     # update needs to make progress.
-    vecs, lam = _support_factor(Spectrum.eigh(rho), [da, db])
-    spec_b = Spectrum.eigh((vecs * lam) @ vecs.conj().T)
-    basis, w = spec_b.vectors[:, spec_b.support], spec_b.values[spec_b.support]
-    vecs = basis.conj().T @ vecs
+    basis, vecs, lam, w = _conditioning_basis(rho, [da, db])
     obj = (_petz_objective(vecs, lam, alpha) if family == "petz"
            else _sandwiched_objective(vecs, lam, da, alpha))
     # the start in rho_B's eigenbasis, which is the identity in the basis of the descent

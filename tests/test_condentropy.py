@@ -29,7 +29,7 @@ from qdecoupling.condentropy import (
     petz_up_closed_form,
     von_neumann_entropy,
 )
-from qdecoupling.divergences import petz_renyi, sandwiched_renyi
+from qdecoupling.divergences import d_max, petz_renyi, sandwiched_renyi
 from qdecoupling.exponents import S_MIN, _coding_entropy
 from qdecoupling.linalg import Spectrum, partial_trace, tensor
 from qdecoupling.states import (
@@ -266,6 +266,8 @@ _SLOPE_STATES = {
     "dephasing-choi": _dephasing_choi,
     # rank 3, with a kernel in rho_B: sigma^c is 0 there at every order
     "rho-b-kernel": lambda rng: _embedded_in_b3(int(rng.integers(1000))),
+    # B listed first: the entropy objects take the (A, B) blocks of the permuted state
+    "listed-b-a": lambda rng: random_state((("B", 3), ("A", 2)), 4, rng),
 }
 _PHIS = {
     # (phi object, s H_{1+s} or s times the coherent information by the value routes)
@@ -284,9 +286,11 @@ def test_phi_slope_matches_central_difference_and_falls(family, name):
     The exponents find each supremum as the one root of c + phi'(s), so the
     slope must be exact and non-increasing in s.  The states include a kernel
     (rank 1 and 3 of 6), the rank-deficient Choi state of a dephasing
-    channel, whose kernel must be cut at small Petz orders, and a state whose
-    rho_B has a kernel, which the sandwiched phi maps to 0 in sigma's
-    eigenbasis.
+    channel, whose kernel must be cut at small Petz orders, a state whose
+    rho_B has a kernel, which the sandwiched phi leaves out of its basis of
+    supp rho_B, and a state listed as (B, A).  The sandwiched min-entropy,
+    read off the Gram matrix at c = -1/2, is checked against d_max of the
+    full-size rho_AB and I_A x rho_B.
     """
     state = _SLOPE_STATES[name](make_rng(31))
     ent, value = _PHIS[family](state)
@@ -298,6 +302,10 @@ def test_phi_slope_matches_central_difference_and_falls(family, name):
         assert abs(slope - fd) <= 1e-6 * max(abs(fd), 1e-3), (s, slope, fd)
     slopes = [ent.phi(float(s))[1] for s in np.geomspace(1e-4, 64.0, 200)]
     assert max(np.diff(slopes)) <= 1e-12
+    if family == "sandwiched":
+        rho, da, db = state.permuted("A", "B").density, state.dim_of("A"), state.dim_of("B")
+        ref = -d_max(rho, tensor(np.eye(da), partial_trace(rho, [da, db], [1])))
+        assert abs(ent.min_entropy() - ref) <= 1e-12 * max(1.0, abs(ref)), (ent.min_entropy(), ref)
 
 
 def test_channel_coherent_info_is_petz_only():

@@ -27,6 +27,7 @@ from qdecoupling.condentropy import (
     cond_entropy,
     minimized_conditioning,
     petz_up_closed_form,
+    sandwiched_cond_entropy,
 )
 from qdecoupling.decoupling import (
     decoupling_error_sample,
@@ -93,13 +94,16 @@ def solves(monkeypatch):
 
     ``count.matrices`` is then (eigh matrices, eigvalsh matrices): a call on
     a stack of k matrices counts once above and k times here.
+    ``count.largest`` is the largest matrix side that either solver saw.
     """
     counts = {"eigh": 0, "eigvalsh": 0}
     mats = dict(counts)
+    sides = []
     for name in counts:
         def counted(h, *args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
             counts[_name] += 1
             mats[_name] += int(np.prod(np.shape(h)[:-2]))
+            sides.append(np.shape(h)[-1])
             return _orig(h, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -107,8 +111,10 @@ def solves(monkeypatch):
     def count(fn, *args):
         counts.update(eigh=0, eigvalsh=0)
         mats.update(counts)
+        sides.clear()
         fn(*args)
         count.matrices = mats["eigh"], mats["eigvalsh"]
+        count.largest = max(sides, default=0)
         return counts["eigh"], counts["eigvalsh"]
 
     return count
@@ -150,22 +156,34 @@ def test_eigensolves_of_mc(solves):
 def test_eigensolves_of_a_rate_curve(solves):
     """A 20-rate standard decoupling curve on one 8 x 8 state of rank 3.
 
-    I_A x rho_E is decomposed once and rho_AE's d_max kernel once; every
-    other matrix is one distinct s of the sandwiched phi, which returns the
-    value with its exact slope.  One root search per rate serves both
-    directions and asks for 31 distinct s over the 20 rates.  The searches
-    advance in lockstep, so those 31 matrices take 12 stacked eigh calls: a
-    search per rate made one call per matrix (32, 1), separate achievable
-    and converse searches asked for 32 distinct s, and a 64-point grid with
-    a bounded polish per search and finite-difference slopes made 298 eigh.
+    The entropy's prologue decomposes rho_AE, for its support factor, and
+    rho_E at 2 x 2.  Every other matrix is the 3 x 3 Gram matrix K of rho's
+    support factor: once at c = -1/2 for the min-entropy, and once per
+    distinct s of the sandwiched phi, which returns the value with its exact
+    slope.  One root search per rate serves both directions and asks for 32
+    distinct s over the 20 rates.  The searches advance in lockstep, so those
+    32 matrices take 12 stacked eigh calls: a search per rate made one call
+    per matrix, and a 64-point grid with a bounded polish per search and
+    finite-difference slopes made 298 eigh.  Before the Gram route, the
+    entropy decomposed the 8 x 8 I_A x rho_E in place of rho_AE and rho_E,
+    each phi matrix was the 8 x 8 sandwich, whose slopes differ in the last
+    bits and led the searches to 31 distinct s, and the min-entropy was an
+    eigvalsh in d_max: (13, 1) calls on (32, 1) matrices.
     """
     state = random_state((("A", 4), ("E", 2)), 3, make_rng(1))
     rates = np.linspace(0.1, 2.0, 20)
 
-    assert solves(standard_decoupling_curve, state, 2.0, rates) == (13, 1)
-    assert solves.matrices == (32, 1)
+    assert solves(standard_decoupling_curve, state, 2.0, rates) == (15, 0)
+    assert solves.matrices == (35, 0)
+    assert solves.largest == 8
     # the second curve on the same state finds every value in its memo
     assert solves(standard_decoupling_curve, state, 2.0, rates) == (0, 0)
+    # on a fresh copy with its entropy built first, every solve of the curve is 3 x 3
+    state = random_state((("A", 4), ("E", 2)), 3, make_rng(1))
+    assert solves(sandwiched_cond_entropy, state, ["A"], ["E"]) == (2, 0)
+    assert solves(standard_decoupling_curve, state, 2.0, rates) == (13, 0)
+    assert solves.matrices == (33, 0)
+    assert solves.largest == 3
 
 
 def test_eigensolves_of_a_distillation_curve(solves, monkeypatch):
@@ -198,15 +216,19 @@ def test_eigensolves_of_a_distillation_curve(solves, monkeypatch):
 def test_eigensolves_of_the_bound_search(solves):
     """One minimization of the one-shot decoupling bound over s, |A| = 4, |E| = 3.
 
-    I x rho_E and I x omega_C are decomposed once each; every other matrix
-    is one of the two sandwiched phi at one distinct s of the root search of
-    the log-bound's slope.  The two endpoints share one call per phi, so the
-    26 matrices take 24 calls.  A 48-point grid with a bounded polish made 116.
+    The prologue of each of the two entropies decomposes its state, rho_AE
+    and omega_A'C, and then that state's B marginal at |B| x |B|; every
+    other matrix is the rank x rank Gram matrix of one of the two sandwiched
+    phi at one distinct s of the root search of the log-bound's slope.  The
+    two endpoints share one call per phi, so the 28 matrices take 26 calls.
+    When each entropy decomposed I_A x rho_B at full size instead, it was
+    (24, 0) calls on (26, 0) matrices; a 48-point grid with a bounded polish
+    made 116.
     """
     state = random_state((("A", 4), ("E", 3)), 2, make_rng(2))
     inst = standard_instance(state, 2, 2)
-    assert solves(decoupling_error_upper_bound_optimized, inst) == (24, 0)
-    assert solves.matrices == (26, 0)
+    assert solves(decoupling_error_upper_bound_optimized, inst) == (26, 0)
+    assert solves.matrices == (28, 0)
 
 
 def test_eigensolves_of_mirror_descent(solves, partial_traces):
@@ -302,13 +324,14 @@ def test_optimizers_validate_only_at_the_input_boundary(validations, monkeypatch
     test_eigensolves_of_the_channel_input_search validates once, for the
     State it returns, whatever the number of evaluations; before, each
     evaluation validated its output rho_RB.  A 20-rate decoupling curve
-    validates twice, in d_max for the min-entropy; before, the
+    validates nothing: the min-entropy comes from the Gram matrix of rho's
+    support factor; before, d_max validated twice for it, and earlier the
     ConditionalEntropy it builds validated rho, I_A x rho_B and V^+ rho V too.
     A 20-rate dephasing-channel curve validates nothing: the Channel validated
     its Choi matrix; before, the curve validated it again.
     """
     state = random_state((("A", 4), ("E", 2)), 3, make_rng(5, stream=11))
-    assert validations(standard_decoupling_curve, state, 2.0, np.linspace(0.1, 2.0, 20)) == 2
+    assert validations(standard_decoupling_curve, state, 2.0, np.linspace(0.1, 2.0, 20)) == 0
     channel = generalized_dephasing(np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex))
     assert validations(dephasing_channel_curve, channel, np.linspace(0.05, 0.5, 20)) == 0
     steps = []
