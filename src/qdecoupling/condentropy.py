@@ -3,7 +3,8 @@
 All quantities are in bits.  The non-optimized conditional entropy of a
 bipartition (A, B) is -D(rho_AB || I_A x rho_B) for the chosen divergence
 family; the optimized ("up-arrow") variant minimizes the divergence over
-the conditioning state sigma_B instead.
+the conditioning state sigma_B instead.  Both evaluate the one D(rho_AB || I_A x
+sigma_B) per family of :func:`_conditioning`, which never forms I_A x sigma_B.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import Channel
-from .divergences import ALPHA_ONE_GUARD, divergence, umegaki
-from .linalg import Spectrum, partial_trace, tensor
+from .divergences import ALPHA_ONE_GUARD
+from .linalg import Spectrum, partial_trace
 from .states import State, memo_on
 
 _TINY = 1e-300
@@ -87,8 +88,7 @@ class ConditionalEntropy:
     """
 
     def __init__(self, state: State, a_labels, b_labels):
-        rho, da, db = _split_blocks(state, a_labels, b_labels)
-        _, vecs, lam, w = _conditioning_basis(rho, [da, db])
+        _, vecs, lam, w, da = _conditioning_basis(state, a_labels, b_labels)
         self._s, self._r, self._ln_w = vecs * np.sqrt(lam), len(lam) // da, np.log(w)
         self._ln_rows = np.repeat(self._ln_w, da)  # ln w_i at the row (i, a) of T
         self._phis: dict[float, tuple[float, float]] = {}
@@ -236,13 +236,14 @@ def _support_factor(spec: Spectrum, dims) -> tuple[np.ndarray, np.ndarray]:
     return vecs.reshape(db, -1), np.tile(spec.values[sup], da)
 
 
-def _conditioning_basis(rho: np.ndarray, dims):
-    """(P, P^+ W, lambda, w): rho's support factor (W, lambda) (:func:`_support_factor`),
-    rotated into the support eigenvectors P of rho_B = W lambda W^+, with eigenvalues w."""
-    vecs, lam = _support_factor(Spectrum.eigh(rho), dims)
+def _conditioning_basis(state: State, a_labels, b_labels):
+    """(P, P^+ W, lambda, w, |A|): the support factor (W, lambda) (:func:`_support_factor`) of
+    rho_AB, rotated into the support eigenvectors P of rho_B = W lambda W^+, eigenvalues w."""
+    rho, da, db = _split_blocks(state, a_labels, b_labels)
+    vecs, lam = _support_factor(Spectrum.eigh(rho), [da, db])
     spec_b = Spectrum.eigh((vecs * lam) @ vecs.conj().T)
     basis = spec_b.vectors[:, spec_b.support]
-    return basis, basis.conj().T @ vecs, lam, spec_b.values[spec_b.support]
+    return basis, basis.conj().T @ vecs, lam, spec_b.values[spec_b.support], da
 
 
 def _gram(g: np.ndarray, s: np.ndarray, r: int) -> tuple[Spectrum, np.ndarray]:
@@ -293,17 +294,22 @@ def _divided_differences(w: np.ndarray, c: float) -> np.ndarray:
 
 def _petz_objective(vecs: np.ndarray, lam: np.ndarray, alpha: float):
     """q = tr(m sigma^c) = sum_j w_j^c m~_jj, m = tr_A rho^alpha = W lambda^alpha W^+,
-    m~ = V^+ m V, c = 1 - alpha, and G~ = L o m~ / ((alpha - 1) q ln 2)."""
-    m = (vecs * lam**alpha) @ vecs.conj().T
+    m~ = V^+ m V, c = 1 - alpha, and G~ = L o m~ / ((alpha - 1) q ln 2).  No term overflows:
+    lambda^alpha is summed as (lambda / lambda_max)^alpha and w^c as (w / w*)^c, w* the w
+    of the largest w^c, so L / q takes the divided differences at w / w*, over w*."""
+    top = float(lam.max())
+    m = (vecs * (lam / top) ** alpha) @ vecs.conj().T
     c = 1.0 - alpha
 
     def f(w: np.ndarray, v: np.ndarray):
         mt = v.conj().T @ m @ v
-        q = float(np.real(np.diagonal(mt)) @ w**c)
+        ws = float(w.max() if c > 0 else w.min())
+        q = float(np.real(np.diagonal(mt)) @ (w / ws) ** c)
         if q <= 0:
             return math.inf, None
-        scale = 1.0 / (q * _LN2 * (alpha - 1.0))
-        return math.log2(q) / (alpha - 1.0), lambda: scale * _divided_differences(w, c) * mt
+        scale = 1.0 / (q * ws * _LN2 * (alpha - 1.0))
+        return ((math.log2(q) + alpha * math.log2(top) + c * math.log2(ws)) / (alpha - 1.0),
+                lambda: scale * _divided_differences(w / ws, c) * mt)
 
     return f
 
@@ -314,6 +320,8 @@ def _sandwiched_objective(vecs: np.ndarray, lam: np.ndarray, da: int, alpha: flo
     rho = R R^+ with R = W lambda^(1/2); a call forms K = sum_a T_a^+ T_a, T_a = w^c S_a,
     S = V^+ R, by :func:`_gram`.  As dQ = alpha tr(Z d(sigma^(2c))), G~ = alpha L o Z~ /
     ((alpha - 1) Q ln 2), L at the order 2c, Z~ = sum_a S_a K^(alpha-1) S_a^+ on K's support.
+    Q and K^(alpha-1) are taken over kappa_max^alpha, as in ``divergences.sandwiched_renyi``,
+    so no term overflows.
     """
     c = (1.0 - alpha) / (2.0 * alpha)
     factor, r = vecs * np.sqrt(lam), len(lam) // da
@@ -323,19 +331,29 @@ def _sandwiched_objective(vecs: np.ndarray, lam: np.ndarray, da: int, alpha: flo
         spec, _ = _gram(w**c, s, r)
         sup = spec.support
         kap, u = spec.values[sup], spec.vectors[:, sup]
-        q = float(np.sum(kap**alpha))
-        if q <= 0:
+        if not kap.size:
             return math.inf, None
-        scale = alpha / (q * _LN2 * (alpha - 1.0))
+        top = float(kap[-1])
+        q = float(np.sum((kap / top) ** alpha))
+        scale = alpha / (q * top * _LN2 * (alpha - 1.0))
 
         def grad():
             su = s.reshape(-1, r) @ u
-            z = (su * kap ** (alpha - 1.0)).reshape(len(w), -1) @ su.reshape(len(w), -1).conj().T
+            z = (su * (kap / top) ** (alpha - 1.0)).reshape(len(w), -1) @ su.reshape(len(w), -1).conj().T
             return scale * _divided_differences(w, 2.0 * c) * z
 
-        return math.log2(q) / (alpha - 1.0), grad
+        return (alpha * math.log2(top) + math.log2(q)) / (alpha - 1.0), grad
 
     return f
+
+
+def _conditioning(state: State, a_labels, b_labels, family: str, alpha: float):
+    """(P, w, f): :func:`_conditioning_basis` of the (A, B) blocks, and f(w', V) =
+    D_family(rho_AB || I_A x sigma_B) at sigma_B = P V diag(w') V^+ P^+; f(w, I) is at rho_B."""
+    basis, vecs, lam, w, da = _conditioning_basis(state, a_labels, b_labels)
+    obj = (_petz_objective(vecs, lam, alpha) if family == "petz"
+           else _sandwiched_objective(vecs, lam, da, alpha))
+    return basis, w, obj
 
 
 def _mirror_descent(obj, sigma0: Spectrum):
@@ -403,76 +421,70 @@ def _mirror_descent(obj, sigma0: Spectrum):
     return MinimizeResult(fval, (v * w) @ v.conj().T, _MAX_ITERS, grad_norm, "max_iters")
 
 
-def minimized_conditioning(
-    state: State,
-    a_labels,
-    b_labels,
-    family: str,
-    alpha: float,
-) -> MinimizeResult:
+def minimized_conditioning(state: State, a_labels, b_labels, family: str,
+                           alpha: float) -> MinimizeResult:
     """inf over sigma_B of D(rho_AB || I_A x sigma_B), by one mirror descent.
 
     The problem is convex at every order the library uses (sandwiched
     alpha >= 1/2, Petz alpha in (0, 2]), so one start suffices: (1 - 1e-9) rho_B +
-    1e-9 I / |B| on supp rho_B.  The descent runs on P^+ W of :func:`_conditioning_basis`
-    and returns P sigma P^+.  At alpha near 1 the Umegaki value at sigma_B = rho_B is
-    returned directly.
+    1e-9 I / |B| on supp rho_B.  The descent runs on :func:`_conditioning`'s objective and
+    returns P sigma P^+.  Near alpha = 1 it returns -H(A|B) at sigma_B = rho_B = P diag(w) P^+.
     """
-    rho, da, db = _split_blocks(state, a_labels, b_labels)
+    basis, w, obj = _conditioning(state, a_labels, b_labels, family, alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
-        sigma_b = partial_trace(rho, [da, db], [1])
-        val = umegaki(rho, tensor(np.eye(da), sigma_b))
-        return MinimizeResult(val, sigma_b, 0, 0.0, "closed_form")
-    # The minimizer is supported on supp(rho_B): pinching with the support
-    # projector leaves rho invariant and cannot increase the divergence, and
-    # renormalizing the in-support block only decreases it.  Restricting to
-    # that subspace keeps the iterates full rank, which the multiplicative
-    # update needs to make progress.
-    basis, vecs, lam, w = _conditioning_basis(rho, [da, db])
-    obj = (_petz_objective(vecs, lam, alpha) if family == "petz"
-           else _sandwiched_objective(vecs, lam, da, alpha))
-    # the start in rho_B's eigenbasis, which is the identity in the basis of the descent
+        return MinimizeResult(-cond_vn_entropy(state, a_labels, b_labels),
+                              (basis * w) @ basis.conj().T, 0, 0.0, "closed_form")
+    # The minimizer lives on supp(rho_B): pinching with its projector leaves rho invariant
+    # and cannot increase D, and renormalizing the in-support block only decreases it.
+    # There the iterates stay full rank, as the multiplicative update needs; the start is
+    # in rho_B's eigenbasis, the identity in the basis of the descent.
     sigma0 = Spectrum((1.0 - 1e-9) * w / np.sum(w) + 1e-9 / len(w), np.eye(len(w), dtype=complex))
     res = _mirror_descent(obj, sigma0)
     return replace(res, sigma=basis @ res.sigma @ basis.conj().T)
 
 
 def petz_up_closed_form(state: State, a_labels, b_labels, alpha: float) -> float:
-    """Optimized Petz H_up_alpha(A|B) by :class:`PetzUpEntropy`, or H(A|B) near alpha = 1."""
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be a positive finite number")
-    if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
-        return cond_vn_entropy(state, a_labels, b_labels)
-    return PetzUpEntropy.of(state, a_labels, b_labels)(alpha)
+    """Optimized Petz H_up_alpha(A|B), :func:`cond_entropy` of its :class:`EntropyKind`."""
+    return cond_entropy(state, a_labels, b_labels, EntropyKind("petz", alpha, optimized=True))
 
 
 def cond_entropy(state: State, a_labels, b_labels, kind: EntropyKind) -> float:
-    """Conditional Renyi entropy of the (A, B) partition, in bits."""
-    if not kind.optimized:
-        rho, da, db = _split_blocks(state, a_labels, b_labels)
-        sigma = Spectrum.eigh(tensor(np.eye(da), partial_trace(rho, [da, db], [1])))
-        return -divergence(rho, sigma, kind.family, kind.alpha)
-    if kind.family == "petz":
-        return petz_up_closed_form(state, a_labels, b_labels, kind.alpha)
-    return -minimized_conditioning(state, a_labels, b_labels, kind.family, kind.alpha).value
+    """Conditional Renyi entropy of the (A, B) partition, in bits: H(A|B) near alpha = 1;
+    else :func:`_conditioning`'s objective once at sigma_B = rho_B for the plain kinds, the
+    closed form of :class:`PetzUpEntropy` or :func:`minimized_conditioning` optimized."""
+    if abs(kind.alpha - 1.0) < ALPHA_ONE_GUARD:
+        return cond_vn_entropy(state, a_labels, b_labels)
+    if kind.optimized and kind.family == "petz":
+        return PetzUpEntropy.of(state, a_labels, b_labels)(kind.alpha)
+    if kind.optimized:
+        return -minimized_conditioning(state, a_labels, b_labels, kind.family, kind.alpha).value
+    _, w, obj = _conditioning(state, a_labels, b_labels, kind.family, kind.alpha)
+    return -obj(w, np.eye(len(w)))[0]
+
+
+def merging_entropies(state: State, a_labels, b_labels, c_labels):
+    """The sandwiched :class:`ConditionalEntropy` of (A|C) and the :class:`PetzUpEntropy`
+    of (A|B) of a pure rho_ABC, built once per state.  By duality (Tomamichel, Berta and
+    Hayashi, JMP 2014), H~_{1+s}(A|C) = -H_up_{1/(1+s)}(A|B): their phis agree."""
+    def build():
+        purity = float(np.real(np.trace(state.density @ state.density)))
+        if purity < 1.0 - 1e-8:
+            raise ValueError(f"state is not pure (tr rho^2 = {purity:.6f})")
+        ac = state.marginal(*(list(a_labels) + list(c_labels)))
+        ab = state.marginal(*(list(a_labels) + list(b_labels)))
+        return ConditionalEntropy(ac, a_labels, c_labels), PetzUpEntropy.of(ab, a_labels, b_labels)
+
+    return memo_on(state, ("merging", tuple(a_labels), tuple(b_labels), tuple(c_labels)), build)
 
 
 def duality_pair(state: State, a_labels, b_labels, c_labels, s: float):
-    """Both sides of the pure-state duality, for cross-checking.
-
-    For pure rho_ABC returns (sandwiched H_{1+s}(A|C), -petz H_up_{1/(1+s)}(A|B));
-    the two agree in exact arithmetic.
-    """
+    """Both sides of the pure-state duality, for cross-checking: (sandwiched H_{1+s}(A|C),
+    -petz H_up_{1/(1+s)}(A|B)) of a pure rho_ABC, read as phi(s) / s of the two entropies of
+    :func:`merging_entropies`.  They agree in exact arithmetic."""
     if not 0 < s <= 1:
         raise ValueError("s must lie in (0, 1]")
-    purity = float(np.real(np.trace(state.density @ state.density)))
-    if purity < 1.0 - 1e-8:
-        raise ValueError(f"state is not pure (tr rho^2 = {purity:.6f})")
-    ac = state.marginal(*(list(a_labels) + list(c_labels)))
-    ab = state.marginal(*(list(a_labels) + list(b_labels)))
-    lhs = cond_entropy(ac, a_labels, c_labels, EntropyKind("sandwiched", 1.0 + s))
-    rhs = -petz_up_closed_form(ab, a_labels, b_labels, 1.0 / (1.0 + s))
-    return lhs, rhs
+    h, h_dual = merging_entropies(state, a_labels, b_labels, c_labels)
+    return h.phi(s)[0] / s, h_dual.phi(s)[0] / s
 
 
 # -- channel input optimization --------------------------------------------

@@ -114,7 +114,7 @@ def d_max(rho: np.ndarray, sigma) -> float:
 
 
 def divergence(rho: np.ndarray, sigma, kind: str, alpha: float | None = None) -> float:
-    """Uniform dispatch used by the CLI and the conditional-entropy layer."""
+    """Uniform dispatch used by the CLI and the verify suites."""
     if kind == "umegaki":
         return umegaki(rho, sigma)
     if kind == "max":

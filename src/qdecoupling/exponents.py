@@ -33,12 +33,11 @@ import numpy as np
 
 from .channels import Channel, apply_channel
 from .condentropy import (
-    ConditionalEntropy,
     PetzUpEntropy,
     channel_coherent_info,
     choi_cond_entropy,
-    cond_vn_entropy,
     input_search,
+    merging_entropies,
     minimized_conditioning,
     sandwiched_cond_entropy,
 )
@@ -280,17 +279,6 @@ def comparator_exponent(
 # -- state merging ---------------------------------------------------------
 
 
-def _merging_terms(state: State, a_labels, b_labels, r_labels):
-    """H(A|R), the sandwiched H(A|R) and the Petz Hup(A|B) of one pure state, for merging."""
-    purity = float(np.real(np.trace(state.density @ state.density)))
-    if purity < 1.0 - 1e-8:
-        raise ValueError(f"state is not pure (tr rho^2 = {purity:.6f})")
-    ar = state.marginal(*(list(a_labels) + list(r_labels)))
-    ab = state.marginal(*(list(a_labels) + list(b_labels)))
-    return (cond_vn_entropy(ar, a_labels, r_labels), ConditionalEntropy(ar, a_labels, r_labels),
-            PetzUpEntropy.of(ab, a_labels, b_labels))
-
-
 def merging_curve(state: State, a_labels, b_labels, r_labels, rates,
                   mode: str) -> list[ExponentResult]:
     """Merging exponents for a pure tripartite state, distill or cost mode, per rate.
@@ -302,9 +290,8 @@ def merging_curve(state: State, a_labels, b_labels, r_labels, rates,
     """
     if mode not in ("distill", "cost"):
         raise ValueError("mode must be 'distill' or 'cost'")
-    labels = tuple(a_labels), tuple(b_labels), tuple(r_labels)
-    h_vn, h, h_dual = memo_on(state, ("merging",) + labels,
-                              lambda: _merging_terms(state, *labels))
+    h, h_dual = merging_entropies(state, a_labels, b_labels, r_labels)
+    h_vn = h.phi(0.0)[1]  # H(A|R) = phi'(0) of phi(s) = s H~_{1+s}(A|R)
     sign = -1.0 if mode == "distill" else 1.0
     r = np.asarray(rates, dtype=float)
     if mode == "distill" and not (h_vn > 0 and ((0 < r) & (r < h_vn)).all()):

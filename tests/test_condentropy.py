@@ -25,6 +25,7 @@ from qdecoupling.condentropy import (
     cond_entropy,
     cond_vn_entropy,
     duality_pair,
+    merging_entropies,
     minimized_conditioning,
     petz_up_closed_form,
     von_neumann_entropy,
@@ -72,9 +73,15 @@ def test_max_entangled_entropy(kind):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("alpha", [1e3, 1e4, 1e6])
 def test_sandwiched_entropy_of_max_entangled_at_large_orders(alpha):
-    """H~_alpha(A|B) = -1 of a Bell pair at every order, with no overflow of x^alpha."""
-    value = cond_entropy(max_entangled(2), ["A"], ["B"], EntropyKind("sandwiched", alpha))
-    assert value == pytest.approx(-1.0, abs=1e-12)
+    """H_alpha(A|B) = -1 of a Bell pair at every order, in all four kinds, with no
+    overflow: the objectives scale kappa^alpha, lambda^alpha and w^(1-alpha) by their
+    largest terms, where the plain Petz kind gave nan at 1e4 and the optimized
+    sandwiched kind overflowed."""
+    for family in ("petz", "sandwiched"):
+        for optimized in (False, True):
+            kind = EntropyKind(family, alpha, optimized)
+            value = cond_entropy(max_entangled(2), ["A"], ["B"], kind)
+            assert value == pytest.approx(-1.0, abs=1e-12), kind
 
 
 def test_von_neumann_examples(rng):
@@ -124,6 +131,15 @@ def test_duality_random_pure_tripartite(seed, s):
     psi = random_pure(dims, rng)
     lhs, rhs = duality_pair(psi, ["A"], ["B"], ["C"], s)
     assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merging_reads_the_von_neumann_entropy_as_the_slope_at_zero(seed):
+    """H(A|R) = phi'(0) of phi(s) = s H~_{1+s}(A|R), the entropy merging_curve reads."""
+    psi = random_pure((("A", 2), ("B", 3), ("R", 2)), make_rng(seed, stream=15))
+    h, _ = merging_entropies(psi, ["A"], ["B"], ["R"])
+    ref = cond_vn_entropy(psi.marginal("A", "R"), ["A"], ["R"])
+    assert h.phi(0.0) == pytest.approx((0.0, ref), abs=1e-12)
 
 
 def test_duality_rejects_mixed(rng):
@@ -269,10 +285,20 @@ _SLOPE_STATES = {
     # B listed first: the entropy objects take the (A, B) blocks of the permuted state
     "listed-b-a": lambda rng: random_state((("B", 3), ("A", 2)), 4, rng),
 }
+
+
+def _full_size(state: State) -> tuple[np.ndarray, np.ndarray]:
+    """rho_AB, A first, and the |A||B| x |A||B| matrix I_A x rho_B."""
+    rho, da, db = state.permuted("A", "B").density, state.dim_of("A"), state.dim_of("B")
+    return rho, tensor(np.eye(da), partial_trace(rho, [da, db], [1]))
+
+
 _PHIS = {
-    # (phi object, s H_{1+s} or s times the coherent information by the value routes)
-    "sandwiched": lambda st: (ConditionalEntropy(st, ["A"], ["B"]), lambda e, s: s * cond_entropy(
-        st, ["A"], ["B"], EntropyKind("sandwiched", 1.0 + s))),
+    # (phi object, s H_{1+s} or s times the coherent information by the value routes):
+    # the sandwiched value at full size, apart from the Gram kernel that phi and
+    # cond_entropy share
+    "sandwiched": lambda st: (ConditionalEntropy(st, ["A"], ["B"]),
+                              lambda e, s: -s * sandwiched_renyi(*_full_size(st), 1.0 + s)),
     "petz": lambda st: (PetzUpEntropy.of(st, ["A"], ["B"]),
                         lambda e, s: -s * e(1.0 / (1.0 + s))),
 }
@@ -288,9 +314,10 @@ def test_phi_slope_matches_central_difference_and_falls(family, name):
     (rank 1 and 3 of 6), the rank-deficient Choi state of a dephasing
     channel, whose kernel must be cut at small Petz orders, a state whose
     rho_B has a kernel, which the sandwiched phi leaves out of its basis of
-    supp rho_B, and a state listed as (B, A).  The sandwiched min-entropy,
-    read off the Gram matrix at c = -1/2, is checked against d_max of the
-    full-size rho_AB and I_A x rho_B.
+    supp rho_B, and a state listed as (B, A).  The sandwiched value and
+    min-entropy, read off the Gram matrix, are checked against
+    sandwiched_renyi and d_max of the full-size rho_AB and I_A x rho_B:
+    cond_entropy shares the Gram kernel with phi, so it is no reference.
     """
     state = _SLOPE_STATES[name](make_rng(31))
     ent, value = _PHIS[family](state)
@@ -303,8 +330,7 @@ def test_phi_slope_matches_central_difference_and_falls(family, name):
     slopes = [ent.phi(float(s))[1] for s in np.geomspace(1e-4, 64.0, 200)]
     assert max(np.diff(slopes)) <= 1e-12
     if family == "sandwiched":
-        rho, da, db = state.permuted("A", "B").density, state.dim_of("A"), state.dim_of("B")
-        ref = -d_max(rho, tensor(np.eye(da), partial_trace(rho, [da, db], [1])))
+        ref = -d_max(*_full_size(state))
         assert abs(ent.min_entropy() - ref) <= 1e-12 * max(1.0, abs(ref)), (ent.min_entropy(), ref)
 
 
@@ -692,3 +718,23 @@ def test_duality_of_minimized_pairs_on_rank_two_b4(seed):
         d_b = minimized_conditioning(ab, ["A"], ["B"], "sandwiched", alpha).value
         d_c = minimized_conditioning(ac, ["A"], ["C"], "sandwiched", beta).value
         assert abs(d_b + d_c) <= 1e-10, (alpha, d_b + d_c)
+
+
+@pytest.mark.parametrize("family", ["petz", "sandwiched"])
+@pytest.mark.parametrize("name", ["rho-b-kernel", "rank-3", "listed-b-a"])
+def test_plain_kinds_match_the_full_size_divergences(family, name):
+    """The plain kinds against -D(rho_AB || I_A x rho_B) of ``divergences`` at full size.
+
+    cond_entropy evaluates the objective of the sigma minimization at sigma_B =
+    rho_B, in the basis of rho_B's support, and never forms I_A x rho_B.  The
+    states have a kernel in rho_B, a rank-deficient rho (3 of 6) and a (B, A)
+    listing.  The tolerance is relative to max(1, |D|), as for phi: a value near
+    0, as at alpha = 0.9, carries the roundoff of log2 Q / (alpha - 1) in either
+    route, 6e-15 at D = 2.4e-3 on the rank-3 state.
+    """
+    state = _SLOPE_STATES[name](make_rng(31))
+    full = petz_renyi if family == "petz" else sandwiched_renyi
+    for alpha in (0.3, 0.5, 0.9, 1.5, 3.0, 10.0):
+        value = cond_entropy(state, ["A"], ["B"], EntropyKind(family, alpha))
+        ref = -full(*_full_size(state), alpha)
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (alpha, value, ref)
