@@ -428,12 +428,14 @@ def minimized_conditioning(state: State, a_labels, b_labels, family: str,
     The problem is convex at every order the library uses (sandwiched
     alpha >= 1/2, Petz alpha in (0, 2]), so one start suffices: (1 - 1e-9) rho_B +
     1e-9 I / |B| on supp rho_B.  The descent runs on :func:`_conditioning`'s objective and
-    returns P sigma P^+.  Near alpha = 1 it returns -H(A|B) at sigma_B = rho_B = P diag(w) P^+.
+    returns P sigma P^+.  Near alpha = 1 it returns -H(A|B) = H(w) - H(lambda) at sigma_B =
+    rho_B = P diag(w) P^+, from the support eigenvalues of :func:`_conditioning_basis`.
     """
-    basis, w, obj = _conditioning(state, a_labels, b_labels, family, alpha)
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
-        return MinimizeResult(-cond_vn_entropy(state, a_labels, b_labels),
-                              (basis * w) @ basis.conj().T, 0, 0.0, "closed_form")
+        basis, _, lam, w, da = _conditioning_basis(state, a_labels, b_labels)
+        h = Spectrum(lam[: len(lam) // da]).entropy() - Spectrum(w).entropy()
+        return MinimizeResult(-h, (basis * w) @ basis.conj().T, 0, 0.0, "closed_form")
+    basis, w, obj = _conditioning(state, a_labels, b_labels, family, alpha)
     # The minimizer lives on supp(rho_B): pinching with its projector leaves rho invariant
     # and cannot increase D, and renormalizing the in-support block only decreases it.
     # There the iterates stay full rank, as the multiplicative update needs; the start is

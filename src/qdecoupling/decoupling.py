@@ -4,12 +4,12 @@ The decoupling error of a channel T acting on the A part of rho_AE is the
 Haar average over unitaries U on A of D(T(U rho U*) || omega_C x rho_E),
 with omega_C = T(I_A/|A|).  Everything is in bits.
 
-:func:`mc_decoupling_error` estimates it on stacks of Haar samples: T's
-Kraus operators K_k take each U as B_k = K_k U, two batched products give
-the outputs sum_k (B_k x I) rho_AE (B_k x I)*, and one stacked ``umegaki``
-scores them against omega_C x rho_E.  :func:`decoupling_error_sample`
-computes a single sample through ``State``, ``apply_channel`` and
-``umegaki``; it is the exact reference that the estimator is tested against.
+:func:`mc_decoupling_error` estimates it on stacks of Haar samples from one
+factor R of rho_AE = R R*: each sample is the small matrix M with columns
+(K_k U x I) R_j, its output is M M*, and its entropy comes from the smaller of
+M M* and M* M.  :func:`decoupling_error_sample` computes a single sample
+through ``State``, ``apply_channel`` and ``umegaki``; it is the exact
+reference that the estimator is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .channels import Channel, apply_channel, kraus_operators, partial_trace_channel
 from .divergences import sandwiched_renyi, support_contained, umegaki
 from .exponents import S_MIN, concave_sup, decoupling_phi
-from .linalg import Spectrum, distinct_eigenvalue_count, positive_part_trace, tensor
+from .linalg import SUPPORT_LEAK_TOL, Spectrum, distinct_eigenvalue_count, positive_part_trace, tensor
 from .states import State, haar_unitaries, make_rng
 
 LN2 = math.log(2.0)
@@ -101,9 +101,9 @@ def decoupling_error_sample(inst: DecouplingInstance, u: np.ndarray) -> float:
 
 
 # Haar samples per stacked evaluation in mc_decoupling_error: enough to
-# amortize the per-call overhead, few enough that a stack's temporaries
-# stay under 1 MB at |A||E| = 12.  Stacks of 128 raised the peak memory of
-# a decouple-mc process by about 2 MB, stacks of 64 by about 0.5 MB.
+# amortize the per-call overhead, few enough that a stack's temporaries stay
+# small.  Stacks of 500 raised the peak RSS of a process running 500-sample
+# decouple-mc jobs at |A| = 4 by about 1.4 MB.
 MC_CHUNK = 64
 
 
@@ -114,12 +114,17 @@ def mc_decoupling_error(
 ) -> MCEstimate:
     """Monte Carlo estimate of the Haar-averaged decoupling error.
 
-    The samples are drawn and scored in stacks of :data:`MC_CHUNK`: the
-    channel's Kraus operators K_k take each U as B_k = K_k U, two batched
-    products give the outputs sum_k (B_k x I) rho_AE (B_k x I)*, and one
-    stacked :func:`umegaki` call scores them against the one decomposition
-    of omega_C x rho_E.  Per sample this is :func:`decoupling_error_sample`
-    up to roundoff.
+    rho_AE is decomposed once and kept as its support factor R, rho_AE = R R*,
+    rank r.  The samples are drawn in stacks of :data:`MC_CHUNK`; for each
+    unitary U, the channel's Kraus operators K_k give M, rows (c, e), columns
+    (k, j), holding (K_k U x I) R_j, so that the output is M M*.  Its entropy
+    comes from one stacked eigenvalue solve of the smaller of M M* (|C||E|)
+    and M* M (K r), which share their nonzero spectrum.  log2(omega_C x rho_E)
+    and the projector off its support are built once, and one product reads
+    each sample's cross term and support leak; a leak above
+    ``SUPPORT_LEAK_TOL`` makes the sample +inf, as in :func:`umegaki`.  M M*
+    is PSD by construction, so no stack is validated.  Per sample this is
+    :func:`decoupling_error_sample` up to roundoff.
 
     Infinite samples (support violations of single draws) are counted and
     surfaced through ``n_infinite`` and as NaN in ``per_sample`` rather than
@@ -129,21 +134,30 @@ def mc_decoupling_error(
         raise ValueError("need at least 2 samples")
     rng = make_rng(seed)
     da, de = inst.dim_a, inst.rho_ae.dim_of("E")
-    dout = inst.channel.dout
-    kraus = kraus_operators(inst.channel).reshape(-1, da)  # rows (k, c)
-    rho = inst.rho_ae.density.reshape(da, de * da * de)
+    kraus = kraus_operators(inst.channel)
+    nk, dout = kraus.shape[:2]
+    spec = Spectrum.eigh(inst.rho_ae.density)
+    sup = spec.support
+    rank = int(np.count_nonzero(sup))
+    factor = (spec.vectors[:, sup] * np.sqrt(spec.values[sup])).reshape(da, de * rank)
     target = Spectrum.of(tensor(inst.omega_c, inst.rho_e))
+    # log2 sigma and I - P_sigma, transposed and flattened: vec(out) @ weights
+    # gives tr(out log2 sigma) and tr(out (I - P_sigma)) of each sample
+    weights = np.stack([target.log2(), np.eye(dout * de) - target.projector()])
+    weights = weights.transpose(0, 2, 1).reshape(2, -1).T
+    kraus = kraus.reshape(-1, da)  # rows (k, c)
     chunks = []
     for start in range(0, n_samples, MC_CHUNK):
         n = min(MC_CHUNK, n_samples - start)
-        b = kraus @ haar_unitaries(da, n, rng)  # B_k = K_k U
-        # (B_k x I) rho, regrouped to rows (c, e, e') and columns (k, a'): one
-        # product with the stacked B_k* contracts a' and sums over k
-        x = (b.reshape(-1, da) @ rho).reshape(n, -1, dout * de, da, de)
-        x = x.transpose(0, 2, 4, 1, 3).reshape(n, dout * de * de, -1)
-        b_adj = b.conj().reshape(n, -1, dout, da).transpose(0, 1, 3, 2).reshape(n, -1, dout)
-        out = (x @ b_adj).reshape(n, dout, de, de, dout).swapaxes(-1, -2)
-        chunks.append(umegaki(out.reshape(n, dout * de, dout * de), target))
+        x = (haar_unitaries(da, n, rng).reshape(-1, da) @ factor).reshape(n, da, -1)  # U R
+        m = (kraus @ x).reshape(n, nk, dout, de, rank).transpose(0, 2, 3, 1, 4)
+        m = m.reshape(n, dout * de, nk * rank)
+        m_adj = m.conj().swapaxes(-1, -2)
+        out = m @ m_adj
+        gram = out if dout * de <= nk * rank else m_adj @ m
+        cross, leak = (out.reshape(n, -1) @ weights).real.T
+        vals = -Spectrum.eigvalsh(gram).entropy() - cross
+        chunks.append(np.where(leak <= SUPPORT_LEAK_TOL, vals, math.inf))
     vals = np.concatenate(chunks)
     infinite = np.isinf(vals)
     n_inf = int(np.count_nonzero(infinite))

@@ -25,16 +25,11 @@ def _spectrum(p) -> Spectrum:
     return p if isinstance(p, Spectrum) else Spectrum.of(p)
 
 
-def support_contained(rho: np.ndarray, sigma):
-    """Whether supp(rho) fits inside supp(sigma), up to a leak of ``SUPPORT_LEAK_TOL``.
-
-    ``sigma`` is a PSD matrix or its :class:`Spectrum`.  ``rho`` may be a
-    stack, shape ``(..., d, d)``; the answer is then a boolean array with
-    one entry per matrix.
-    """
+def support_contained(rho: np.ndarray, sigma) -> bool:
+    """Whether supp(rho) fits inside supp(sigma), up to a leak of ``SUPPORT_LEAK_TOL``;
+    ``sigma`` is a PSD matrix or its :class:`Spectrum`."""
     proj = _spectrum(sigma).projector()
-    leak = np.einsum("...ij,ji->...", rho, np.eye(proj.shape[0]) - proj).real
-    return leak <= SUPPORT_LEAK_TOL
+    return float(np.einsum("ij,ji->", rho, np.eye(len(proj)) - proj).real) <= SUPPORT_LEAK_TOL
 
 
 def supports_overlap(rho: np.ndarray, sigma) -> bool:
@@ -43,18 +38,13 @@ def supports_overlap(rho: np.ndarray, sigma) -> bool:
     return overlap > SUPPORT_LEAK_TOL
 
 
-def umegaki(rho: np.ndarray, sigma):
-    """Relative entropy tr(rho(log rho - log sigma)) in bits; +inf off-support.
-
-    ``rho`` may be a stack, shape ``(..., d, d)``, scored against the one
-    ``sigma``; the result is then an array with one value per matrix, whose
-    entropies come from one stacked eigenvalue solve.
-    """
+def umegaki(rho: np.ndarray, sigma) -> float:
+    """Relative entropy tr(rho(log rho - log sigma)) in bits; +inf off-support."""
     rho = as_hermitian(rho)
     sig = _spectrum(sigma)
-    vals = -Spectrum.eigvalsh(rho).entropy() - np.einsum("...ij,ji->...", rho, sig.log2()).real
-    out = np.where(support_contained(rho, sig), vals, math.inf)
-    return float(out) if out.ndim == 0 else out
+    if not support_contained(rho, sig):
+        return math.inf
+    return -Spectrum.eigvalsh(rho).entropy() - float(np.einsum("ij,ji->", rho, sig.log2()).real)
 
 
 def petz_renyi(rho: np.ndarray, sigma, alpha: float) -> float:

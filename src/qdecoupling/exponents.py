@@ -195,20 +195,22 @@ def _suprema(phi, c: np.ndarray, hi: float, asym_slope, converse: bool = True):
     ``ach`` is the ExponentCurve of the supremum on [S_MIN, hi].  The
     converse supremum, over s > 0, is +inf without ``converse`` and where
     ``asym_slope``, the limit of the objective over s, is positive
-    (``diverges``).  Elsewhere s_hi doubles from 1 while the slope
-    c + phi'(s_hi) is > 0, up to S_CAP, all rates on one ladder of s;
-    ``capped``: the slope is > 0 at S_CAP.  One :func:`concave_sup` call
+    (``diverges``).  Elsewhere one ``phi`` call on S_MIN and the ladder
+    1, 2, 4, ..., S_CAP gives s_hi, the first ladder point where the slope
+    c + phi'(s) is <= 0, or S_CAP; ``capped``: the slope is > 0 at S_CAP.  One
+    :func:`concave_sup` call, with S_MIN and every s_hi already in phi's memo,
     finds each rate's maximizer s*, on [S_MIN, s_hi] where the converse is
     finite and on [S_MIN, hi] elsewhere.  The achievable supremum is at s* if
     s* <= hi, else at hi, as the concave objective does not fall before s*.
     """
     diverges = np.full(len(c), converse) & (asym_slope > 1e-9)
     fin = converse & ~diverges
-    s_hi, up, capped = np.ones(len(c)), fin.copy(), np.zeros(len(c), dtype=bool)
-    while (up := up & (s_hi < S_CAP)).any():
-        up[up] = c[up] + phi(s_hi[up])[1] > 0.0
-        s_hi[up] *= 2.0
-    capped[fin] = c[fin] + phi(s_hi[fin])[1] > 0.0
+    s_hi, capped = np.ones(len(c)), np.zeros(len(c), dtype=bool)
+    if fin.any():
+        ladder = 2.0 ** np.arange(int(math.log2(S_CAP)) + 1)
+        down = c[fin, None] + phi(np.append(S_MIN, ladder))[1][1:] <= 0.0
+        capped[fin] = ~down.any(axis=1)
+        s_hi[fin] = np.where(capped[fin], S_CAP, ladder[down.argmax(axis=1)])
     sub = concave_sup(phi, c, S_MIN, np.where(fin, s_hi, hi))
     s, v = sub.argmax_s, sub.sup_value
     # the objective is 0 at s = 0, so the true supremum is >= 0

@@ -65,20 +65,22 @@ def test_orthogonal_supports_give_inf():
     assert sandwiched_renyi(a, b, 0.5) == math.inf
 
 
-def test_umegaki_on_a_stack_is_umegaki_of_each_matrix(rng):
-    """Each matrix of a stack is scored against the one sigma; leaks are +inf."""
+def test_umegaki_scores_each_matrix_against_one_sigma(rng):
+    """Five matrices scored one at a time against one sigma with a kernel, given as
+    a matrix and as its Spectrum; the two that leak out of its support are +inf."""
     sigma = np.diag([0.5, 0.3, 0.2, 0.0])
+    spec = Spectrum.of(sigma)
     inside = [np.pad(random_density(3, r, rng), ((0, 1), (0, 1))) for r in (1, 2, 3)]
-    stack = np.array(inside + [random_density(4, 2, rng), np.diag([0.0, 0.0, 0.0, 0.5])])
-    stack = stack.reshape(1, 5, 4, 4)
-    contained = support_contained(stack, sigma)
-    vals = umegaki(stack, Spectrum.of(sigma))
-    assert contained.shape == vals.shape == (1, 5)
-    assert list(contained[0]) == [True, True, True, False, False]
-    for c, v, m in zip(contained[0], vals[0], stack[0]):
+    mats = inside + [random_density(4, 2, rng), np.diag([0.0, 0.0, 0.0, 0.5])]
+    contained = [support_contained(m, spec) for m in mats]
+    vals = [umegaki(m, spec) for m in mats]
+    assert contained == [True, True, True, False, False]
+    for c, v, m in zip(contained, vals, mats):
         assert c == support_contained(m, sigma)
         assert v == pytest.approx(umegaki(m, sigma), abs=1e-13)
-    assert np.isinf(vals[0, 3:]).all()
+    for v, m in zip(vals, inside):
+        assert v == pytest.approx(umegaki(m[:3, :3], sigma[:3, :3]), abs=1e-13)
+    assert vals[3] == vals[4] == math.inf
 
 
 def test_partial_support_alpha_below_one_finite():

@@ -25,6 +25,7 @@ from qdecoupling.condentropy import (
     PetzUpEntropy,
     channel_coherent_info,
     cond_entropy,
+    cond_vn_entropy,
     minimized_conditioning,
     petz_up_closed_form,
     sandwiched_cond_entropy,
@@ -160,13 +161,20 @@ def test_eigensolves_per_call(solves, partial_traces, rng):
 
 
 def test_eigensolves_of_mc(solves):
-    """One eigh of the fixed target and one stacked eigvalsh per chunk of 64.
+    """Two eigh, of rho_AE for its support factor and of the fixed target, and
+    one stacked eigvalsh per chunk of 64, on the smaller Gram side of each
+    sample's factor M: K r = 4 (2 Kraus operators, rank 2) against
+    |C||E| = 6 here, and 2 at rank 1.
 
-    The per-sample loop it replaced made 2 eigh per sample, 1000 in all.
+    The stacked outputs were 6 x 6 (1, 8) before the factor route; the
+    per-sample loop before them made 2 eigh per sample, 1000 in all.
     """
-    state = random_state((("A", 4), ("E", 3)), 2, make_rng(2))
-    inst = standard_instance(state, 2, 2)
-    assert solves(mc_decoupling_error, inst, 500) == (1, 8)
+    for rank, side in ((2, 4), (1, 2)):
+        state = random_state((("A", 4), ("E", 3)), rank, make_rng(2))
+        inst = standard_instance(state, 2, 2)
+        assert solves(mc_decoupling_error, inst, 500) == (2, 8)
+        assert solves.matrices == (2, 500)
+        assert solves.sides == [12, 6] + [side] * 8
 
 
 def test_eigensolves_of_a_rate_curve(solves):
@@ -177,9 +185,12 @@ def test_eigensolves_of_a_rate_curve(solves):
     support factor: once at c = -1/2 for the min-entropy, and once per
     distinct s of the sandwiched phi, which returns the value with its exact
     slope.  One root search per rate serves both directions and asks for 32
-    distinct s over the 20 rates.  The searches advance in lockstep, so those
-    32 matrices take 12 stacked eigh calls: a search per rate made one call
-    per matrix, and a 64-point grid with a bounded polish per search and
+    distinct s over the 20 rates, and the converse s-ladder, one call on
+    S_MIN and 1, 2, 4, ..., 64, adds the 4 it lacks.  The searches advance in
+    lockstep, so the 36 matrices of phi take 9 stacked eigh calls; when the
+    ladder doubled s one call at a time, 32 took 12, (15, 0) calls on
+    (35, 0) matrices in all.  A search per rate made one call per matrix,
+    and a 64-point grid with a bounded polish per search and
     finite-difference slopes made 298 eigh.  Before the Gram route, the
     entropy decomposed the 8 x 8 I_A x rho_E in place of rho_AE and rho_E,
     each phi matrix was the 8 x 8 sandwich, whose slopes differ in the last
@@ -189,16 +200,16 @@ def test_eigensolves_of_a_rate_curve(solves):
     state = random_state((("A", 4), ("E", 2)), 3, make_rng(1))
     rates = np.linspace(0.1, 2.0, 20)
 
-    assert solves(standard_decoupling_curve, state, 2.0, rates) == (15, 0)
-    assert solves.matrices == (35, 0)
+    assert solves(standard_decoupling_curve, state, 2.0, rates) == (12, 0)
+    assert solves.matrices == (39, 0)
     assert solves.largest == 8
     # the second curve on the same state finds every value in its memo
     assert solves(standard_decoupling_curve, state, 2.0, rates) == (0, 0)
     # on a fresh copy with its entropy built first, every solve of the curve is 3 x 3
     state = random_state((("A", 4), ("E", 2)), 3, make_rng(1))
     assert solves(sandwiched_cond_entropy, state, ["A"], ["E"]) == (2, 0)
-    assert solves(standard_decoupling_curve, state, 2.0, rates) == (13, 0)
-    assert solves.matrices == (33, 0)
+    assert solves(standard_decoupling_curve, state, 2.0, rates) == (10, 0)
+    assert solves.matrices == (37, 0)
     assert solves.largest == 3
 
 
@@ -207,10 +218,13 @@ def test_eigensolves_of_a_distillation_curve(solves, monkeypatch):
 
     rho_CD is decomposed once; each distinct s asked of the Petz phi costs
     one matrix, tr_C rho^alpha, whose eigh gives the value and its exact
-    slope (85 here).  The lockstep root searches stack them into 16 calls;
-    a search per rate made one call per matrix (86, 0).  A second search
-    per rate made 125 distinct s, and a grid with a bounded polish per
-    search and finite-difference slopes made 631 eigvalsh for this curve.
+    slope (88 here).  The converse s-ladder takes one call on S_MIN and
+    1, 2, 4, ..., 64, and the lockstep root searches stack the rest, 13
+    calls in all; when the ladder doubled s one call at a time, (16, 0)
+    calls on (86, 0) matrices at 85 distinct s.  A search per rate made one
+    call per matrix, a second search per rate made 125 distinct s, and a
+    grid with a bounded polish per search and finite-difference slopes made
+    631 eigvalsh for this curve.
     """
     state = maximally_correlated(random_density(3, 3, make_rng(3)), ("C", "D"))
     orders = set()
@@ -223,9 +237,9 @@ def test_eigensolves_of_a_distillation_curve(solves, monkeypatch):
     monkeypatch.setattr(PetzUpEntropy, "phi", recorded)
     rates = np.linspace(0.05, 1.2, 20)
 
-    assert solves(distillation_curve, state, ["C"], ["D"], rates) == (16, 0)
-    assert solves.matrices == (86, 0)
-    assert len(orders) == 85
+    assert solves(distillation_curve, state, ["C"], ["D"], rates) == (13, 0)
+    assert solves.matrices == (89, 0)
+    assert len(orders) == 88
     assert solves(distillation_curve, state, ["C"], ["D"], rates) == (0, 0)
 
 
@@ -276,6 +290,27 @@ def test_eigensolves_of_mirror_descent(solves, partial_traces):
         assert partial_traces(minimized_conditioning, state, ["A"], ["B"], "sandwiched", 1.5) == 0
         per_iter[db] = sum(count) / res[0].iters
     assert per_iter[4] <= 1.5 * per_iter[2]
+
+
+def test_minimized_conditioning_near_alpha_one(solves, partial_traces):
+    """Near alpha = 1 the minimization returns -H(A|B) = H(w) - H(lambda) from its
+    prologue: 2 eigh, of rho_AB and of rho_B at |B| x |B|, and no partial trace.
+    Through cond_vn_entropy it decomposed both again, (2, 2) and 1 partial trace.
+    Each B is mapped isometrically into |B| + 1 dimensions, so rho_B has a kernel.
+    """
+    for db, rank in ((2, 3), (3, 2), (3, 6)):
+        rng = make_rng(db + rank, stream=15)
+        x = random_state((("A", 2), ("B", db)), rank, rng)
+        iso = np.kron(np.eye(2), haar_unitary(db + 1, rng)[:, :db])
+        state = State(iso @ x.density @ iso.conj().T, (("A", 2), ("B", db + 1)))
+        for family in ("petz", "sandwiched"):
+            args = state, ["A"], ["B"], family, 1.0
+            assert solves(minimized_conditioning, *args) == (2, 0)
+            assert solves.sides == [2 * db + 2, db + 1]
+            assert partial_traces(minimized_conditioning, *args) == 0
+            res = minimized_conditioning(*args)
+            assert res.value == pytest.approx(-cond_vn_entropy(state, ["A"], ["B"]), abs=1e-14)
+            assert res.sigma == pytest.approx(state.marginal("B").density, abs=1e-14)
 
 
 def test_eigensolves_of_the_channel_input_search(solves, monkeypatch):
