@@ -42,6 +42,15 @@ class Channel:
             raise ValueError("Choi marginal on the input copy is not I/din")
         object.__setattr__(self, "choi", c)
 
+    @classmethod
+    def _trusted(cls, din: int, dout: int, choi: np.ndarray) -> "Channel":
+        """A channel whose Hermitian Choi matrix the package wrote itself, CPTP by
+        construction, so none of the constructor's checks runs (as ``State._trusted``)."""
+        self = object.__new__(cls)
+        for name, value in (("din", din), ("dout", dout), ("choi", choi)):
+            object.__setattr__(self, name, value)
+        return self
+
     def choi_state(self, labels: tuple[str, str] = ("Ain", "C")) -> State:
         return State._trusted(self.choi, ((labels[0], self.din), (labels[1], self.dout)))
 
@@ -50,8 +59,8 @@ class Channel:
         return partial_trace(self.choi, [self.din, self.dout], [1])
 
 
-def channel_from_kraus(kraus) -> Channel:
-    """Channel of Kraus operators (a list or a (k, dout, din) array), kept on it."""
+def _kraus_choi(kraus) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus operators as one read-only (k, dout, din) array, and their normalized Choi matrix."""
     kraus = np.array(kraus, dtype=complex)
     kraus.flags.writeable = False
     _, dout, din = kraus.shape
@@ -60,7 +69,22 @@ def channel_from_kraus(kraus) -> Channel:
         # vectorized |i><j| -> K|i><j|K* contribution, index order (i, c)
         m = k.T.reshape(din * dout)  # m[i*dout + c] = K[c, i]
         choi += np.outer(m, m.conj())
-    channel = Channel(din, dout, choi / din)
+    return kraus, choi / din
+
+
+def channel_from_kraus(kraus) -> Channel:
+    """Channel of Kraus operators (a list or a (k, dout, din) array), kept on it."""
+    kraus, choi = _kraus_choi(kraus)
+    channel = Channel(kraus.shape[2], kraus.shape[1], choi)
+    memo_on(channel, ("kraus",), lambda: kraus)
+    return channel
+
+
+def _trusted_kraus_channel(kraus) -> Channel:
+    """:func:`channel_from_kraus` for Kraus operators that the package wrote, which
+    form a CPTP map by construction: the Choi matrix is not validated."""
+    kraus, choi = _kraus_choi(kraus)
+    channel = Channel._trusted(kraus.shape[2], kraus.shape[1], choi)
     memo_on(channel, ("kraus",), lambda: kraus)
     return channel
 
@@ -80,19 +104,19 @@ def kraus_operators(channel: Channel) -> np.ndarray:
 
 
 def identity_channel(d: int) -> Channel:
-    return channel_from_kraus([np.eye(d)])
+    return _trusted_kraus_channel([np.eye(d)])
 
 
 def partial_trace_channel(d_keep: int, d_drop: int) -> Channel:
     """Trace out the second factor of an input split as keep x drop."""
     kraus = [np.kron(np.eye(d_keep), np.eye(d_drop)[j : j + 1, :]) for j in range(d_drop)]
-    return channel_from_kraus(kraus)
+    return _trusted_kraus_channel(kraus)
 
 
 def full_trace_channel(d: int) -> Channel:
     """Trace out everything; output is the trivial one-dimensional system."""
     kraus = [np.eye(d)[j : j + 1, :] for j in range(d)]
-    return channel_from_kraus(kraus)
+    return _trusted_kraus_channel(kraus)
 
 
 def pinching_channel(h: np.ndarray) -> Channel:

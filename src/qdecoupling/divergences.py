@@ -20,6 +20,10 @@ from .linalg import SUPPORT_LEAK_TOL, Spectrum, as_hermitian
 # 1/(alpha - 1) prefactor is numerically catastrophic nearer.
 ALPHA_ONE_GUARD = 1e-6
 
+# A float overlap <u|v> of unit eigenvectors is off by about d eps, so a squared
+# overlap at or below this floor has no correct digit and may stand for an exact 0.
+_OVERLAP_FLOOR = (64.0 * float(np.finfo(float).eps)) ** 2
+
 
 def _spectrum(p) -> Spectrum:
     return p if isinstance(p, Spectrum) else Spectrum.of(p)
@@ -48,7 +52,20 @@ def umegaki(rho: np.ndarray, sigma) -> float:
 
 
 def petz_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
-    """Quasi-entropy family built on tr(rho^a sigma^(1-a)), in bits."""
+    """Quasi-entropy family built on Q = tr(rho^a sigma^(1-a)), in bits.
+
+    Q is the Nussbaum-Szkola sum over the support eigenpairs (lambda_i, u_i) of
+    rho and (mu_j, v_j) of sigma, sum_ij lambda_i^a mu_j^(1-a) |<u_i|v_j>|^2
+    (Nussbaum and Szkola, Ann. Stat. 2009), summed as logs with the largest term
+    scaled out, so it is finite at any finite order.  A squared overlap at or
+    below ``_OVERLAP_FLOOR`` has no correct digit; where the terms of such
+    overlaps are above 1e-12 of the sum, the value has none either and nan is
+    returned (the CLI's exit 6).  So D(rho || rho) is 0 to roundoff while
+    kappa^a eps^2 is small, kappa the ratio of rho's largest to smallest
+    support eigenvalue, and nan beyond: the overlaps of distinct eigenvectors,
+    0 in exact arithmetic, are about eps^2 in floats, and their terms weigh
+    (lambda_i / lambda_j)^a.  It would read up to log2 kappa there otherwise.
+    """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be a positive finite number")
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
@@ -59,11 +76,22 @@ def petz_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
         return math.inf
     if alpha < 1 and not supports_overlap(rho, s):
         return math.inf
-    q = float(np.real(np.trace(r.pow(alpha) @ s.pow(1.0 - alpha))))
-    if q <= 0:
+    if float(r.values[0]) < -r.cutoff:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {r.values[0]:.3e}")
+    lam, mu = r.values[r.support], s.values[s.support]
+    w = np.abs(r.vectors[:, r.support].conj().T @ s.vectors[:, s.support]) ** 2
+    i, j = np.nonzero(w > 0.0)
+    if not len(i):
         return math.inf
+    terms = alpha * np.log(lam[i]) + (1.0 - alpha) * np.log(mu[j]) + np.log(w[i, j])
+    top = float(terms.max())
+    share = np.exp(terms - top)
+    total = float(np.sum(share))
+    if float(np.sum(share[w[i, j] <= _OVERLAP_FLOOR])) > 1e-12 * total:
+        return math.nan
+    log2_q = (top + math.log(total)) / math.log(2.0)
     tr_rho = float(np.real(np.trace(rho)))
-    return (math.log2(q) - math.log2(tr_rho)) / (alpha - 1.0)
+    return (log2_q - math.log2(tr_rho)) / (alpha - 1.0)
 
 
 def sandwiched_renyi(rho: np.ndarray, sigma, alpha: float) -> float:

@@ -7,15 +7,16 @@ then vacuous); this is detected through the asymptotic slope and reported as
 All rates and exponents are in bits.
 
 Every objective is c(r) s + phi(s): the rate enters only c, and phi(s) =
-s H~_{1+s} (sandwiched) or s I_{1/(1+s)} (Petz) is concave, so
-:func:`concave_sup` finds the supremum as the one root of c + phi'(s), from
-the exact slope that ``ConditionalEntropy.phi`` and ``PetzUpEntropy.phi``
-return with the value.  One root s* per rate serves both directions: the
-achievable supremum is at min(s*, 1) (:func:`_suprema`), and merging's
-dual route is checked at it.  A ``*_curve`` function takes a whole grid of
-rates: the roots advance in lockstep, each step of Brent's method
-(:func:`_brent`) asking phi at one stack of s, one per rate still open, and
-phi decomposes the orders it lacks in one stacked eigh.  Each exponent
+s H~_{1+s} (sandwiched) or s I_{1/(1+s)} (Petz) is concave (Mosonyi and
+Ogawa, CMP 2015), so :func:`concave_sup` finds the supremum as the one root
+of c + phi'(s), from the exact slope that ``ConditionalEntropy.phi`` and
+``PetzUpEntropy.phi`` return with the value.  One root s* per rate serves
+both directions: the achievable supremum is at min(s*, 1) (:func:`_suprema`),
+and merging's dual route is checked at it.  A ``*_curve`` function takes a
+whole grid of rates: one phi call on ``GRID`` brackets every root, then the
+roots advance in lockstep, each step of Brent's method (:func:`_brent`)
+asking phi at one stack of s, one per rate still open, and phi decomposes
+the orders it lacks in one stacked eigh.  Each exponent
 function keeps its phi object, memoized on s, on its input ``State`` or
 ``Channel`` (see ``states.memo_on``), so curves on one input evaluate each
 (input, s) pair once.  Inputs are immutable; changing a state's density in
@@ -47,6 +48,8 @@ from .states import State, make_rng, memo_on
 S_MIN = 1e-4
 S_CAP = 64.0
 N_GRID = 24
+# concave_sup's one slope call: eighths up to 1, then the doublings up to S_CAP
+GRID = tuple(k / 8.0 for k in range(1, 8)) + tuple(2.0**k for k in range(int(math.log2(S_CAP)) + 1))
 
 
 @dataclass(frozen=True)
@@ -117,9 +120,10 @@ def _brent(a: float, b: float, fa: float, fb: float):
     """Root of a slope with fa = f(a) and fb = f(b) of opposite signs, by Brent's method.
 
     A generator: it yields each point to evaluate, is sent f there, and
-    returns the root.  These are the steps of scipy's brentq (Brent,
-    *Algorithms for Minimization without Derivatives*, 1973) with xtol = rtol
-    = 1e-12 and at most 100 iterations; a NaN slope raises ValueError, as there.
+    returns the root.  These are the steps that scipy's brentq takes from
+    (a, b) (Brent, *Algorithms for Minimization without Derivatives*, 1973),
+    with xtol = rtol = 1e-12 and at most 100 iterations; a NaN slope raises
+    ValueError, as there.
     """
     xpre, xcur, fpre, fcur = a, b, fa, fb
     xblk = fblk = spre = scur = 0.0
@@ -156,19 +160,33 @@ def _brent(a: float, b: float, fa: float, fb: float):
 def concave_sup(phi, c, lo: float, hi) -> ExponentCurve:
     """Suprema of c s + phi(s) on [lo, hi] for a concave phi, as arrays over c and hi.
 
-    ``phi`` maps a 1-D array of s to the arrays (phi, phi').  Each maximizer
-    is ``lo`` if the slope c + phi' is <= 0 there, ``hi`` if it is >= 0
-    there, and otherwise the root of the slope by :func:`_brent`.  The
-    endpoint slopes take one ``phi`` call, and then each lockstep step of all
-    open searches takes one.
+    ``phi`` maps a 1-D array of s to the arrays (phi, phi').  One ``phi``
+    call takes the slope c + phi' at ``lo``, at each ``hi`` and at the points
+    of ``GRID`` strictly between ``lo`` and the largest ``hi``; a NaN there
+    raises ValueError.  Each maximizer is ``lo`` if the slope is <= 0 there,
+    its ``hi`` if the slope is >= 0 there, and otherwise the root of the
+    slope by :func:`_brent`, started on the grid cell that holds it: the
+    slope falls in s, so the root lies between the first point where the
+    slope is <= 0 and the point before it.  Then each lockstep step of all
+    open searches takes one ``phi`` call.
     """
     c, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(np.atleast_1d(c), hi))
-    d = phi(np.append(lo, hi))[1]
-    d_lo, d_hi = c + d[0], c + d[1:]
+    top = float(hi.max())
+    # sorted() on a set, not np.union1d: numpy pages in its sorting code on first use
+    pts = sorted({lo, *hi.tolist(), *(g for g in GRID if lo < g < top)})
+    d = phi(np.array(pts))[1]
+    if nan := [p for p, x in zip(pts, d.tolist()) if math.isnan(x)]:
+        raise ValueError(f"the slope is NaN at s = {nan[0]:.6g}; the root search cannot go on")
+    # rows and cells in Python: np.sum and np.argmax along an axis page in code on first use
+    slope = c[:, None] + d
+    rows = slope.tolist()
+    d_lo, d_hi = slope[:, 0], np.array([row[pts.index(h)] for row, h in zip(rows, hi.tolist())])
     s = np.where(d_lo <= 0.0, lo, hi)
-    idx = np.flatnonzero(~(d_lo <= 0.0) & ~(d_hi >= 0.0))
-    searches = {i: _brent(lo, b, fa, fb) for i, b, fa, fb in
-                zip(idx.tolist(), hi[idx].tolist(), d_lo[idx].tolist(), d_hi[idx].tolist())}
+    searches = {}
+    for i in np.flatnonzero(~(d_lo <= 0.0) & ~(d_hi >= 0.0)).tolist():
+        # the first point with a slope <= 0; the point before it has one > 0
+        k = next(k for k, x in enumerate(rows[i]) if x <= 0.0)
+        searches[i] = _brent(pts[k - 1], pts[k], rows[i][k - 1], rows[i][k])
     sent = dict.fromkeys(searches)
     while sent:
         points = {}
@@ -195,24 +213,19 @@ def _suprema(phi, c: np.ndarray, hi: float, asym_slope, converse: bool = True):
     ``ach`` is the ExponentCurve of the supremum on [S_MIN, hi].  The
     converse supremum, over s > 0, is +inf without ``converse`` and where
     ``asym_slope``, the limit of the objective over s, is positive
-    (``diverges``).  Elsewhere one ``phi`` call on S_MIN and the ladder
-    1, 2, 4, ..., S_CAP gives s_hi, the first ladder point where the slope
-    c + phi'(s) is <= 0, or S_CAP; ``capped``: the slope is > 0 at S_CAP.  One
-    :func:`concave_sup` call, with S_MIN and every s_hi already in phi's memo,
-    finds each rate's maximizer s*, on [S_MIN, s_hi] where the converse is
-    finite and on [S_MIN, hi] elsewhere.  The achievable supremum is at s* if
-    s* <= hi, else at hi, as the concave objective does not fall before s*.
+    (``diverges``).  One :func:`concave_sup` call finds each rate's maximizer
+    s*, on [S_MIN, S_CAP] where the converse is finite and on [S_MIN, hi]
+    elsewhere; ``capped``: the slope c + phi'(S_CAP) is still > 0, read from
+    phi's memo.  The achievable supremum is at s* if s* <= hi, else at hi, as
+    the concave objective does not fall before s*.
     """
     diverges = np.full(len(c), converse) & (asym_slope > 1e-9)
     fin = converse & ~diverges
-    s_hi, capped = np.ones(len(c)), np.zeros(len(c), dtype=bool)
-    if fin.any():
-        ladder = 2.0 ** np.arange(int(math.log2(S_CAP)) + 1)
-        down = c[fin, None] + phi(np.append(S_MIN, ladder))[1][1:] <= 0.0
-        capped[fin] = ~down.any(axis=1)
-        s_hi[fin] = np.where(capped[fin], S_CAP, ladder[down.argmax(axis=1)])
-    sub = concave_sup(phi, c, S_MIN, np.where(fin, s_hi, hi))
+    sub = concave_sup(phi, c, S_MIN, np.where(fin, S_CAP, hi))
     s, v = sub.argmax_s, sub.sup_value
+    capped = np.zeros(len(c), dtype=bool)
+    if fin.any():
+        capped[fin] = c[fin] + phi(S_CAP)[1] > 0.0
     # the objective is 0 at s = 0, so the true supremum is >= 0
     conv = np.where(fin, np.where(v > 0.0, v, 0.0), math.inf)
     if (beyond := s > hi).any():

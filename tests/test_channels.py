@@ -129,10 +129,32 @@ def test_random_channel_roundtrips_through_kraus_array(rng):
 
 
 def test_channel_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="marginal"):
         Channel(2, 2, np.eye(4))  # marginal is I/2 only after /4 scaling
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="PSD"):
         Channel(2, 2, -np.eye(4) / 4)
+    not_psd = np.eye(4) / 4
+    not_psd[0, 3] = not_psd[3, 0] = 0.5  # diagonal blocks intact, so the marginal is I/2
+    with pytest.raises(ValueError, match="PSD"):
+        Channel(2, 2, not_psd)
+    with pytest.raises(ValueError, match="marginal"):
+        channel_from_kraus([np.eye(2), np.eye(2)])  # not trace preserving
+
+
+@pytest.mark.parametrize("make, args", [(identity_channel, (3,)), (partial_trace_channel, (2, 3)),
+                                        (full_trace_channel, (4,))])
+def test_package_channels_skip_validation_and_match_the_checked_route(make, args, monkeypatch):
+    """The channels the package writes itself are built unchecked, with the bits of the
+    checked route: the public constructor accepts their Choi matrix unchanged."""
+    ch = make(*args)
+    checked = Channel(ch.din, ch.dout, ch.choi)
+    assert np.array_equal(checked.choi, ch.choi)
+    assert np.array_equal(channel_from_kraus(kraus_operators(ch)).choi, ch.choi)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    make(*args)
+    assert calls == []
 
 
 @settings(deadline=None, max_examples=25)

@@ -25,6 +25,7 @@ from qdecoupling.decoupling import (
     sharp_trace_inequality,
     standard_instance,
 )
+from qdecoupling.exponents import S_MIN, decoupling_phi
 from qdecoupling.linalg import positive_part_trace, tensor
 from qdecoupling.states import (
     State,
@@ -35,6 +36,8 @@ from qdecoupling.states import (
     random_density,
     random_state,
 )
+
+from conftest import brentq_concave_sup
 
 
 def product_instance(rng, da1=2, da2=2, de=2):
@@ -218,6 +221,35 @@ def test_upper_bound_dominates_mc(rng):
         # the optimized bound is the minimum over the s grid
         for s in (0.1, 0.5, 0.9, 1.0):
             assert bound <= decoupling_error_upper_bound(inst, s) + 1e-9
+
+
+def test_bound_search_matches_a_brentq_search():
+    """The optimized bound against scipy's brentq on the log-bound's slope.
+
+    The reference runs on fresh copies of each input, with phi at floats,
+    over [S_MIN, 1 - 1e-9] from its two endpoints; the search under test
+    starts on the grid cell that holds the root.  Both stop within 1e-12 of
+    the root, and the bound is flat there, so s* agrees to 1e-12 and the
+    bound to 1e-14 relative, on |A| = 4 states of every rank with |E| = 2, 3.
+    """
+    rng = make_rng(31)
+    cases = [random_state((("A", 4), ("E", de)), rank, rng)
+             for de in (2, 3) for rank in range(1, 4 * de + 1)]
+    assert len(cases) == 20
+    for state in cases:
+        bound, s = decoupling_error_upper_bound_optimized(standard_instance(state, 2, 2))
+        fresh = standard_instance(State(state.density, state.dims), 2, 2)
+        phi = decoupling_phi(fresh.rho_ae, fresh.channel)
+
+        def neg_log(x):
+            v, d = phi(x)
+            logit = math.log(x / (1.0 - x))
+            return math.log(2.0) * v + (1.0 - x) * logit, 1.0 / x + math.log(2.0) * d - logit
+
+        s_ref, _ = brentq_concave_sup(neg_log, 0.0, S_MIN, 1.0 - 1e-9)
+        assert abs(s - s_ref) <= 1e-12, (state.dims, s, s_ref)
+        ref = decoupling_error_upper_bound(fresh, s_ref)
+        assert abs(bound - ref) <= 1e-14 * ref, (state.dims, bound, ref)
 
 
 def test_lower_bound_sandwich(rng):

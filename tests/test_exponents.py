@@ -25,6 +25,8 @@ from qdecoupling.condentropy import (
     sandwiched_cond_entropy,
 )
 from qdecoupling.exponents import (
+    GRID,
+    S_CAP,
     S_MIN,
     channel_coding_exponent,
     comparator_exponent,
@@ -79,8 +81,21 @@ def test_sup_on_interval_rejects_nonfinite():
 
 
 def test_concave_sup_endpoints_and_interior_root():
-    """c s - s^2: the slope c - 2s is <= 0 at lo, >= 0 at hi, or has the root s* = c/2."""
-    phi = lambda s: (-s * s, -2.0 * s)
+    """c s - s^2: the slope c - 2s is <= 0 at lo, >= 0 at hi, or has the root s* = c/2.
+
+    The first phi call takes lo, each hi and the grid points between them, once
+    each.  With hi = 1 or S_CAP, both grid points, the root is searched in its
+    grid cell, or the maximizer is hi; a root on a grid point is that point,
+    from the first call alone; with hi below 1/8 the first call is {lo, hi}.  A
+    NaN slope at any point of the first call raises, also past the root, where
+    no Brent step would look.
+    """
+    asked = []
+
+    def phi(s):
+        asked.append(np.ravel(s).tolist())
+        return -s * s, -2.0 * s
+
     lo_case = concave_sup(phi, -1.0, 1e-4, 1.0)
     assert lo_case.argmax_s == 1e-4
     assert lo_case.sup_value == pytest.approx(-1e-4 - 1e-8, rel=1e-15)
@@ -100,6 +115,31 @@ def test_concave_sup_endpoints_and_interior_root():
     # a slope with a triple root exhausts brentq's 100 iterations
     with pytest.raises(RuntimeError, match="100 iterations"):
         concave_sup(lambda s: (0.0 * s, np.arctan(1.3 - s) ** 3), 0.0, 1e-4, 4.0)
+    for c, hi, want in ((50.0, S_CAP, 25.0), (200.0, S_CAP, S_CAP), (0.3, 1.0, 0.15),
+                        (3.0, 1.0, 1.0)):
+        asked.clear()
+        sup = concave_sup(phi, c, 1e-4, hi)
+        assert sup.argmax_s[0] == pytest.approx(want, abs=1e-12), (c, hi)
+        assert asked[0] == sorted({1e-4, hi, *(g for g in GRID if 1e-4 < g < hi)})
+    # roots on grid points: the first call and the value at the maximizer
+    for c, hi, root in ((1.5, 1.0, 0.75), (64.0, S_CAP, 32.0), (2.0, S_CAP, 1.0)):
+        asked.clear()
+        assert concave_sup(phi, c, 1e-4, hi).argmax_s[0] == root
+        assert asked[1:] == [[root]]
+    # hi below the first interior point: the grid is {lo, hi}
+    asked.clear()
+    below = concave_sup(phi, 0.1, 1e-4, 0.1)
+    assert asked[0] == [1e-4, 0.1]
+    assert below.argmax_s[0] == pytest.approx(0.05, abs=1e-12)
+    # one call for several hi: each hi once, the grid up to the largest
+    asked.clear()
+    several = concave_sup(phi, np.array([0.1, 1.0, 50.0]), 1e-4, np.array([0.1, 1.0, S_CAP]))
+    assert asked[0] == [1e-4, 0.1, *GRID[:-1], S_CAP]
+    assert several.argmax_s.tolist() == pytest.approx([0.05, 0.5, 25.0], abs=1e-12)
+    for nan_at in (0.25, 0.5, 0.75, 16.0):
+        slope = lambda s: np.where(s == nan_at, np.nan, 0.6 - 2.0 * s)
+        with pytest.raises(ValueError, match="NaN"):
+            concave_sup(lambda s: (-s * s, slope(s)), 0.0, 1e-4, S_CAP)
 
 
 def test_converse_flags_around_the_divergence_rate():
@@ -479,9 +519,11 @@ def _grid_cases():
 def test_curves_match_a_brentq_search_per_rate(task):
     """Every grid function against scipy's brentq, one rate at a time.
 
-    The lockstep search takes brentq's steps for each rate, so the
-    exponents, the maximizer and every flag must agree with the old search
-    per rate on a fresh entropy object.
+    The lockstep search starts each rate's Brent steps on the grid cell of
+    its root, and brentq on [S_MIN, s_hi] or [S_MIN, hi]; both stop within
+    1e-12 of the root.  So the exponents and the maximizer must agree to
+    1e-12, and every flag exactly, with that search per rate on a fresh
+    entropy object.
     """
     curve, phi, c_of, asym_of, hi, converse, exact_of, rates = _grid_cases()[task]
     flags = set()
@@ -506,8 +548,8 @@ def test_one_root_per_rate_matches_a_direct_achievable_search(task, monkeypatch)
     converse maximizer s* when s* <= hi and at hi otherwise.  A direct
     ``concave_sup`` on [S_MIN, hi] on a fresh entropy object must give the
     same values and maximizers.  A curve makes one search per rate in all,
-    in one lockstep call: up to the converse's s_hi, or up to hi for the
-    rates whose converse diverges.
+    in one lockstep call: up to S_CAP where the converse is finite, or up to
+    hi for the rates whose converse diverges.
     """
     curve, phi, c_of, _, hi, _, _, rates = _grid_cases()[task]
     search = exponents.concave_sup

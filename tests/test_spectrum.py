@@ -184,11 +184,15 @@ def test_eigensolves_of_a_rate_curve(solves):
     rho_E at 2 x 2.  Every other matrix is the 3 x 3 Gram matrix K of rho's
     support factor: once at c = -1/2 for the min-entropy, and once per
     distinct s of the sandwiched phi, which returns the value with its exact
-    slope.  One root search per rate serves both directions and asks for 32
-    distinct s over the 20 rates, and the converse s-ladder, one call on
-    S_MIN and 1, 2, 4, ..., 64, adds the 4 it lacks.  The searches advance in
-    lockstep, so the 36 matrices of phi take 9 stacked eigh calls; when the
-    ladder doubled s one call at a time, 32 took 12, (15, 0) calls on
+    slope.  One root search per rate serves both directions.  Its first phi
+    call takes 15 orders, S_MIN, the grid 1/8, ..., 7/8, 1, 2, 4, ..., 32
+    and 64, and the searches, each started on the grid cell of its root,
+    ask for 24 more in lockstep: 39 matrices of phi in 9 stacked eigh calls,
+    (12, 0) calls on (42, 0) matrices in all.  Before the grid, a call on
+    S_MIN and the ladder 1, 2, 4, ..., 64 came first, and each search
+    started on [S_MIN, s_hi], s_hi the first ladder point where the slope is
+    <= 0: 36 matrices of phi in the same 9 calls, (12, 0) on (39, 0); when
+    the ladder doubled s one call at a time, 32 took 12, (15, 0) calls on
     (35, 0) matrices in all.  A search per rate made one call per matrix,
     and a 64-point grid with a bounded polish per search and
     finite-difference slopes made 298 eigh.  Before the Gram route, the
@@ -201,7 +205,7 @@ def test_eigensolves_of_a_rate_curve(solves):
     rates = np.linspace(0.1, 2.0, 20)
 
     assert solves(standard_decoupling_curve, state, 2.0, rates) == (12, 0)
-    assert solves.matrices == (39, 0)
+    assert solves.matrices == (42, 0)
     assert solves.largest == 8
     # the second curve on the same state finds every value in its memo
     assert solves(standard_decoupling_curve, state, 2.0, rates) == (0, 0)
@@ -209,7 +213,7 @@ def test_eigensolves_of_a_rate_curve(solves):
     state = random_state((("A", 4), ("E", 2)), 3, make_rng(1))
     assert solves(sandwiched_cond_entropy, state, ["A"], ["E"]) == (2, 0)
     assert solves(standard_decoupling_curve, state, 2.0, rates) == (10, 0)
-    assert solves.matrices == (37, 0)
+    assert solves.matrices == (40, 0)
     assert solves.largest == 3
 
 
@@ -218,9 +222,14 @@ def test_eigensolves_of_a_distillation_curve(solves, monkeypatch):
 
     rho_CD is decomposed once; each distinct s asked of the Petz phi costs
     one matrix, tr_C rho^alpha, whose eigh gives the value and its exact
-    slope (88 here).  The converse s-ladder takes one call on S_MIN and
-    1, 2, 4, ..., 64, and the lockstep root searches stack the rest, 13
-    calls in all; when the ladder doubled s one call at a time, (16, 0)
+    slope (79 here).  After phi(1) for the critical rate, the root search's
+    first call takes S_MIN, the grid 1/8, ..., 7/8, 2, 4, ..., 32 and 64,
+    the lockstep searches, each started on the grid cell of its root, stack
+    the rest, and phi(1 - 1e-9) is the achievable value past the maximizer:
+    12 calls in all.  When a call on S_MIN and the converse s-ladder 1, 2,
+    4, ..., 64 came first and each search started on [S_MIN, s_hi], it was
+    (13, 0) calls on (89, 0) matrices at 88 distinct s; when the ladder
+    doubled s one call at a time, (16, 0)
     calls on (86, 0) matrices at 85 distinct s.  A search per rate made one
     call per matrix, a second search per rate made 125 distinct s, and a
     grid with a bounded polish per search and finite-difference slopes made
@@ -237,9 +246,9 @@ def test_eigensolves_of_a_distillation_curve(solves, monkeypatch):
     monkeypatch.setattr(PetzUpEntropy, "phi", recorded)
     rates = np.linspace(0.05, 1.2, 20)
 
-    assert solves(distillation_curve, state, ["C"], ["D"], rates) == (13, 0)
-    assert solves.matrices == (89, 0)
-    assert len(orders) == 88
+    assert solves(distillation_curve, state, ["C"], ["D"], rates) == (12, 0)
+    assert solves.matrices == (80, 0)
+    assert len(orders) == 79
     assert solves(distillation_curve, state, ["C"], ["D"], rates) == (0, 0)
 
 
@@ -250,15 +259,20 @@ def test_eigensolves_of_the_bound_search(solves):
     and omega_A'C, and then that state's B marginal at |B| x |B|; every
     other matrix is the rank x rank Gram matrix of one of the two sandwiched
     phi at one distinct s of the root search of the log-bound's slope.  The
-    two endpoints share one call per phi, so the 28 matrices take 26 calls.
-    When each entropy decomposed I_A x rho_B at full size instead, it was
+    first call per phi takes S_MIN, 1 - 1e-9 and the grid 1/8, ..., 7/8, and
+    Brent's method, started on the grid cell of the root, takes 4 more
+    steps: (14, 0) calls on (30, 0) matrices.  When the two endpoints shared
+    the first call and Brent started on [S_MIN, 1 - 1e-9], the 28 matrices
+    took 26 calls, the first steps spent near s = 1, where the slope has a
+    log singularity.  When each entropy decomposed I_A x rho_B at full size
+    instead, it was
     (24, 0) calls on (26, 0) matrices; a 48-point grid with a bounded polish
     made 116.
     """
     state = random_state((("A", 4), ("E", 3)), 2, make_rng(2))
     inst = standard_instance(state, 2, 2)
-    assert solves(decoupling_error_upper_bound_optimized, inst) == (26, 0)
-    assert solves.matrices == (28, 0)
+    assert solves(decoupling_error_upper_bound_optimized, inst) == (14, 0)
+    assert solves.matrices == (30, 0)
 
 
 def test_eigensolves_of_mirror_descent(solves, partial_traces):
