@@ -44,8 +44,8 @@ class Channel:
 
     @classmethod
     def _trusted(cls, din: int, dout: int, choi: np.ndarray) -> "Channel":
-        """A channel whose Hermitian Choi matrix the package wrote itself, CPTP by
-        construction, so none of the constructor's checks runs (as ``State._trusted``)."""
+        """A channel whose Hermitian Choi matrix the package wrote from checked inputs,
+        CPTP by construction, so none of the constructor's checks runs (as ``State._trusted``)."""
         self = object.__new__(cls)
         for name, value in (("din", din), ("dout", dout), ("choi", choi)):
             object.__setattr__(self, name, value)
@@ -59,32 +59,27 @@ class Channel:
         return partial_trace(self.choi, [self.din, self.dout], [1])
 
 
-def _kraus_choi(kraus) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus operators as one read-only (k, dout, din) array, and their normalized Choi matrix."""
+def channel_from_kraus(kraus) -> Channel:
+    """Channel of Kraus operators (a list or a (k, dout, din) array), kept on it.
+
+    A Kraus map is completely positive, and trace preserving iff sum_k K_k* K_k = I
+    (Choi, Linear Algebra Appl. 10, 1975): the one check, within 1e-9 din (the Choi
+    marginal within 1e-9 of I/din), which non-finite entries fail.  The Choi matrix
+    is averaged with its adjoint as in ``State._trusted``.
+    """
     kraus = np.array(kraus, dtype=complex)
     kraus.flags.writeable = False
     _, dout, din = kraus.shape
+    gap = float(np.max(np.abs(np.einsum("kci,kcj->ij", kraus.conj(), kraus) - np.eye(din))))
+    if not gap <= 1e-9 * din:
+        raise ValueError(f"Kraus operators are not trace preserving: |sum K*K - I| = {gap:.3e}")
     choi = np.zeros((din * dout, din * dout), dtype=complex)
     for k in kraus:
         # vectorized |i><j| -> K|i><j|K* contribution, index order (i, c)
         m = k.T.reshape(din * dout)  # m[i*dout + c] = K[c, i]
         choi += np.outer(m, m.conj())
-    return kraus, choi / din
-
-
-def channel_from_kraus(kraus) -> Channel:
-    """Channel of Kraus operators (a list or a (k, dout, din) array), kept on it."""
-    kraus, choi = _kraus_choi(kraus)
-    channel = Channel(kraus.shape[2], kraus.shape[1], choi)
-    memo_on(channel, ("kraus",), lambda: kraus)
-    return channel
-
-
-def _trusted_kraus_channel(kraus) -> Channel:
-    """:func:`channel_from_kraus` for Kraus operators that the package wrote, which
-    form a CPTP map by construction: the Choi matrix is not validated."""
-    kraus, choi = _kraus_choi(kraus)
-    channel = Channel._trusted(kraus.shape[2], kraus.shape[1], choi)
+    choi /= din
+    channel = Channel._trusted(din, dout, (choi + choi.conj().T) * 0.5)
     memo_on(channel, ("kraus",), lambda: kraus)
     return channel
 
@@ -94,7 +89,7 @@ def kraus_operators(channel: Channel) -> np.ndarray:
     was built from, else the eigenvectors of the unnormalized Choi matrix."""
 
     def from_choi():
-        spec = Spectrum.of(channel.choi * channel.din)
+        spec = Spectrum.eigh(channel.choi * channel.din)
         vecs = spec.vectors[:, spec.support] * np.sqrt(spec.values[spec.support])
         kraus = vecs.T.reshape(-1, channel.din, channel.dout).transpose(0, 2, 1)
         kraus.flags.writeable = False
@@ -104,24 +99,24 @@ def kraus_operators(channel: Channel) -> np.ndarray:
 
 
 def identity_channel(d: int) -> Channel:
-    return _trusted_kraus_channel([np.eye(d)])
+    return channel_from_kraus([np.eye(d)])
 
 
 def partial_trace_channel(d_keep: int, d_drop: int) -> Channel:
     """Trace out the second factor of an input split as keep x drop."""
     kraus = [np.kron(np.eye(d_keep), np.eye(d_drop)[j : j + 1, :]) for j in range(d_drop)]
-    return _trusted_kraus_channel(kraus)
+    return channel_from_kraus(kraus)
 
 
 def full_trace_channel(d: int) -> Channel:
     """Trace out everything; output is the trivial one-dimensional system."""
     kraus = [np.eye(d)[j : j + 1, :] for j in range(d)]
-    return _trusted_kraus_channel(kraus)
+    return channel_from_kraus(kraus)
 
 
 def pinching_channel(h: np.ndarray) -> Channel:
     """Dephasing with respect to the clustered spectral projectors of ``h``."""
-    projs = [p for _, p in eigenvalue_clusters(h)]
+    projs = [p for _, p in eigenvalue_clusters(as_hermitian(h))]
     return channel_from_kraus(projs)
 
 
@@ -129,7 +124,8 @@ def generalized_dephasing(overlaps: np.ndarray) -> Channel:
     """Basis-preserving channel built from a Gram matrix of state overlaps.
 
     Maps ``rho`` to the matrix with entries ``rho[x, y] * conj(overlaps[x, y])``
-    in the computational basis; requires ``overlaps`` PSD with unit diagonal.
+    in the computational basis; requires ``overlaps`` PSD with unit diagonal,
+    which are the CPTP conditions of its Choi matrix.
     """
     g = as_hermitian(overlaps)
     d = g.shape[0]
@@ -141,7 +137,7 @@ def generalized_dephasing(overlaps: np.ndarray) -> Channel:
     for i in range(d):
         for j in range(d):
             choi[i * d + i, j * d + j] = g[j, i] / d
-    return Channel(d, d, choi)
+    return Channel._trusted(d, d, choi)
 
 
 def random_channel(din: int, dout: int, rng: np.random.Generator) -> Channel:

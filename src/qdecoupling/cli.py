@@ -3,10 +3,10 @@
 Exit codes: 0 success, 2 parse or usage error (including a state or Gram
 file that is not UTF-8 or lacks the structure below, and a path that cannot
 be read or written), 3 precondition violation, 4 decoupling bound violated
-by the Monte Carlo estimate, 5 verification suite failure (the offending
-instance goes to verify-failure-<suite>-seed<N>.json), 6 numerical failure
-(an optimizer that diverged, an eigensolver that did not converge, or a
-divergence that evaluated to nan).  ``verify`` runs the suites of
+by the Monte Carlo estimate in nats, 5 verification suite failure (the
+offending instance goes to verify-failure-<suite>-seed<N>.json), 6 numerical
+failure (an optimizer that diverged, an eigensolver that did not converge, or
+a divergence that evaluated to nan).  ``verify`` runs the suites of
 ``qdecoupling.verify``.
 
 State files are JSON documents {"dims": [{"label": ..., "dim": ...}, ...],
@@ -29,6 +29,7 @@ import numpy as np
 from . import verify
 from .channels import generalized_dephasing
 from .decoupling import (
+    LN2,
     decoupling_error_lower_bound,
     decoupling_error_upper_bound_optimized,
     mc_decoupling_error,
@@ -181,6 +182,8 @@ def cmd_exponent_curve(args) -> int:
 
 
 def cmd_decouple_mc(args) -> int:
+    """The error's ``mean`` and ``stderr`` in bits, its ``lower`` bound, and ``bound_opt``
+    on the error in nats: exit 4 when (mean - 3 stderr) ln 2 exceeds it."""
     if args.seed < 0:
         return _usage("--seed must be non-negative")
     state = load_state(args.state)
@@ -199,8 +202,8 @@ def cmd_decouple_mc(args) -> int:
         "seed": args.seed,
     }
     print(json.dumps(report, sort_keys=True))
-    if est.mean - 3.0 * est.stderr > bound:
-        print("bound violation: mean - 3*stderr exceeds the optimized upper bound",
+    if (est.mean - 3.0 * est.stderr) * LN2 > bound:
+        print("bound violation: (mean - 3*stderr) ln 2 exceeds the optimized upper bound",
               file=sys.stderr)
         return EXIT_BOUND_VIOLATION
     return EXIT_OK

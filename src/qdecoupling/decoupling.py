@@ -2,7 +2,7 @@
 
 The decoupling error of a channel T acting on the A part of rho_AE is the
 Haar average over unitaries U on A of D(T(U rho U*) || omega_C x rho_E),
-with omega_C = T(I_A/|A|).  Everything is in bits.
+with omega_C = T(I_A/|A|), in bits; the one-shot upper bound holds for it in nats.
 
 :func:`mc_decoupling_error` estimates it on stacks of Haar samples from one
 factor R of rho_AE = R R*: each sample is the small matrix M with columns
@@ -140,7 +140,7 @@ def mc_decoupling_error(
     sup = spec.support
     rank = int(np.count_nonzero(sup))
     factor = (spec.vectors[:, sup] * np.sqrt(spec.values[sup])).reshape(da, de * rank)
-    target = Spectrum.of(tensor(inst.omega_c, inst.rho_e))
+    target = Spectrum.eigh(tensor(inst.omega_c, inst.rho_e))
     # log2 sigma and I - P_sigma, transposed and flattened: vec(out) @ weights
     # gives tr(out log2 sigma) and tr(out (I - P_sigma)) of each sample
     weights = np.stack([target.log2(), np.eye(dout * de) - target.projector()])
@@ -179,14 +179,17 @@ def mc_decoupling_error(
 
 
 def decoupling_error_upper_bound(inst: DecouplingInstance, s: float) -> float:
-    """One-shot upper bound (c_s/s) * 2^(-s * (H(A|E) + H(A'|C))) at fixed s."""
+    """One-shot upper bound (c_s/s) * 2^(-s * (H(A|E) + H(A'|C))) at fixed s on the
+    decoupling error in nats, bits times ln 2 (as in :func:`sharp_trace_inequality`):
+    2^(-s H) in bits is e^(-s H) in nats, so the bound has no unit of its own."""
     if not 0 < s <= 1:
         raise ValueError("s must lie in (0, 1]")
     return (prefactor(s) / s) * 2.0 ** -decoupling_phi(inst.rho_ae, inst.channel)(s)[0]
 
 
 def decoupling_error_upper_bound_optimized(inst: DecouplingInstance) -> tuple[float, float]:
-    """Minimum of the one-shot upper bound over s in (0, 1); returns (bound, s*).
+    """Minimum of the one-shot upper bound (on the error in nats) over s in (0, 1);
+    returns (bound, s*).
 
     The log of the bound, ln(c_s / s) - ln 2 phi(s) with phi the concave
     :func:`exponents.decoupling_phi`, is convex in s.  Its minimizer is the root

@@ -2,10 +2,9 @@
 
 Inputs are density-like matrices (first argument a possibly sub-normalized
 state, second any PSD operator; the second argument is deliberately never
-renormalized).  The second argument may also be given as its
-:class:`Spectrum`, so a caller that holds the decomposition of sigma passes
-it in and nothing decomposes sigma again.  Support violations yield
-``math.inf`` instead of raising.
+renormalized).  Each divergence validates its two matrices once, where they
+enter; what it derives from them is decomposed unvalidated.  Support
+violations yield ``math.inf`` instead of raising.
 """
 
 from __future__ import annotations
@@ -42,16 +41,16 @@ def supports_overlap(rho: np.ndarray, sigma) -> bool:
     return overlap > SUPPORT_LEAK_TOL
 
 
-def umegaki(rho: np.ndarray, sigma) -> float:
+def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Relative entropy tr(rho(log rho - log sigma)) in bits; +inf off-support."""
     rho = as_hermitian(rho)
-    sig = _spectrum(sigma)
+    sig = Spectrum.of(sigma)
     if not support_contained(rho, sig):
         return math.inf
     return -Spectrum.eigvalsh(rho).entropy() - float(np.einsum("ij,ji->", rho, sig.log2()).real)
 
 
-def petz_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
+def petz_renyi(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """Quasi-entropy family built on Q = tr(rho^a sigma^(1-a)), in bits.
 
     Q is the Nussbaum-Szkola sum over the support eigenpairs (lambda_i, u_i) of
@@ -71,7 +70,7 @@ def petz_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
         return umegaki(rho, sigma)
     rho = as_hermitian(rho)
-    r, s = Spectrum.of(rho), _spectrum(sigma)
+    r, s = Spectrum.eigh(rho), Spectrum.of(sigma)
     if alpha > 1 and not support_contained(rho, s):
         return math.inf
     if alpha < 1 and not supports_overlap(rho, s):
@@ -94,7 +93,7 @@ def petz_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
     return (log2_q - math.log2(tr_rho)) / (alpha - 1.0)
 
 
-def sandwiched_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
+def sandwiched_renyi(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """Sandwiched family built on tr((sigma^c rho sigma^c)^a), c=(1-a)/2a, in bits, as
     a/(a-1) log2 x_max + (log2 sum (x / x_max)^a - log2 tr rho)/(a-1) over the sandwich's
     eigenvalues x on its support: no term overflows, so it is finite at any finite order."""
@@ -103,13 +102,13 @@ def sandwiched_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
     if abs(alpha - 1.0) < ALPHA_ONE_GUARD:
         return umegaki(rho, sigma)
     rho = as_hermitian(rho)
-    s = _spectrum(sigma)
+    s = Spectrum.of(sigma)
     if alpha > 1 and not support_contained(rho, s):
         return math.inf
     if alpha < 1 and not supports_overlap(rho, s):
         return math.inf
     conj = s.pow(0.5 / alpha - 0.5)
-    mid = Spectrum.of(conj @ rho @ conj)
+    mid = Spectrum.eigh(conj @ rho @ conj)
     x = mid.values[mid.support]
     if not x.size:
         return math.inf
@@ -118,14 +117,14 @@ def sandwiched_renyi(rho: np.ndarray, sigma, alpha: float) -> float:
     return alpha / (alpha - 1.0) * math.log2(x[-1]) + (log_sum - math.log2(tr_rho)) / (alpha - 1.0)
 
 
-def d_max(rho: np.ndarray, sigma) -> float:
+def d_max(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Smallest lambda with rho <= 2^lambda sigma; +inf off-support."""
     rho = as_hermitian(rho)
-    s = _spectrum(sigma)
+    s = Spectrum.of(sigma)
     if not support_contained(rho, s):
         return math.inf
     inv_sqrt = s.pow(-0.5)
-    top = float(np.max(Spectrum.eigvalsh(as_hermitian(inv_sqrt @ rho @ inv_sqrt)).values))
+    top = float(np.max(Spectrum.eigvalsh(inv_sqrt @ rho @ inv_sqrt).values))
     if top <= 0:
         return -math.inf
     return math.log2(top)

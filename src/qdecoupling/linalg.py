@@ -158,8 +158,9 @@ def mat_pow(p: np.ndarray, t: float) -> np.ndarray:
 
 
 def positive_part_trace(h: np.ndarray) -> float:
-    """Trace of the positive part: the sum of positive eigenvalues."""
-    vals, _ = herm_eig(h)
+    """Trace of the positive part of a Hermitian ``h`` (not validated): the sum of
+    its positive eigenvalues."""
+    vals = Spectrum.eigvalsh(h).values
     return float(np.sum(vals[vals > 0.0]))
 
 
@@ -201,9 +202,10 @@ def eigenvalue_clusters(h: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Cluster nearly equal eigenvalues and return (value, projector) pairs.
 
     Single-linkage clustering on the sorted spectrum with gap threshold
-    ``CLUSTER_RTOL * max(1, |lambda|_max)``.
+    ``CLUSTER_RTOL * max(1, |lambda|_max)``.  ``h`` is Hermitian and not validated.
     """
-    vals, vecs = herm_eig(h)
+    spec = Spectrum.eigh(h)
+    vals, vecs = spec.values, spec.vectors
     tol = CLUSTER_RTOL * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
     clusters: list[tuple[float, np.ndarray]] = []
     start = 0

@@ -31,40 +31,31 @@ class State:
     dims: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        self._set_structure()
-        spec = Spectrum.eigvalsh(self.density)
-        if float(spec.values[0]) < -spec.cutoff - 1e-10:
-            raise ValueError(f"density is not PSD (min eigenvalue {spec.values[0]:.3e})")
-        tr = float(np.real(np.trace(self.density)))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"state has trace {tr:.12f} != 1")
-
-    def _set_structure(self) -> None:
-        """Symmetrize the density and check it against the subsystem dims."""
         m = as_hermitian(self.density)
         dims = tuple((str(l), int(d)) for l, d in self.dims)
-        total = int(np.prod([d for _, d in dims])) if dims else 1
+        total = int(np.prod([d for _, d in dims]))
         if m.shape != (total, total):
-            raise ValueError(
-                f"matrix dimension {m.shape[0]} != product of subsystem dims {total}"
-            )
+            raise ValueError(f"matrix dimension {m.shape[0]} != product of subsystem dims {total}")
         if len({l for l, _ in dims}) != len(dims):
             raise ValueError("subsystem labels must be unique")
+        spec = Spectrum.eigvalsh(m)
+        if float(spec.values[0]) < -spec.cutoff - 1e-10:
+            raise ValueError(f"density is not PSD (min eigenvalue {spec.values[0]:.3e})")
+        tr = float(np.real(np.trace(m)))
+        if abs(tr - 1.0) > 1e-10:
+            raise ValueError(f"state has trace {tr:.12f} != 1")
         object.__setattr__(self, "density", m)
         object.__setattr__(self, "dims", dims)
 
     @classmethod
-    def _trusted(cls, density, dims) -> "State":
-        """A state derived from valid states, with the structural checks only.
-
-        Partial traces, permutations, tensor products, channels and unitary
-        rotations keep a state PSD with trace 1, up to roundoff, so
-        the spectral and trace checks of the public constructor are skipped.
-        """
+    def _trusted(cls, density: np.ndarray, dims) -> "State":
+        """A state derived from valid states: nothing is checked, and the density is
+        averaged with its adjoint by :func:`as_hermitian`'s own arithmetic, so it has
+        the bits the public constructor would store.  Partial traces, permutations,
+        tensor products, channels and unitary rotations keep a state PSD with trace 1."""
         self = object.__new__(cls)
-        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "density", (density + density.conj().T) * 0.5)
         object.__setattr__(self, "dims", dims)
-        self._set_structure()
         return self
 
     # -- structure helpers ------------------------------------------------

@@ -12,7 +12,7 @@ from .channels import apply_channel, pinching_channel, random_channel
 from .condentropy import EntropyKind, cond_entropy, duality_pair
 from .decoupling import MC_CHUNK, positive_part_inequality_sweep, sharp_trace_inequality
 from .divergences import divergence
-from .linalg import Spectrum, as_hermitian, distinct_eigenvalue_count
+from .linalg import Spectrum, distinct_eigenvalue_count
 from .states import (
     State,
     haar_second_moment_exact,
@@ -110,7 +110,7 @@ def _suite_pinching(trials, rng):
     for _ in range(trials):
         d = int(rng.integers(2, 7))
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = as_hermitian(g + g.conj().T)
+        h = g + g.conj().T
         sig = random_density(d, d, rng)
         ch = pinching_channel(h)
         pinched = _apply_raw(ch, sig)

@@ -137,8 +137,24 @@ def test_channel_validation():
     not_psd[0, 3] = not_psd[3, 0] = 0.5  # diagonal blocks intact, so the marginal is I/2
     with pytest.raises(ValueError, match="PSD"):
         Channel(2, 2, not_psd)
-    with pytest.raises(ValueError, match="marginal"):
-        channel_from_kraus([np.eye(2), np.eye(2)])  # not trace preserving
+    with pytest.raises(ValueError, match="not trace preserving"):
+        channel_from_kraus([np.eye(2), np.eye(2)])
+
+
+def test_kraus_constructor_checks_trace_preservation():
+    """sum_k K_k* K_k = I within 1e-9 din is the one check, the old bound of 1e-9 on
+    the Choi marginal (sum_k K_k* K_k)^T / din; non-finite entries fail it."""
+    eye = np.eye(2)
+    nan, inf = eye.copy(), eye.copy()
+    nan[0, 1] = np.nan
+    inf[1, 1] = np.inf
+    for kraus in ([1.001 * eye], [nan], [0.5 * eye, inf]):
+        with pytest.raises(ValueError, match="not trace preserving"):
+            channel_from_kraus(kraus)
+    din = 3
+    assert channel_from_kraus([np.sqrt((1.0 + 0.9e-9 * din) / 2.0) * np.eye(din)] * 2).din == din
+    with pytest.raises(ValueError, match="not trace preserving"):
+        channel_from_kraus([np.sqrt((1.0 + 1.1e-9 * din) / 2.0) * np.eye(din)] * 2)
 
 
 @pytest.mark.parametrize("make, args", [(identity_channel, (3,)), (partial_trace_channel, (2, 3)),

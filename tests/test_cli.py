@@ -401,6 +401,24 @@ def test_decouple_mc_bound_violation_exit(tmp_path, capsys, monkeypatch, rng):
     capsys.readouterr()
 
 
+def test_decouple_mc_gates_the_error_in_nats(tmp_path, capsys, rng):
+    """The one-shot bound holds for the error in nats, so the gate compares it there.
+
+    On a pure state of A = C x A2 with |C| = 8, |A2| = 2 and |E| = 1, omega_C has
+    rank at most 2 for every U, so the error is at least 3 - 1 = 2 bits.  The bound
+    (c_s/s) 4^s, whatever the pure state, is 1.9512 at s* = 0.582: below the error
+    in bits, above the error in nats.
+    """
+    p = write_state(random_pure((("A", 16), ("E", 1)), rng), tmp_path / "pure.json")
+    assert main(["decouple-mc", "--state", p, "--da1", "8", "--da2", "2",
+                 "--samples", "40", "--seed", "0"]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["bound_opt"] == pytest.approx(1.9512, abs=1e-4)
+    assert rep["s_star"] == pytest.approx(0.582, abs=1e-3)
+    assert rep["mean"] - 3 * rep["stderr"] >= 2.0 - 1e-9 > rep["bound_opt"]
+    assert (rep["mean"] + 3 * rep["stderr"]) * math.log(2.0) < rep["bound_opt"]
+
+
 def test_numerical_failure_exit(tmp_path, capsys, monkeypatch):
     import qdecoupling.cli as cli
     from qdecoupling.condentropy import OptimizerDivergence

@@ -212,6 +212,9 @@ def test_mc_leaking_samples_are_infinite(monkeypatch):
 
 
 def test_upper_bound_dominates_mc(rng):
+    """The one-shot bound holds for the error in nats (bits times ln 2).  On 2 x 2
+    splits the error in bits stays below it too; on 4 x 2, 4 x 4 and 8 x 2 splits
+    the error in bits can exceed it."""
     for _ in range(5):
         inst = standard_instance(random_state((("A", 4), ("E", 2)), 4, rng), 2, 2)
         est = mc_decoupling_error(inst, n_samples=80, seed=1)
@@ -221,6 +224,14 @@ def test_upper_bound_dominates_mc(rng):
         # the optimized bound is the minimum over the s grid
         for s in (0.1, 0.5, 0.9, 1.0):
             assert bound <= decoupling_error_upper_bound(inst, s) + 1e-9
+    for d1, d2 in ((4, 2), (4, 4), (8, 2)):
+        for de, rank in ((1, 1), (2, 1), (2, 3)):
+            state = random_state((("A", d1 * d2), ("E", de)), rank, rng)
+            inst = standard_instance(state, d1, d2)
+            est = mc_decoupling_error(inst, n_samples=80, seed=1)
+            bound, s_star = decoupling_error_upper_bound_optimized(inst)
+            assert 0 < s_star <= 1.0
+            assert (est.mean - 3 * est.stderr) * math.log(2.0) <= bound
 
 
 def test_bound_search_matches_a_brentq_search():

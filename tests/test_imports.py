@@ -99,6 +99,65 @@ def test_eigensolver_check_sees_direct_calls():
                                                  "linalg.eigvalsh (line 3)"]
 
 
+# The functions where an input enters, and the validating primitives themselves:
+# only these call the validating ``as_hermitian``, ``herm_eig`` or ``Spectrum.of``.
+# Every other function decomposes what the package derived with ``Spectrum.eigh``
+# or ``Spectrum.eigvalsh``.
+VALIDATION_POINTS = {
+    "State.__post_init__",
+    "Channel.__post_init__",
+    "generalized_dephasing",
+    "maximally_correlated",
+    "pinching_channel",
+    "random_channel",
+    "umegaki",
+    "petz_renyi",
+    "sandwiched_renyi",
+    "d_max",
+    "_spectrum",
+    "sharp_trace_inequality",
+    "Spectrum.of",
+    "herm_eig",
+    "mat_pow",
+}
+
+
+def _validations(node: ast.AST, scope: str = "<module>") -> list[str]:
+    """``function: name`` for every reference to ``as_hermitian``, ``herm_eig`` or
+    ``Spectrum.of``, with the function named by its class and enclosing functions."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found += _validations(child, child.name if scope == "<module>"
+                                  else f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Name) and child.id in ("as_hermitian", "herm_eig"):
+            found.append(f"{scope}: {child.id}")
+        elif (isinstance(child, ast.Attribute) and child.attr == "of"
+              and isinstance(child.value, ast.Name) and child.value.id == "Spectrum"):
+            found.append(f"{scope}: Spectrum.of")
+        found += _validations(child, scope)
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.parent.name == "qdecoupling"],
+                         ids=lambda p: p.name)
+def test_validation_only_where_input_enters(path):
+    """Each input is validated once, where it enters: only the functions of
+    VALIDATION_POINTS validate, never a matrix that the package derived."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [c for c in _validations(tree) if c.split(":")[0] not in VALIDATION_POINTS]
+    assert not calls, f"{path.name} validates a derived matrix in {', '.join(calls)}"
+
+
+def test_validation_check_sees_every_form():
+    src = ("class State:\n    def __post_init__(self):\n        as_hermitian(m)\n"
+           "    def marginal(self):\n        return Spectrum.of(m)\n\n"
+           "def f():\n    def g():\n        return herm_eig(m)\n    return Spectrum.eigh(m)\n")
+    assert _validations(ast.parse(src)) == ["State.__post_init__: as_hermitian",
+                                            "State.marginal: Spectrum.of", "f.g: herm_eig"]
+
+
 def _brentq_uses(tree: ast.Module) -> list[int]:
     """Lines that name ``brentq``: an attribute, a bare name or an import of it."""
     return sorted({node.lineno for node in ast.walk(tree)

@@ -15,9 +15,14 @@ from scipy import optimize
 
 from qdecoupling import linalg
 from qdecoupling.channels import (
+    Channel,
     apply_channel,
     channel_from_kraus,
+    full_trace_channel,
     generalized_dephasing,
+    identity_channel,
+    partial_trace_channel,
+    pinching_channel,
     random_channel,
 )
 from qdecoupling.condentropy import (
@@ -31,6 +36,7 @@ from qdecoupling.condentropy import (
     sandwiched_cond_entropy,
 )
 from qdecoupling.decoupling import (
+    decoupling_error_lower_bound,
     decoupling_error_sample,
     decoupling_error_upper_bound_optimized,
     mc_decoupling_error,
@@ -389,14 +395,14 @@ def test_optimizers_validate_only_at_the_input_boundary(validations, monkeypatch
     The mirror descents of test_eigensolves_of_mirror_descent (7 and 8 steps)
     make no validation; before, the identity permutation, rho_B and rho made
     three.  The channel-input search of
-    test_eigensolves_of_the_channel_input_search validates once, for the
-    State it returns, whatever the number of evaluations; before, each
-    evaluation validated its output rho_RB.  A 20-rate decoupling curve
-    validates nothing: the min-entropy comes from the Gram matrix of rho's
-    support factor; before, d_max validated twice for it, and earlier the
-    ConditionalEntropy it builds validated rho, I_A x rho_B and V^+ rho V too.
-    A 20-rate dephasing-channel curve validates nothing: the Channel validated
-    its Choi matrix; before, the curve validated it again.
+    test_eigensolves_of_the_channel_input_search validates nothing, whatever
+    the number of evaluations: the State it returns is derived; before, it
+    validated that State, and earlier each evaluation its output rho_RB.  A
+    20-rate decoupling curve validates nothing: the min-entropy comes from the
+    Gram matrix of rho's support factor; before, d_max validated twice for it,
+    and earlier the ConditionalEntropy it builds validated rho, I_A x rho_B and
+    V^+ rho V too.  A 20-rate dephasing-channel curve validates nothing: the
+    Channel validated its Choi matrix; before, the curve validated it again.
     """
     state = random_state((("A", 4), ("E", 2)), 3, make_rng(5, stream=11))
     assert validations(standard_decoupling_curve, state, 2.0, np.linspace(0.1, 2.0, 20)) == 0
@@ -423,9 +429,27 @@ def test_optimizers_validate_only_at_the_input_boundary(validations, monkeypatch
     for restarts in (1, 2, 4):
         evals.clear()
         rng = make_rng(3, stream=13)
-        assert validations(channel_coherent_info, channel, 0.7, "petz", restarts, rng) == 1
+        assert validations(channel_coherent_info, channel, 0.7, "petz", restarts, rng) == 0
         per_search.append(sum(evals))
     assert per_search[0] < per_search[1] == 25 < per_search[2]
+
+
+def test_channels_and_decoupling_validate_only_their_inputs(validations):
+    """A decouple-mc job on a loaded state validates nothing past the state: rho_E,
+    the Choi state, omega_C x rho_E, and the lower bound's positive part and
+    eigenvalue clusters are derived; before, the three calls validated 2, 1 and 3
+    of them.  The Kraus constructor checks trace preservation only, and the
+    dephasing channel validates its Gram matrix once; before, they validated the
+    Choi matrix too.
+    """
+    state = random_state((("A", 4), ("E", 2)), 3, make_rng(5, stream=11))
+    inst = standard_instance(state, 2, 2)
+    assert validations(mc_decoupling_error, inst, 50, 0) == 0
+    assert validations(decoupling_error_upper_bound_optimized, inst) == 0
+    assert validations(decoupling_error_lower_bound, state, 2, 2) == 0
+    iso = haar_unitary(4, make_rng(3, stream=12))[:, :3]
+    assert validations(channel_from_kraus, [iso[:2], iso[2:]]) == 0
+    assert validations(generalized_dephasing, np.array([[1.0, 0.5], [0.5, 1.0]])) == 1
 
 
 def test_derived_states_match_the_public_constructor(rng):
@@ -443,3 +467,16 @@ def test_derived_states_match_the_public_constructor(rng):
         State(np.diag([1.5, -0.5]), (("A", 2),))
     with pytest.raises(ValueError):
         State(np.eye(2) * 0.6, (("A", 2),))
+
+
+def test_derived_channels_match_the_public_constructor(rng):
+    """The channels that the package builds through ``Channel._trusted`` store the
+    Choi matrix that the public constructor stores for them, to the bit."""
+    u = haar_unitary(3, rng)
+    h = (u * [0.3, 0.3, 0.7]) @ u.conj().T  # two clusters, projectors of rank 2 and 1
+    gram = np.array([[1.0, 0.5j, 0.2], [-0.5j, 1.0, 0.1], [0.2, 0.1, 1.0]])
+    for derived in (identity_channel(3), partial_trace_channel(2, 3), full_trace_channel(4),
+                    pinching_channel(h), generalized_dephasing(gram)):
+        public = Channel(derived.din, derived.dout, derived.choi)
+        assert np.array_equal(derived.choi, public.choi)
+        assert np.array_equal(derived.choi, derived.choi.conj().T)
