@@ -291,10 +291,13 @@ def _divided_differences(w: np.ndarray, c: float) -> np.ndarray:
     (w_i w_j)^((c-1)/2) sinh(c u) / sinh(u) with u = log(w_i / w_j) / 2, which loses
     no digits to cancellation when w_i and w_j are close."""
     lw = np.log(w)
-    u = 0.5 * (lw[:, None] - lw[None, :])
-    same = u == 0.0
-    ratio = np.where(same, c, np.sinh(c * u) / np.where(same, 1.0, np.sinh(u)))
-    return np.exp(0.5 * (c - 1.0) * (lw[:, None] + lw[None, :])) * ratio
+    u = 0.5 * (lw[:, None] - lw)
+    same, den = u == 0.0, np.sinh(u)
+    den[same] = 1.0  # no 0 / 0 at a tie, where c is written below
+    ratio = np.sinh(c * u) / den
+    ratio[same] = c
+    ratio *= np.exp(0.5 * (c - 1.0) * (lw[:, None] + lw))
+    return ratio
 
 
 def _petz_objective(vecs: np.ndarray, lam: np.ndarray, alpha: float):
@@ -329,6 +332,7 @@ def _sandwiched_objective(vecs: np.ndarray, lam: np.ndarray, da: int, alpha: flo
     so no term overflows.
     """
     c = (1.0 - alpha) / (2.0 * alpha)
+    c2, am1 = 2.0 * c, alpha - 1.0
     factor, r = vecs * np.sqrt(lam), len(lam) // da
 
     def f(w: np.ndarray, v: np.ndarray):
@@ -339,15 +343,16 @@ def _sandwiched_objective(vecs: np.ndarray, lam: np.ndarray, da: int, alpha: flo
         if not kap.size:
             return math.inf, None
         top = float(kap[-1])
-        q = float(np.sum((kap / top) ** alpha))
-        scale = alpha / (q * top * _LN2 * (alpha - 1.0))
+        q = float(((kap / top) ** alpha).sum())
+        scale = alpha / (q * top * _LN2 * am1)
 
         def grad():
             su = s.reshape(-1, r) @ u
-            z = (su * (kap / top) ** (alpha - 1.0)).reshape(len(w), -1) @ su.reshape(len(w), -1).conj().T
-            return scale * _divided_differences(w, 2.0 * c) * z
+            z = (su * (kap / top) ** am1).reshape(len(w), -1) @ su.reshape(len(w), -1).conj().T
+            z *= scale * _divided_differences(w, c2)
+            return z
 
-        return (alpha * math.log2(top) + math.log2(q)) / (alpha - 1.0), grad
+        return (alpha * math.log2(top) + math.log2(q)) / am1, grad
 
     return f
 
@@ -371,9 +376,9 @@ def _mirror_descent(obj, sigma0: Spectrum):
     the minimizer of the quadratic through f(0), the slope -||P||_sigma^2 and
     f(eta), kept in [0.1 eta, 0.5 eta] (0.1 eta after an inf or NaN value;
     Nocedal and Wright, Numerical Optimization, 3.5); an accepted step grows it
-    by 1.3.  A trial point costs one eigh of diag(ln w) - eta G~, whose
-    eigenvectors U give V' = V U, plus one evaluation of ``obj``; sigma is
-    formed only for the result.  It runs at most _MAX_ITERS steps, and
+    by 1.3.  A trial point costs one eigh of diag(ln w) - eta G~ (formed in place),
+    whose eigenvectors U give V' = V U, plus ``obj``: 2 eigh for the sandwiched family.
+    sigma is formed only for the result.  It runs at most _MAX_ITERS steps, and
     ``exit`` says why it stopped, with the projected gradient P = G - tr(G sigma) I
     measured by ||P||_sigma = tr(P sigma P)^(1/2), which, unlike |P|, vanishes at
     a minimizer where sigma is rank-deficient:
@@ -390,23 +395,25 @@ def _mirror_descent(obj, sigma0: Spectrum):
     ln_w = np.log(w)
     fval, grad_at = obj(w, v)
     grad = grad_at()
-    eye = np.eye(len(w))
     eta = 1.0
     grad_norm = math.inf
     for it in range(_MAX_ITERS):
-        proj = grad - float(np.real(np.diagonal(grad)) @ w) * eye
-        slope = float(np.sum(np.abs(proj) ** 2 @ w))  # tr(P sigma P)
+        proj = grad.copy()
+        proj.flat[:: len(w) + 1] -= float(np.real(np.diagonal(grad)) @ w)
+        slope = float((np.abs(proj) ** 2 @ w).sum())  # tr(P sigma P)
         grad_norm = math.sqrt(slope)
         if grad_norm <= _GRAD_TOL:
             return MinimizeResult(fval, (v * w) @ v.conj().T, it, grad_norm, "grad_tol")
         floor = _RESOLUTION * max(1.0, abs(fval))
         while eta * slope >= floor:
-            spec = Spectrum.eigh(np.diag(ln_w) - eta * grad)
+            step = grad * -eta
+            step.flat[:: len(w) + 1] += ln_w
+            spec = Spectrum.eigh(step)
             ln_c = spec.values - spec.values[-1]  # the shift guards against overflow
-            ln_c -= math.log(float(np.sum(np.exp(ln_c))))
+            ln_c -= math.log(float(np.exp(ln_c).sum()))
             # e^-30 = 9.4e-14 per eigenvalue, far inside the trace checks (1e-9), keeps
             # every eigenvector within reach of a step: from ln w near -690 it is not
-            ln_c = np.maximum(ln_c, -30.0)
+            np.maximum(ln_c, -30.0, out=ln_c)
             cw, cv = np.exp(ln_c), v @ spec.vectors
             fc, gc = obj(cw, cv)
             if fc < fval - 1e-15:

@@ -103,20 +103,21 @@ class Spectrum:
         """Eigenvalues only of ``h`` (or a stack) as given; only lower triangles are read."""
         return cls(_eig_call(np.linalg.eigvalsh, h))
 
-    def _cutoffs(self) -> np.ndarray:
-        """The cutoff of each matrix, with a trailing axis to compare with the eigenvalues."""
-        top = np.abs(self.values).max(axis=-1, keepdims=True, initial=0.0)
-        return self.values.shape[-1] * _EPS * np.maximum(top, 1.0)
-
     @property
-    def cutoff(self) -> float:
-        """Rank-revealing cutoff ``dim * eps * max(|lambda|_max, 1)`` of one matrix."""
-        return float(self._cutoffs()[0])
+    def cutoff(self) -> float | np.ndarray:
+        """Rank-revealing cutoff ``dim * eps * max(|lambda|_max, 1)``: a float for one matrix,
+        with a trailing axis for a stack.  The eigenvalues ascend, so one matrix compares
+        |lambda_0| and |lambda_-1| as floats, with no reduction."""
+        v = self.values
+        if v.ndim == 1:
+            return len(v) * _EPS * (max(-float(v[0]), float(v[-1]), 1.0) if len(v) else 1.0)
+        top = np.abs(v).max(axis=-1, keepdims=True, initial=0.0)
+        return v.shape[-1] * _EPS * np.maximum(top, 1.0)
 
     @property
     def support(self) -> np.ndarray:
         """Mask of the eigenvalues above the cutoff."""
-        return self.values > self._cutoffs()
+        return self.values > self.cutoff
 
     def _rebuild(self, new_values: np.ndarray) -> np.ndarray:
         return (self.vectors * new_values) @ self.vectors.conj().T

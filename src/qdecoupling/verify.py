@@ -74,9 +74,9 @@ def _suite_relent_floor(trials, rng):
     return rep.relent_floor_violation, 1e-9, None
 
 
-def haar2_deviations(n, rng):
+def haar2_deviations(n, rng, z=4.0):
     """(worst_mc, worst_twirl) for d in {2, 3}: the n-sample Monte Carlo Haar second
-    moment's largest entrywise excess over 4 standard errors, and the largest
+    moment's largest entrywise excess over ``z`` standard errors, and the largest
     entrywise error of the exact Heisenberg-Weyl twirl of a random matrix.  Each
     stack of ``MC_CHUNK`` samples w w*, w = vec x vec, is summed by matrix products."""
     worst_mc, worst_twirl = -math.inf, 0.0
@@ -94,7 +94,7 @@ def haar2_deviations(n, rng):
             acc2 += sq.T @ sq
         mean = acc / n
         stderr = np.sqrt(np.maximum(acc2 / n - np.abs(mean) ** 2, 0.0) / n)
-        worst_mc = max(worst_mc, float(np.max(np.abs(mean - exact) - 4.0 * stderr)))
+        worst_mc = max(worst_mc, float(np.max(np.abs(mean - exact) - z * stderr)))
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         tw = sum(u @ m @ u.conj().T for u in heisenberg_weyl(d)) / d**2
         worst_twirl = max(worst_twirl, float(np.max(np.abs(tw - np.trace(m) * np.eye(d) / d))))
@@ -102,7 +102,9 @@ def haar2_deviations(n, rng):
 
 
 def _suite_haar2(trials, rng):
-    return max(0.0, *haar2_deviations(max(trials, 1000), rng)), 1e-10, None
+    """Fails past 6 standard errors in any of the 256 + 6561 entries (Bonferroni): a false alarm
+    on correct code in at most 6817 erfc(6 / sqrt 2) = 1.35e-5 of runs (4: 1 seed in 20)."""
+    return max(0.0, *haar2_deviations(max(trials, 1000), rng, 6.0)), 1e-10, None
 
 
 def _suite_pinching(trials, rng):

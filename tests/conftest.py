@@ -71,6 +71,23 @@ def classical_divergence_oracle(
     raise ValueError(f"unknown divergence kind {kind!r}")
 
 
+def reference_divided_differences(w, c):
+    """``condentropy._divided_differences`` as first written, ties guarded by two
+    np.where calls: the in-place kernel must give these bits."""
+    lw = np.log(w)
+    u = 0.5 * (lw[:, None] - lw[None, :])
+    same = u == 0.0
+    ratio = np.where(same, c, np.sinh(c * u) / np.where(same, 1.0, np.sinh(u)))
+    return np.exp(0.5 * (c - 1.0) * (lw[:, None] + lw[None, :])) * ratio
+
+
+def reference_cutoffs(values):
+    """``Spectrum.cutoff`` as first written, max |lambda| by a reduction with a trailing
+    axis (then ``[0]`` for one matrix): the two end eigenvalues must give these bits."""
+    top = np.abs(values).max(axis=-1, keepdims=True, initial=0.0)
+    return values.shape[-1] * float(np.finfo(float).eps) * np.maximum(top, 1.0)
+
+
 def purify(state: State, label: str = "P") -> State:
     """Pure extension on one extra subsystem of size rank(state)."""
     spec = Spectrum.of(state.density)

@@ -17,6 +17,7 @@ from qdecoupling.condentropy import (
     EntropyKind,
     OptimizerDivergence,
     PetzUpEntropy,
+    _divided_differences,
     _input_objective,
     _petz_objective,
     _sandwiched_objective,
@@ -43,7 +44,7 @@ from qdecoupling.states import (
     random_state,
 )
 
-from conftest import brentq_concave_sup, purify
+from conftest import brentq_concave_sup, purify, reference_divided_differences
 
 KINDS = [
     EntropyKind("petz", 0.6),
@@ -593,6 +594,30 @@ def test_a_trial_without_a_value_cuts_the_step_tenfold(bad, monkeypatch):
     res = minimized_conditioning(st_, ["A"], ["B"], "sandwiched", 1.5)
     assert (res.exit, res.iters, res.value) == ("resolution", 0, trials[0]["f"])
     assert len(trials) - 1 == 14
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.6, 0.8, 1.5, 2.0, 3.0])
+def test_divided_differences_in_place_bit_for_bit(alpha):
+    """The in-place kernel gives the bits of the two-np.where form of
+    conftest.reference_divided_differences at the sandwiched order 2c =
+    (1 - alpha) / alpha and the Petz order 1 - alpha, on random w with exact ties,
+    with entries at the descent's e^-30 floor, and normalized to a top entry of 1."""
+    rng = make_rng(int(alpha * 10), stream=21)
+    floor = math.exp(-30.0)
+    ws = []
+    for d in (1, 2, 3, 5, 8):
+        w = rng.dirichlet(np.ones(d))
+        ws.append(w)
+        ws.append(np.where(rng.random(d) < 0.4, floor, w))  # floored entries tie
+        ws.append(w[rng.integers(0, d, d)])  # repeated entries tie exactly
+        ws.append(w / w.max())
+    ws.append(np.full(4, 0.25))
+    ws.append(np.array([floor, floor, 1.0 - 2.0 * floor]))
+    for c in ((1.0 - alpha) / alpha, 1.0 - alpha):
+        for w in ws:
+            got = _divided_differences(w, c)
+            assert np.array_equal(got, reference_divided_differences(w, c))
+            assert np.diagonal(got) == pytest.approx(c * w ** (c - 1.0), rel=1e-14)
 
 
 def test_failed_trials_step_to_the_quadratic_model(monkeypatch):

@@ -58,6 +58,8 @@ from qdecoupling.states import (
     random_state,
 )
 
+from conftest import reference_cutoffs
+
 
 def test_spectrum_calculus_on_a_diagonal_matrix():
     spec = Spectrum.of(np.diag([0.0, 0.25, 0.75]))
@@ -83,11 +85,34 @@ def test_stacked_spectrum_matches_each_matrix(rng):
     assert spec.entropy().shape == (4,)
     for k, m in enumerate(stack):
         row = Spectrum.eigvalsh(m)
-        assert spec._cutoffs()[k, 0] == row.cutoff
+        assert spec.cutoff[k, 0] == row.cutoff
         assert np.array_equal(spec.support[k], row.support)
         assert spec.entropy()[k] == pytest.approx(row.entropy(), abs=1e-13)
     assert np.count_nonzero(spec.support[1]) == 2
     assert spec.entropy()[3] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_cutoffs_read_the_end_eigenvalues_bit_for_bit(rng):
+    """The cutoff from -lambda_0 and lambda_-1 has the bits of the reduction over |lambda|:
+    spectra whose largest |lambda| is negative, above and below 1, the empty spectrum,
+    and stacks, with their support masks."""
+    spectra = [np.array([-3.0, 0.5, 2.0]), np.array([-0.7, -0.2]), np.array([-2.5]),
+               np.array([1e-17, 0.3, 0.7]), np.array([-1e-16, 0.0, 150.0]), np.zeros(0)]
+    spectra += [np.sort(rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3, d))
+                for d in (1, 2, 5, 16) for _ in range(5)]
+    for vals in spectra:
+        spec = Spectrum(vals)
+        ref = reference_cutoffs(vals)
+        assert isinstance(spec.cutoff, float)
+        assert np.array_equal(spec.cutoff, ref[0])
+        assert np.array_equal(spec.support, vals > ref)
+    stacks = [np.sort(rng.standard_normal((3, 4)) * [[1e-2], [1.0], [40.0]], axis=-1),
+              np.array([[-5.0, 1.0], [0.0, 0.0]]), np.zeros((3, 0)),
+              np.sort(rng.standard_normal((2, 3, 5)), axis=-1)]
+    for vals in stacks:
+        spec = Spectrum(vals)
+        assert np.array_equal(spec.cutoff, reference_cutoffs(vals))
+        assert np.array_equal(spec.support, vals > reference_cutoffs(vals))
 
 
 def test_spectrum_pow_rejects_negative():

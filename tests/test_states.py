@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qdecoupling.linalg import tensor
 from qdecoupling.states import (
     State,
+    _embed_swap,
     haar_second_moment_exact,
     haar_unitaries,
     haar_unitary,
@@ -19,7 +20,8 @@ from qdecoupling.states import (
     random_pure,
     random_state,
 )
-from qdecoupling.verify import haar2_deviations
+from qdecoupling import verify
+from qdecoupling.verify import SUITES, haar2_deviations
 
 from conftest import purify
 
@@ -113,6 +115,27 @@ def test_haar2_deviations_match_the_per_sample_loop(n):
     assert got[1] == pytest.approx(want[1], rel=0, abs=1e-15)
     # the same draws, in the same order
     assert rngs[0].standard_normal() == rngs[1].standard_normal()
+
+
+def test_haar2_suite_gates_every_entry_at_once(monkeypatch):
+    """The haar2 suite fails only past 6 standard errors, Bonferroni over the 256 + 6561
+    entries: a false alarm in at most 1.35e-5 of runs.  The draw that
+    ``verify --suite all --trials 50 --seed 3`` gives it (stream 4) has one entry at
+    4.005 standard errors, which failed correct code at 4; it passes.  An exact moment
+    without its cross terms, 72 standard errors off at n = 1000, still fails."""
+    assert sum(d**8 for d in (2, 3)) * math.erfc(6.0 / math.sqrt(2.0)) < 1.35e-5
+    assert haar2_deviations(1000, make_rng(3, stream=4))[0] > 0  # the 4-se rule fails it
+    assert haar2_deviations(1000, make_rng(3, stream=4), 6.0)[0] < 0
+    worst, tol, _ = SUITES["haar2"](50, make_rng(3, stream=4))
+    assert worst <= tol
+
+    def without_cross_terms(d):  # c_main (I + F_A F_A'), the c_cross term dropped
+        f_a, f_ap = _embed_swap(d, 4, 0, 2), _embed_swap(d, 4, 1, 3)
+        return (np.eye(d**4) + f_a @ f_ap) / (d * d * (d * d - 1))
+
+    monkeypatch.setattr(verify, "haar_second_moment_exact", without_cross_terms)
+    worst, tol, _ = SUITES["haar2"](50, make_rng(3, stream=4))
+    assert worst > 0.05
 
 
 def test_make_rng_determinism():
